@@ -18,14 +18,13 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import (
     DegenerateMetric,
     MinimalOrTotallyGeodesic,
     NotIsotropic,
 )
-from .fields import GridSpec, ScalarField, d_dudv, diff_values
+from .fields import GridSpec, ScalarField, bicubic, d_dudv, diff_values
 from .minkowski import lorentz_inner, minkowski_cross
 
 FD_ORDER = 4
@@ -70,20 +69,14 @@ class Immersion:
         return diff_values(self.points, self.grid.hv, axis=1, order=FD_ORDER)
 
     def resample(self, new_u: np.ndarray, new_v: np.ndarray) -> "Immersion":
-        """Componentwise bicubic sampling at the given coordinate arrays.
+        """Bicubic sampling (`fields.bicubic`) at the given coordinate arrays.
 
         The returned grid spans the target endpoints assuming uniform nodes;
         callers passing non-uniform targets (the canonicalization quadrature
         does) must relabel the grid themselves.
         """
-        g = self.grid
         new_grid = GridSpec(new_u[0], new_u[-1], new_v[0], new_v[-1], len(new_u), len(new_v))
-        cu = np.clip(new_u, g.u0, g.u1)
-        cv = np.clip(new_v, g.v0, g.v1)
-        pts = np.empty((len(new_u), len(new_v), 4))
-        for k in range(4):
-            pts[..., k] = RectBivariateSpline(g.u_nodes, g.v_nodes, self.points[..., k], kx=3, ky=3, s=0)(cu, cv)
-        return Immersion(new_grid, pts)
+        return Immersion(new_grid, bicubic(self.points, self.grid, new_u, new_v))
 
     def transpose(self) -> "Immersion":
         """Swap the roles of u and v (used by the canonicalization role-swap)."""

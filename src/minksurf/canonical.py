@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import make_interp_spline
 
 from .analysis import (
     FrameFunctions,
@@ -119,7 +119,7 @@ def _monotone_inverse(svals: np.ndarray, nodes: np.ndarray, targets: np.ndarray)
     """Given s(nodes) strictly increasing, return nodes at the target s-values."""
     if np.any(np.diff(svals) <= 0):
         raise NotSeparable("reparametrization map is not strictly increasing")
-    inv = CubicSpline(svals, nodes)
+    inv = make_interp_spline(svals, nodes, k=3)
     out = inv(np.clip(targets, svals[0], svals[-1]))
     return np.clip(out, nodes[0], nodes[-1])
 

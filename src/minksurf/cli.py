@@ -307,31 +307,34 @@ _HANDLERS = {
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # the error report goes where the merged options say; if the merge itself
+    # failed, only the command-line flag is known
+    report_path = args.report
     try:
         opts = _merge_config(args)
+        report_path = opts["report"]
         return _HANDLERS[args.command](opts)
     except ValidationError as exc:
-        _emit_error(args, exc)
+        _emit_error(args.command, report_path, exc)
         return 1
     except NumericalError as exc:
-        _emit_error(args, exc)
+        _emit_error(args.command, report_path, exc)
         return 2
     except MinksurfError as exc:
-        _emit_error(args, exc)
+        _emit_error(args.command, report_path, exc)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
 
 
-def _emit_error(args: argparse.Namespace, exc: Exception) -> None:
+def _emit_error(command: str, report_path: str | None, exc: Exception) -> None:
     report = {
-        "command": getattr(args, "command", None),
+        "command": command,
         "status": "error",
         "error": type(exc).__name__,
         "message": str(exc),
     }
-    report_path = getattr(args, "report", None)
     if report_path:
         try:
             io.write_report(report, report_path)

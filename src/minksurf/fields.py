@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import make_interp_spline
 
 from .errors import GridTooSmall, NearZeroField, OutOfDomain
 
@@ -62,10 +62,6 @@ class GridSpec:
     def interior(self, layers: int = 2):
         """Index slices excluding `layers` boundary rows/columns."""
         return slice(layers, self.Nu - layers), slice(layers, self.Nv - layers)
-
-    def refine(self) -> "GridSpec":
-        """Halve both spacings (nodes 33 -> 65 -> 129 ...)."""
-        return GridSpec(self.u0, self.u1, self.v0, self.v1, 2 * self.Nu - 1, 2 * self.Nv - 1)
 
     def refined_by(self, factor: int) -> "GridSpec":
         return GridSpec(
@@ -297,8 +293,19 @@ def sqrt_abs(s: ScalarField, mu_min: float = MU_MIN) -> ScalarField:
 # resampling
 
 
-def spline_of(s: ScalarField) -> RectBivariateSpline:
-    return RectBivariateSpline(s.grid.u_nodes, s.grid.v_nodes, s.values, kx=3, ky=3, s=0)
+def bicubic(values: np.ndarray, grid: GridSpec, new_u: np.ndarray, new_v: np.ndarray) -> np.ndarray:
+    """Not-a-knot tensor cubic interpolant of node samples on a target mesh.
+
+    values has shape (Nu, Nv, ...) with any trailing axes (components,
+    matrices); the result has shape (len(new_u), len(new_v), ...).  Targets
+    are clipped into the domain.  The tensor interpolant equals a 1-D
+    not-a-knot pass along u followed by one along v, which is how it is
+    evaluated.
+    """
+    cu = np.clip(new_u, grid.u0, grid.u1)
+    cv = np.clip(new_v, grid.v0, grid.v1)
+    along_u = make_interp_spline(grid.u_nodes, values, k=3, axis=0)(cu)
+    return make_interp_spline(grid.v_nodes, along_u, k=3, axis=1)(cv)
 
 
 def resample(s: ScalarField, new_u: np.ndarray, new_v: np.ndarray) -> ScalarField:
@@ -319,5 +326,4 @@ def resample(s: ScalarField, new_u: np.ndarray, new_v: np.ndarray) -> ScalarFiel
     if np.ptp(hu) > 1e-9 * (new_u[-1] - new_u[0]) or np.ptp(hv) > 1e-9 * (new_v[-1] - new_v[0]):
         raise ValueError("resample targets must be uniform node sets")
     new_grid = GridSpec(new_u[0], new_u[-1], new_v[0], new_v[-1], len(new_u), len(new_v))
-    vals = spline_of(s)(np.clip(new_u, g.u0, g.u1), np.clip(new_v, g.v0, g.v1))
-    return ScalarField(new_grid, vals)
+    return ScalarField(new_grid, bicubic(s.values, g, new_u, new_v))

@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import Immersion
+from .errors import ConfigError
 from .fields import GridSpec, ScalarField
 from .jets import JetSeed, jet_manufacture
 from .natural import CanonicalTriple, Case, solve_goursat_degenerate, solve_goursat_hyperbolic
@@ -181,4 +182,4 @@ def make_triple_fixture(name: str, nodes: int = 65, **kwargs) -> CanonicalTriple
         return goursat_degenerate_triple(nodes, refine=kwargs.get("refine", 1))
     if name == "goursat-hyperbolic":
         return goursat_hyperbolic_triple(nodes)
-    raise ValueError(f"unknown triple fixture {name!r}; choose from {FIXTURE_NAMES[:-1]}")
+    raise ConfigError(f"unknown triple fixture {name!r}; choose from {FIXTURE_NAMES[:-1]}")

@@ -12,6 +12,11 @@ field is the practical detector for bad input; path independence of the
 integration holds only then, and the cross-path discrepancy is reported as a
 diagnostic rather than silently averaged away.  The frame is never
 re-orthonormalized: Gram drift is itself a diagnostic.
+
+Transport runs RK4 along grid lines.  On a grid line the not-a-knot tensor
+cubic interpolant of the node matrices is the 1-D not-a-knot cubic spline
+along that line, so each sweep builds that spline once and evaluates it at
+the RK4 stages.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import make_interp_spline
 
 from .errors import ResidualTooLarge, StepUnstable, ValidationError
 from .fields import GridSpec, ScalarField, d_du, d_dv, diff_values, sqrt_abs
@@ -85,33 +90,6 @@ def compatibility_residual(t: CanonicalTriple) -> ScalarField:
     return ScalarField(g, np.max(np.abs(M), axis=(-2, -1)))
 
 
-class _MatrixInterp:
-    """Bicubic interpolation of a per-node matrix field, entry by entry."""
-
-    def __init__(self, mats: np.ndarray, grid: GridSpec):
-        self._splines = [
-            [RectBivariateSpline(grid.u_nodes, grid.v_nodes, mats[..., r, c], kx=3, ky=3, s=0)
-             for c in range(4)]
-            for r in range(4)
-        ]
-
-    def along_u(self, u: np.ndarray, v: float) -> np.ndarray:
-        """Matrices at every u for fixed v: (len(u), 4, 4)."""
-        out = np.empty((len(u), 4, 4))
-        for r in range(4):
-            for c in range(4):
-                out[:, r, c] = self._splines[r][c](u, v)[:, 0]
-        return out
-
-    def along_v(self, u: float, v: np.ndarray) -> np.ndarray:
-        """Matrices at every v for fixed u: (len(v), 4, 4)."""
-        out = np.empty((len(v), 4, 4))
-        for r in range(4):
-            for c in range(4):
-                out[:, r, c] = self._splines[r][c](u, v)[0, :]
-        return out
-
-
 RK4_SUBSTEPS = 2  # per grid interval; 1 leaves ~3e-9 vs the matrix-exponential oracle
 
 
@@ -120,8 +98,8 @@ def _rk4_line(F0: np.ndarray, mats_at, coords: np.ndarray, substeps: int = RK4_S
 
     F0: (batch, 4, 4); mats_at(s) -> (batch, 4, 4) coefficient matrices at
     coordinate s for every batch member; returns (len(coords), batch, 4, 4).
-    Each grid interval is covered by `substeps` RK4 steps with intermediate
-    coefficients from the bicubic interpolant.
+    Each grid interval is covered by `substeps` RK4 steps; mats_at is a cubic
+    spline along `coords`, which supplies the off-node coefficients.
     """
     h = (coords[1] - coords[0]) / substeps
     out = np.empty((len(coords),) + F0.shape)
@@ -145,18 +123,15 @@ def _rk4_line(F0: np.ndarray, mats_at, coords: np.ndarray, substeps: int = RK4_S
 
 
 def _transport(cm: CoefficientMatrices, F0m: np.ndarray, bottom_first: bool) -> np.ndarray:
-    g = cm.grid
-    u, v = g.u_nodes, g.v_nodes
-    A = _MatrixInterp(cm.A, g)
-    B = _MatrixInterp(cm.B, g)
+    u, v = cm.grid.u_nodes, cm.grid.v_nodes
     if bottom_first:
         # along the bottom edge v = v0, then up every column at once
-        edge = _rk4_line(F0m[None], lambda s: A.along_u(np.array([s]), v[0]), u)[:, 0]
-        field = _rk4_line(edge, lambda s: B.along_u(u, s), v)
+        edge = _rk4_line(F0m[None], make_interp_spline(u, cm.A[:, :1], k=3, axis=0), u)[:, 0]
+        field = _rk4_line(edge, make_interp_spline(v, cm.B, k=3, axis=1), v)
         return np.moveaxis(field, 0, 1)  # -> (Nu, Nv, 4, 4)
     # up the left edge u = u0, then across every row at once
-    edge = _rk4_line(F0m[None], lambda s: B.along_v(u[0], np.array([s])), v)[:, 0]
-    return _rk4_line(edge, lambda s: A.along_v(s, v), u)
+    edge = _rk4_line(F0m[None], make_interp_spline(v, cm.B[:1], k=3, axis=1), v)[:, 0]
+    return _rk4_line(edge, make_interp_spline(u, cm.A, k=3, axis=0), u)
 
 
 def integrate_frame(t: CanonicalTriple, F0: FrameState | np.ndarray | None = None):

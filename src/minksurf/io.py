@@ -72,13 +72,24 @@ def write_triple_bundle(t: CanonicalTriple, dirpath: str) -> None:
 
 
 def read_triple_bundle(dirpath: str) -> CanonicalTriple:
+    """Read a bundle; the sidecar's grid and sign_mu must agree with the CSVs."""
     with open(os.path.join(dirpath, "triple.json")) as fh:
         sidecar = json.load(fh)
-    case = Case(sidecar["case"])
+    try:
+        case = Case(sidecar["case"])
+        grid = GridSpec.from_dict(sidecar["grid"])
+        sign_mu = sidecar["sign_mu"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{dirpath}: malformed triple.json: {exc!r}") from exc
     lam = read_field_csv(os.path.join(dirpath, "lambda.csv"))
     mu = read_field_csv(os.path.join(dirpath, "mu.csv"))
     nu = read_field_csv(os.path.join(dirpath, "nu.csv"))
-    return CanonicalTriple(lam=lam, mu=mu, nu=nu, case=case, flags=tuple(sidecar.get("flags", [])))
+    t = CanonicalTriple(lam=lam, mu=mu, nu=nu, case=case, flags=tuple(sidecar.get("flags", [])))
+    if grid != t.grid:
+        raise ConfigError(f"{dirpath}: triple.json grid {grid} disagrees with the CSV grid {t.grid}")
+    if sign_mu != t.sign_mu:
+        raise ConfigError(f"{dirpath}: triple.json sign_mu {sign_mu} disagrees with mu.csv ({t.sign_mu})")
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
+from scipy.interpolate import make_interp_spline
 
 from .errors import BlowUp, BothMuZero, NearZeroField, NoConvergence, ValidationError
 from .fields import MU_MIN, GridSpec, ScalarField, d_du, d_dudv, d_dv, ln_abs
@@ -180,7 +180,7 @@ def _samples_1d(data, nodes: np.ndarray, name: str) -> np.ndarray:
 def _resample_1d(samples: np.ndarray, coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
     if len(coarse) == len(fine):
         return samples.copy()
-    return CubicSpline(coarse, samples)(fine)
+    return make_interp_spline(coarse, samples, k=3)(fine)
 
 
 def _wavefront_indices(Nu: int, Nv: int):
@@ -276,14 +276,14 @@ def solve_goursat_degenerate(
     g = _goursat_march(fine, gb, gl, rhs)
 
     # transport lambda: lam_v = lam * g_v - nu_u, RK4 up every column at once
-    g_spline = RectBivariateSpline(u_f, v_f, g, kx=3, ky=3, s=0)
+    g_v = make_interp_spline(v_f, g, k=3, axis=1).derivative()
     nu_u_f = np.gradient(nu_f, fine.hu, edge_order=2)
     lam = np.empty_like(g)
     lam[:, 0] = lb
     hv = fine.hv
 
     def slope(lam_vec, v):
-        return g_spline(u_f, v, dy=1)[:, 0] * lam_vec - nu_u_f
+        return g_v(v) * lam_vec - nu_u_f
 
     for j in range(fine.Nv - 1):
         v = v_f[j]

@@ -48,6 +48,35 @@ def test_reconstruct_nonsolution_exit_2(tmp_path):
     assert data["error"] == "ResidualTooLarge"
 
 
+def test_unknown_triple_fixture_exit_1(tmp_path):
+    # cylinder is an immersion fixture, not a triple fixture
+    report = tmp_path / "err.json"
+    code = run(["residual", "--fixture", "cylinder", "--report", str(report)])
+    assert code == 1
+    data = json.loads(report.read_text())
+    assert data["status"] == "error"
+    assert data["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "source, code, error",
+    [("fixture", 1, "ConfigError"), ("triple", 2, "ResidualTooLarge")],
+)
+def test_config_report_receives_error(tmp_path, source, code, error):
+    # "nonsolution" names no triple fixture; as a bundle it fails the residual gate
+    bad = tmp_path / "nonsolution"
+    io.write_triple_bundle(nonsolution_triple(33), str(bad))
+    report = tmp_path / "err.json"
+    job = {"command": "reconstruct", "report": str(report), "out": str(tmp_path / "out")}
+    job[source] = "nonsolution" if source == "fixture" else str(bad)
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(job))
+    assert run(["--config", str(cfg), "reconstruct"]) == code
+    data = json.loads(report.read_text())
+    assert data["status"] == "error"
+    assert data["error"] == error
+
+
 def test_solve_and_residual_roundtrip(tmp_path):
     out = tmp_path / "triple"
     code = run(["solve", "--method", "goursat-degenerate", "--nodes", "33", "--out", str(out)])

@@ -7,6 +7,7 @@ from minksurf.errors import GridTooSmall, NearZeroField, OutOfDomain
 from minksurf.fields import (
     GridSpec,
     ScalarField,
+    bicubic,
     d_du,
     d_dudv,
     d_dv,
@@ -167,6 +168,39 @@ def test_resample_order4():
     assert np.log2(errs[0] / errs[1]) >= 3.5, errs
 
 
+RNG_TARGETS = np.random.default_rng(11)
+OFF_NODE_U = np.sort(RNG_TARGETS.uniform(0.0, 1.0, 17))
+OFF_NODE_V = np.sort(RNG_TARGETS.uniform(0.0, 1.0, 13))
+
+
+@pytest.mark.parametrize("trailing", [(), (4,), (4, 4)])
+@pytest.mark.parametrize(
+    "new_u, new_v",
+    [
+        (OFF_NODE_U, OFF_NODE_V),
+        (G.u_nodes, OFF_NODE_V),        # every u node line
+        (OFF_NODE_U, G.v_nodes[::3]),   # a subset of v node lines
+    ],
+    ids=["off-node", "u-node-lines", "v-node-lines"],
+)
+def test_bicubic_matches_fitpack_tensor_spline(trailing, new_u, new_v):
+    from scipy.interpolate import RectBivariateSpline
+
+    vals = np.random.default_rng(3).standard_normal((G.Nu, G.Nv) + trailing)
+    out = bicubic(vals, G, new_u, new_v)
+    assert out.shape == (len(new_u), len(new_v)) + trailing
+    for idx in np.ndindex(*trailing):
+        ref = RectBivariateSpline(G.u_nodes, G.v_nodes, vals[(...,) + idx], kx=3, ky=3, s=0)(new_u, new_v)
+        assert np.max(np.abs(out[(...,) + idx] - ref)) <= 1e-13
+
+
+def test_bicubic_clips_targets_into_domain():
+    vals = np.random.default_rng(5).standard_normal((G.Nu, G.Nv, 4))
+    outside = bicubic(vals, G, np.array([-0.1, 1.1]), np.array([-0.2, 1.3]))
+    corners = bicubic(vals, G, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    assert np.array_equal(outside, corners)
+
+
 def test_resample_out_of_domain():
     s = field_of(lambda U, V: U)
     with pytest.raises(OutOfDomain):
@@ -201,3 +235,8 @@ def test_resample_reproduces_random_cubics(a, b, c, d):
     exact = a + b * U * V + c * U**3 + d * V**2 * U
     scale = 1.0 + np.max(np.abs(exact))
     assert np.max(np.abs(out.values - exact)) <= 1e-11 * scale
+    # matrix-valued samples: each entry is the scalar interpolant
+    stacked = bicubic(np.stack([s.values, -s.values], axis=-1)[..., None], G, new_u, new_v)
+    assert stacked.shape == out.values.shape + (2, 1)
+    assert np.max(np.abs(stacked[..., 0, 0] - out.values)) <= 1e-14 * scale
+    assert np.max(np.abs(stacked[..., 1, 0] + out.values)) <= 1e-14 * scale

@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import immersion_of
 from minksurf import io
 from minksurf.analysis import invariants
+from minksurf.errors import ConfigError
 from minksurf.fields import GridSpec, ScalarField
 from minksurf.fixtures import goursat_degenerate_triple
 
@@ -55,6 +59,27 @@ def test_triple_bundle_roundtrip(tmp_path):
     assert np.array_equal(back.lam.values, t.lam.values)
     assert np.array_equal(back.mu.values, t.mu.values)
     assert np.array_equal(back.nu.values, t.nu.values)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda sc: sc["grid"].update(Nu=99),
+        lambda sc: sc["grid"].update(v1=2.0),
+        lambda sc: sc.update(sign_mu=-sc["sign_mu"]),
+        lambda sc: sc.pop("grid"),
+    ],
+    ids=["grid-nodes", "grid-bounds", "sign-mu", "no-grid"],
+)
+def test_triple_bundle_sidecar_must_match_csvs(tmp_path, edit):
+    bundle = tmp_path / "bundle"
+    io.write_triple_bundle(goursat_degenerate_triple(9), str(bundle))
+    sidecar_path = bundle / "triple.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    edit(sidecar)
+    sidecar_path.write_text(json.dumps(sidecar))
+    with pytest.raises(ConfigError):
+        io.read_triple_bundle(str(bundle))
 
 
 def test_immersion_roundtrip(tmp_path, constant_bundle):
