@@ -343,10 +343,6 @@ class ChristoffelReport:
     """
 
     G111: ScalarField
-    G112: ScalarField
-    G121: ScalarField
-    G122: ScalarField
-    G221: ScalarField
     G222: ScalarField
     check_x: ScalarField
     check_y: ScalarField
@@ -368,9 +364,8 @@ def christoffel_isotropic(m: Immersion, frame: GeometricFrame | None = None) -> 
     y = frame.frames[..., 1, :]
     tang = -(lorentz_inner(zuu, y)[..., None] * x) - (lorentz_inner(zuu, x)[..., None] * y)
     d = tang - G111[..., None] * zu
-    zero = ScalarField(g, np.zeros_like(f))
     F = lambda a: ScalarField(g, a)
     return ChristoffelReport(
-        G111=F(G111), G112=zero, G121=zero, G122=zero, G221=zero, G222=F(G222),
+        G111=F(G111), G222=F(G222),
         check_x=F(lorentz_inner(d, x)), check_y=F(lorentz_inner(d, y)),
     )

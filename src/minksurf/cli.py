@@ -78,7 +78,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
     config = {}
     if args.config:
         with open(args.config) as fh:
-            config = json.load(fh)
+            try:
+                config = json.load(fh)
+            except ValueError as exc:  # malformed JSON or undecodable bytes
+                raise ConfigError(f"{args.config}: malformed job config: {exc}") from exc
         if not isinstance(config, dict):
             raise ConfigError("job config must be a JSON object")
         command = config.pop("command", args.command)

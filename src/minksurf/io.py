@@ -2,9 +2,12 @@
 
 All floating-point output is printed with 17 significant digits so that CSV
 and JSON artifacts round-trip float64 exactly and repeated runs are
-byte-identical.  Field CSVs are `u,v,value` rows, u outer / v fastest; a
-triple bundle is a directory holding lambda.csv, mu.csv, nu.csv and a
-triple.json sidecar; immersions are `u,v,x1,x2,x3,x4` CSVs.
+byte-identical.  Grid CSVs are field CSVs (`u,v,value`) and immersion CSVs
+(`u,v,x1,x2,x3,x4`); a triple bundle is a directory holding lambda.csv,
+mu.csv, nu.csv and a triple.json sidecar.  A grid CSV is read only if it has
+the exact header, rows u outer / v fastest over uniform nodes (within
+1e-9 × each axis' span), finite values and at least 5 nodes per axis;
+anything else raises a ValidationError (exit 1), never a misread surface.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .fields import GridSpec, ScalarField
 from .natural import CanonicalTriple, Case
 
 FLOAT_FMT = "%.17g"
+FIELD_HEADER = "u,v,value"
+IMMERSION_HEADER = "u,v,x1,x2,x3,x4"
 
 
 def fmt(x: float) -> str:
@@ -28,29 +33,99 @@ def fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# scalar fields
+# grid files
+
+
+def _rows(table: np.ndarray, sep: str) -> str:
+    """One line of `sep`-joined 17-digit values per row of a 2-D table."""
+    line = sep.join([FLOAT_FMT] * table.shape[1]) + "\n"
+    return (line * table.shape[0]) % tuple(table.ravel().tolist())
+
+
+def _write_grid_csv(path: str, header: str, grid: GridSpec, samples: np.ndarray) -> None:
+    """`header`, then one `u,v,samples...` row per node, u outer / v fastest."""
+    U, V = grid.mesh()
+    table = np.column_stack([U.ravel(), V.ravel(), samples.reshape(U.size, -1)])
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + _rows(table, ","))
+
+
+def _read_grid_csv(path: str, header: str) -> tuple[GridSpec, np.ndarray]:
+    """Parse and check a grid CSV; returns the grid and samples[Nu, Nv, k]."""
+
+    def bad(why) -> ConfigError:
+        return ConfigError(f"{path}: {why}")
+
+    try:
+        with open(path) as fh:
+            found, lines = fh.readline().rstrip("\n"), fh.readlines()
+        if found != header:
+            raise bad(f"header {found!r} is not {header!r}")
+        if len(lines) < 2:
+            raise bad(f"only {len(lines)} data rows")
+        data = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:  # undecodable or non-numeric text, ragged rows
+        raise bad(exc) from exc
+    ncols = header.count(",") + 1
+    if data.shape[1] != ncols:
+        raise bad(f"{data.shape[1]} columns, expected {ncols} ({header})")
+    if not np.all(np.isfinite(data)):
+        raise bad(f"non-finite value on line {np.argwhere(~np.isfinite(data))[0, 0] + 2}")
+    u, v = np.unique(data[:, 0]), np.unique(data[:, 1])
+    if len(u) < 2 or len(v) < 2 or len(u) * len(v) != len(data):
+        raise bad(f"{len(data)} rows over {len(u)} u and {len(v)} v values: not a full rectangular grid")
+    grid = GridSpec(u[0], u[-1], v[0], v[-1], len(u), len(v))
+    nodes = np.column_stack([X.ravel() for X in grid.mesh()])
+    off = np.any(np.abs(data[:, :2] - nodes) > 1e-9 * np.ptp(nodes, axis=0), axis=1)
+    if np.any(off):
+        k = int(np.argmax(off))
+        raise bad(f"line {k + 2} has (u, v) = {data[k, :2].tolist()}, not {nodes[k].tolist()}: "
+                  "rows must run u outer / v fastest over uniform nodes")
+    return grid, data[:, 2:].reshape(grid.Nu, grid.Nv, ncols - 2)
 
 
 def write_field_csv(field: ScalarField, path: str) -> None:
-    g = field.grid
-    u, v = g.u_nodes, g.v_nodes
-    with open(path, "w") as fh:
-        fh.write("u,v,value\n")
-        for i in range(g.Nu):
-            for j in range(g.Nv):
-                fh.write(f"{fmt(u[i])},{fmt(v[j])},{fmt(field.values[i, j])}\n")
+    _write_grid_csv(path, FIELD_HEADER, field.grid, field.values)
 
 
 def read_field_csv(path: str) -> ScalarField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    u = np.unique(data[:, 0])
-    v = np.unique(data[:, 1])
-    Nu, Nv = len(u), len(v)
-    if Nu * Nv != data.shape[0]:
-        raise ConfigError(f"{path}: not a full rectangular grid")
-    grid = GridSpec(u[0], u[-1], v[0], v[-1], Nu, Nv)
-    vals = data[:, 2].reshape(Nu, Nv)
-    return ScalarField(grid, vals)
+    grid, samples = _read_grid_csv(path, FIELD_HEADER)
+    return ScalarField(grid, samples[..., 0])
+
+
+def write_immersion_csv(m: Immersion, path: str) -> None:
+    _write_grid_csv(path, IMMERSION_HEADER, m.grid, m.points)
+
+
+def read_immersion_csv(path: str) -> Immersion:
+    return Immersion(*_read_grid_csv(path, IMMERSION_HEADER))
+
+
+def write_vtk_structured(
+    path: str,
+    m: Immersion,
+    n1: np.ndarray | None = None,
+    n2: np.ndarray | None = None,
+) -> None:
+    """ASCII legacy VTK: points are (x1, x2, x3), x4 rides along as a scalar.
+
+    Normal fields are written as 3-component vectors (spatial part) plus a
+    scalar for their timelike component, since legacy VTK vectors are 3-d.
+    """
+    g = m.grid
+    npts = g.Nu * g.Nv
+    blocks = [(m.points, f"POINTS {npts} double", f"POINT_DATA {npts}\nSCALARS x4 double 1")]
+    for name, vec in (("n1", n1), ("n2", n2)):
+        if vec is not None:
+            blocks.append((vec, f"VECTORS {name} double", f"SCALARS {name}_x4 double 1"))
+    parts = ["# vtk DataFile Version 3.0\ntimelike surface reconstruction\nASCII\n"
+             f"DATASET STRUCTURED_GRID\nDIMENSIONS {g.Nu} {g.Nv} 1\n"]
+    for vec, head3, head1 in blocks:
+        table = np.swapaxes(vec, 0, 1).reshape(-1, 4)  # VTK orders the first DIMENSION fastest
+        parts += [head3 + "\n", _rows(table[:, :3], " "),
+                  head1 + "\nLOOKUP_TABLE default\n", _rows(table[:, 3:], " ")]
+    with open(path, "w") as fh:
+        fh.write("".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -73,105 +148,24 @@ def write_triple_bundle(t: CanonicalTriple, dirpath: str) -> None:
 
 def read_triple_bundle(dirpath: str) -> CanonicalTriple:
     """Read a bundle; the sidecar's grid and sign_mu must agree with the CSVs."""
-    with open(os.path.join(dirpath, "triple.json")) as fh:
-        sidecar = json.load(fh)
     try:
+        with open(os.path.join(dirpath, "triple.json")) as fh:
+            sidecar = json.load(fh)
         case = Case(sidecar["case"])
         grid = GridSpec.from_dict(sidecar["grid"])
         sign_mu = sidecar["sign_mu"]
+        flags = tuple(sidecar.get("flags", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{dirpath}: malformed triple.json: {exc!r}") from exc
     lam = read_field_csv(os.path.join(dirpath, "lambda.csv"))
     mu = read_field_csv(os.path.join(dirpath, "mu.csv"))
     nu = read_field_csv(os.path.join(dirpath, "nu.csv"))
-    t = CanonicalTriple(lam=lam, mu=mu, nu=nu, case=case, flags=tuple(sidecar.get("flags", [])))
+    t = CanonicalTriple(lam=lam, mu=mu, nu=nu, case=case, flags=flags)
     if grid != t.grid:
         raise ConfigError(f"{dirpath}: triple.json grid {grid} disagrees with the CSV grid {t.grid}")
     if sign_mu != t.sign_mu:
         raise ConfigError(f"{dirpath}: triple.json sign_mu {sign_mu} disagrees with mu.csv ({t.sign_mu})")
     return t
-
-
-# ---------------------------------------------------------------------------
-# immersions
-
-
-def write_immersion_csv(m: Immersion, path: str) -> None:
-    g = m.grid
-    u, v = g.u_nodes, g.v_nodes
-    with open(path, "w") as fh:
-        fh.write("u,v,x1,x2,x3,x4\n")
-        for i in range(g.Nu):
-            for j in range(g.Nv):
-                p = m.points[i, j]
-                fh.write(
-                    f"{fmt(u[i])},{fmt(v[j])},{fmt(p[0])},{fmt(p[1])},{fmt(p[2])},{fmt(p[3])}\n"
-                )
-
-
-def read_immersion_csv(path: str) -> Immersion:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    u = np.unique(data[:, 0])
-    v = np.unique(data[:, 1])
-    Nu, Nv = len(u), len(v)
-    if Nu * Nv != data.shape[0]:
-        raise ConfigError(f"{path}: not a full rectangular grid")
-    grid = GridSpec(u[0], u[-1], v[0], v[-1], Nu, Nv)
-    pts = data[:, 2:6].reshape(Nu, Nv, 4)
-    return Immersion(grid, pts)
-
-
-# ---------------------------------------------------------------------------
-# legacy VTK structured grid
-
-
-def write_vtk_structured(
-    path: str,
-    m: Immersion,
-    n1: np.ndarray | None = None,
-    n2: np.ndarray | None = None,
-) -> None:
-    """ASCII legacy VTK: points are (x1, x2, x3), x4 rides along as a scalar.
-
-    Normal fields are written as 3-component vectors (spatial part) plus a
-    scalar for their timelike component, since legacy VTK vectors are 3-d.
-    """
-    g = m.grid
-    npts = g.Nu * g.Nv
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "timelike surface reconstruction",
-        "ASCII",
-        "DATASET STRUCTURED_GRID",
-        f"DIMENSIONS {g.Nu} {g.Nv} 1",
-        f"POINTS {npts} double",
-    ]
-    # VTK orders the first DIMENSION fastest
-    for j in range(g.Nv):
-        for i in range(g.Nu):
-            p = m.points[i, j]
-            lines.append(f"{fmt(p[0])} {fmt(p[1])} {fmt(p[2])}")
-    lines.append(f"POINT_DATA {npts}")
-    lines.append("SCALARS x4 double 1")
-    lines.append("LOOKUP_TABLE default")
-    for j in range(g.Nv):
-        for i in range(g.Nu):
-            lines.append(fmt(m.points[i, j, 3]))
-    for name, vec in (("n1", n1), ("n2", n2)):
-        if vec is None:
-            continue
-        lines.append(f"VECTORS {name} double")
-        for j in range(g.Nv):
-            for i in range(g.Nu):
-                w = vec[i, j]
-                lines.append(f"{fmt(w[0])} {fmt(w[1])} {fmt(w[2])}")
-        lines.append(f"SCALARS {name}_x4 double 1")
-        lines.append("LOOKUP_TABLE default")
-        for j in range(g.Nv):
-            for i in range(g.Nu):
-                lines.append(fmt(vec[i, j, 3]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from minksurf import io
 from minksurf.cli import run
-from minksurf.fixtures import nonsolution_triple
+from minksurf.fixtures import cylinder_immersion, goursat_degenerate_triple, nonsolution_triple
 
 
 def test_residual_constant_fixture(tmp_path, capsys):
@@ -159,6 +159,71 @@ def test_bad_tolerance_exit_1(tmp_path):
 def test_missing_file_exit_3(tmp_path):
     code = run(["analyze", "--immersion", str(tmp_path / "missing.csv")])
     assert code == 3
+
+
+def _set_cell(row: str, col: int, text: str) -> str:
+    cells = row.split(",")
+    cells[col] = text
+    return ",".join(cells)
+
+
+def _cube_u(row: str) -> str:
+    return _set_cell(row, 0, repr(float(row.split(",")[0]) ** 3))
+
+
+# each edit maps (header, data rows of a valid 9x9 immersion CSV) to the lines of a bad file
+MALFORMED_IMMERSIONS = {
+    "wrong-header": lambda h, rows: ["u,v,x,y,z,t"] + rows,
+    "header-only": lambda h, rows: [h],
+    "one-row": lambda h, rows: [h, rows[0]],
+    "five-columns": lambda h, rows: [h] + [r.rsplit(",", 1)[0] for r in rows],
+    "non-numeric": lambda h, rows: [h] + rows[:3] + [_set_cell(rows[3], 2, "abc")] + rows[4:],
+    "nan": lambda h, rows: [h] + rows[:3] + [_set_cell(rows[3], 4, "nan")] + rows[4:],
+    "single-u": lambda h, rows: [h] + rows[:9],
+    "v-outer": lambda h, rows: [h] + [rows[9 * i + j] for j in range(9) for i in range(9)],
+    "non-uniform-u": lambda h, rows: [h] + [_cube_u(r) for r in rows],
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_IMMERSIONS.values(), ids=MALFORMED_IMMERSIONS.keys())
+def test_malformed_immersion_csv_exit_1(tmp_path, edit):
+    path = tmp_path / "imm.csv"
+    io.write_immersion_csv(cylinder_immersion(9), str(path))
+    io.read_immersion_csv(str(path))  # the unedited file is valid
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join(edit(header, rows)) + "\n")
+    report = tmp_path / "err.json"
+    assert run(["analyze", "--immersion", str(path), "--report", str(report)]) == 1
+    data = json.loads(report.read_text())
+    assert data["status"] == "error"
+    assert data["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [("lambda.csv", lambda text: text.rsplit("\n", 2)[0] + "\n"), ("triple.json", lambda text: "{")],
+    ids=["lambda-csv-missing-node", "triple-json-not-json"],
+)
+def test_malformed_triple_bundle_exit_1(tmp_path, name, edit):
+    bundle = tmp_path / "bundle"
+    io.write_triple_bundle(goursat_degenerate_triple(9), str(bundle))
+    target = bundle / name
+    target.write_text(edit(target.read_text()))
+    report = tmp_path / "err.json"
+    assert run(["residual", "--triple", str(bundle), "--report", str(report)]) == 1
+    data = json.loads(report.read_text())
+    assert data["error"] == "ConfigError"
+
+
+def test_malformed_config_json_exit_1(tmp_path):
+    cfg = tmp_path / "job.json"
+    cfg.write_text("{")
+    report = tmp_path / "err.json"
+    # the merge failed, so the report goes to --report
+    assert run(["--config", str(cfg), "residual", "--report", str(report)]) == 1
+    data = json.loads(report.read_text())
+    assert data["status"] == "error"
+    assert data["error"] == "ConfigError"
 
 
 def test_report_byte_determinism(tmp_path):

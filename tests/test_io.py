@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import immersion_of
 from minksurf import io
-from minksurf.analysis import invariants
+from minksurf.analysis import Immersion, invariants
 from minksurf.errors import ConfigError
 from minksurf.fields import GridSpec, ScalarField
 from minksurf.fixtures import goursat_degenerate_triple
@@ -30,7 +31,8 @@ def test_field_csv_roundtrip_random(tmp_path_factory, seed):
     # 17 significant digits must round-trip any float64 samples bit-exactly
     rng = np.random.default_rng(seed)
     g = GridSpec(-1.0, 2.0, 0.0, 0.5, 6, 8)
-    vals = rng.standard_normal((6, 8)) * 10.0 ** rng.integers(-12, 12, size=(6, 8))
+    vals = rng.standard_normal((6, 8)) * 10.0 ** rng.integers(-300, 300, size=(6, 8))
+    vals[0, :3] = (-0.0, 5e-324, np.finfo(float).max)
     field = ScalarField(g, vals)
     path = tmp_path_factory.mktemp("csv") / "f.csv"
     io.write_field_csv(field, str(path))
@@ -48,6 +50,30 @@ def test_field_csv_layout(tmp_path):
     # v fastest: second line is (u0, v0), third is (u0, v1)
     assert lines[1].startswith("0,0,")
     assert lines[2].startswith("0,0.25,")
+
+
+def test_writer_bytes_pinned(tmp_path):
+    # + - * / only, so the samples are the same bits on every platform; the
+    # digests pin number format, row order and VTK layout byte for byte
+    g = GridSpec(0.0, 2.0, -1.0, 0.5, 9, 7)
+    U, V = g.mesh()
+    field = ScalarField(g, (U * V - V / 3.0 + U * U * U / 7.0) * 2.0**-40)
+    gi = GridSpec(-0.5, 0.5, 0.0, 1.0, 9, 9)
+    U, V = gi.mesh()
+    m = Immersion(gi, np.stack([U + V, U * V / 3.0, U - V / 7.0, (U * U + V * V) / 11.0], axis=-1))
+    n1 = np.stack([V / 3.0, -U, U * V, 1.0 + U / 9.0], axis=-1)
+    n2 = np.stack([-U / 5.0, V * V, 0.1 * U, 1.0 - V / 13.0], axis=-1)
+    io.write_field_csv(field, str(tmp_path / "f.csv"))
+    io.write_immersion_csv(m, str(tmp_path / "i.csv"))
+    io.write_vtk_structured(str(tmp_path / "s.vtk"), m, n1=n1, n2=n2)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("f.csv", "i.csv", "s.vtk")
+    }
+    assert digests == {
+        "f.csv": "9573c72aa08117d444aa835f53be1d2f3e14ca576131dc8a60127e200c94d3da",
+        "i.csv": "a0e968944060ae36e0752e2a639aa1ecc25779946c4117fa374bc7c7469cf178",
+        "s.vtk": "bbefde158fda4edda9425c452ad2026003e9ff2e4403526c1953c1aaaea88c7a",
+    }
 
 
 def test_triple_bundle_roundtrip(tmp_path):
@@ -68,8 +94,9 @@ def test_triple_bundle_roundtrip(tmp_path):
         lambda sc: sc["grid"].update(v1=2.0),
         lambda sc: sc.update(sign_mu=-sc["sign_mu"]),
         lambda sc: sc.pop("grid"),
+        lambda sc: sc.update(flags=5),
     ],
-    ids=["grid-nodes", "grid-bounds", "sign-mu", "no-grid"],
+    ids=["grid-nodes", "grid-bounds", "sign-mu", "no-grid", "flags-not-a-list"],
 )
 def test_triple_bundle_sidecar_must_match_csvs(tmp_path, edit):
     bundle = tmp_path / "bundle"
