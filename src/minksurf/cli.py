@@ -95,24 +95,34 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if cli_val is not None:
             merged[dest] = cli_val
         elif dest in config:
-            val = config[dest]
-            if typ is bool:
-                if not isinstance(val, bool):
-                    raise ConfigError(f"config key {dest} must be a boolean")
-                merged[dest] = val
-            else:
-                try:
-                    merged[dest] = typ(val)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"config key {dest}: {exc}") from exc
+            merged[dest] = _config_value(dest, typ, config[dest])
         else:
             merged[dest] = default
     for key in ("tol_build",):
-        if key in merged and merged[key] is not None and merged[key] <= 0:
+        if key in merged and merged[key] is not None and not merged[key] > 0:  # NaN too
             raise ConfigError(f"{key} must be positive")
     if merged.get("nodes") is not None and merged["nodes"] < 5:
         raise ConfigError("nodes must be at least 5")
     return merged
+
+
+def _config_value(dest: str, typ: type, val):
+    """A job-file value of the schema's type; JSON's loose types are not coerced.
+
+    An int key takes an integer or an integral float (33.0, not 33.7); a
+    float key takes any finite number; neither takes a boolean or a string.
+    """
+    if isinstance(val, bool):
+        ok = typ is bool
+    elif typ is int:
+        ok = isinstance(val, int) or (isinstance(val, float) and val.is_integer())
+    elif typ is float:
+        ok = isinstance(val, (int, float)) and bool(np.isfinite(val))
+    else:
+        ok = isinstance(val, typ)
+    if not ok:
+        raise ConfigError(f"config key {dest} must be of type {typ.__name__}, got {val!r}")
+    return typ(val)
 
 
 def _case_of(name: str) -> Case:
@@ -327,7 +337,7 @@ def run(argv: list[str] | None = None) -> int:
         _emit_error(args.command, report_path, exc)
         return 2
     except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
+        _emit_error(args.command, report_path, exc)
         return 3
 
 

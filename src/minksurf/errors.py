@@ -39,7 +39,14 @@ class BlowUp(NumericalError):
 
 
 class NoConvergence(NumericalError):
-    """Iterative sweep failed to converge within the sweep budget."""
+    """Iterative sweep failed to converge within the sweep budget.
+
+    `deltas` holds the sweep-to-sweep change of every sweep, in order.
+    """
+
+    def __init__(self, message: str, deltas=()):
+        self.deltas = tuple(float(d) for d in deltas)
+        super().__init__(message)
 
 
 class SingularDegreeSystem(NumericalError):

@@ -13,6 +13,16 @@ along the v = const line through the center.  Everything else is pinned by
 one small linear system per degree; the interior coefficients of g come from
 the curvature equation, the zig-zag of lambda/nu coefficients from the two
 transport equations.
+
+The degree-d system reads r1 and r2 through total degree d-1 and r3 through
+d-2, and a product or exponential's coefficient of degree k depends only on
+its factors' coefficients of degree <= k.  So degree d reads only
+coefficients of degree <= d: it is solved on arrays truncated to
+[:d+1, :d+1], and every product and exponential is truncated at degree d.
+The same terms are summed in the same order as at full order, so the
+coefficients are bit-identical.  exp(g) and exp(2g) enter only through
+degree d-2, out of reach of the degree-d unknowns, so each degree builds
+them once for all of its unknown columns.
 """
 
 from __future__ import annotations
@@ -142,28 +152,44 @@ class JetSeed:
         return cls(g_u, g_v, lam_u, nu_u)
 
 
-def _residual_coeffs(lam, nu, g, case: Case, n: int):
-    """Taylor coefficient arrays of the three residual polynomials."""
+def _exps(g, case: Case, n: int):
+    """exp(g) and exp(2g) through total degree n; exp(2g) is None when degenerate."""
+    if case is Case.DEGENERATE:
+        return p_exp(g, n), None
+    return p_exp(g, n), p_exp(g, n, factor=2.0)
+
+
+def _residual_coeffs(lam, nu, g, case: Case, n: int, exps=None):
+    """Taylor coefficient arrays of the three residual polynomials.
+
+    `exps` is `_exps(g, case, n)`, built here when not given.
+    """
+    exp_g, exp_2g = _exps(g, case, n) if exps is None else exps
     g_u, g_v = p_diff_u(g), p_diff_v(g)
     g_uv = p_diff_v(g_u)
     r1 = p_diff_u(nu) + p_diff_v(lam) - p_mul(lam, g_v, n)
     if case is Case.DEGENERATE:
         r2 = p_diff_v(nu)
-        r3 = p_mul(p_exp(g, n), g_uv, n) + p_mul(nu, nu, n)
+        r3 = p_mul(exp_g, g_uv, n) + p_mul(nu, nu, n)
     else:
         eps = case.epsilon
         r2 = p_diff_u(lam) - eps * p_diff_v(nu) - p_mul(lam, g_u, n)
         r3 = (
-            p_mul(p_exp(g, n), g_uv, n)
+            p_mul(exp_g, g_uv, n)
             + p_mul(nu, nu, n)
-            + eps * (p_mul(lam, lam, n) + p_exp(g, n, factor=2.0))
+            + eps * (p_mul(lam, lam, n) + exp_2g)
         )
     return r1, r2, r3
 
 
-def _equation_vector(lam, nu, g, case: Case, n: int, d: int) -> np.ndarray:
-    """Stacked residual coefficients that must vanish when solving degree d."""
-    r1, r2, r3 = _residual_coeffs(lam, nu, g, case, n)
+def _equation_vector(lam, nu, g, case: Case, d: int, exps=None) -> np.ndarray:
+    """Stacked residual coefficients that must vanish when solving degree d.
+
+    Works on the coefficients of degree <= d only (see the module docstring);
+    `exps` is `_exps` of g truncated to degree d.
+    """
+    k = d + 1
+    r1, r2, r3 = _residual_coeffs(lam[:k, :k], nu[:k, :k], g[:k, :k], case, d, exps)
     rows = []
     for a in range(d):          # degree d-1 coefficients of r1 (and r2)
         rows.append(r1[a, d - 1 - a])
@@ -222,14 +248,15 @@ def jet_manufacture(
 
         slots = _unknown_slots(case, d)
         arrays = {"lam": lam, "nu": nu, "g": g}
-        base = _equation_vector(lam, nu, g, case, n, d)
+        exps = _exps(g[: d + 1, : d + 1], case, d)
+        base = _equation_vector(lam, nu, g, case, d, exps)
         m = len(slots)
         if m == 0:
             continue
         M = np.empty((len(base), m))
         for k, (name, a, b) in enumerate(slots):
             arrays[name][a, b] = 1.0
-            M[:, k] = _equation_vector(lam, nu, g, case, n, d) - base
+            M[:, k] = _equation_vector(lam, nu, g, case, d, exps) - base
             arrays[name][a, b] = 0.0
         if M.shape[0] != m:
             raise SingularDegreeSystem(d, f"degree {d}: {M.shape[0]} equations for {m} unknowns")

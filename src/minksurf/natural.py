@@ -30,6 +30,7 @@ symbolically in the test suite).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -183,44 +184,90 @@ def _resample_1d(samples: np.ndarray, coarse: np.ndarray, fine: np.ndarray) -> n
     return make_interp_spline(coarse, samples, k=3)(fine)
 
 
-def _wavefront_indices(Nu: int, Nv: int):
-    """Anti-diagonal batches of interior nodes, each causally independent."""
+@functools.lru_cache(maxsize=4)
+def _wavefronts(Nu: int, Nv: int) -> tuple:
+    """Anti-diagonals of the interior nodes, each causally independent.
+
+    Entry (node, du, dv, duv) holds slices of the C-order flattened Nu x Nv
+    grid: the anti-diagonal's nodes (i, j) in increasing i, and their
+    neighbours (i-1, j), (i, j-1) and (i-1, j-1).  An anti-diagonal is a run
+    of stride Nv-1 in the flat array, so each slice is a view, not a gather.
+    Built once per grid shape and shared by every march and transport.
+    """
+    fronts = []
     for s in range(2, Nu + Nv - 1):
         i0 = max(1, s - (Nv - 1))
         i1 = min(Nu - 1, s - 1)
         if i0 > i1:
             continue
-        i = np.arange(i0, i1 + 1)
-        yield i, s - i
+        first, last = i0 * Nv + s - i0, i1 * Nv + s - i1
+        fronts.append(tuple(slice(first - k, last - k + 1, Nv - 1) for k in (0, Nv, 1, Nv + 1)))
+    return tuple(fronts)
 
 
-def _goursat_march(grid: GridSpec, g_bottom: np.ndarray, g_left: np.ndarray, rhs: Callable) -> np.ndarray:
-    """March g_uv = rhs(i, j, g) over the grid from two characteristic edges.
+def _goursat_march(
+    grid: GridSpec, g_bottom: np.ndarray, g_left: np.ndarray, coef: np.ndarray, rhs: Callable
+) -> np.ndarray:
+    """March g_uv = rhs(coef[i, j], g[i, j]) over the grid from two characteristic edges.
+
+    Contract of `rhs(c, g, with_derivative=False)`: c and g are equal-shape
+    arrays of the pointwise coefficient and of g at a batch of nodes; it
+    returns the right-hand side there, and with `with_derivative` the pair
+    (value, d value / d g).  It must act elementwise, so the value at a node
+    does not depend on the batch it is evaluated in.
 
     Cell update is the trapezoidal corner rule, implicit in the new corner and
-    solved by a few Newton steps; second order overall.
+    solved by a few Newton steps; second order overall.  Each node's
+    right-hand side is evaluated once, when the node is final, and reused by
+    the three cells it is a known corner of.
     """
     Nu, Nv = grid.Nu, grid.Nv
     hu, hv = grid.hu, grid.hv
     if abs(g_bottom[0] - g_left[0]) > 1e-10 * (1.0 + abs(g_bottom[0])):
         raise ValidationError("incompatible corner data: g_bottom(u0) != g_left(v0)")
+    coef = np.ascontiguousarray(coef, dtype=float)
     g = np.empty((Nu, Nv))
     g[:, 0] = g_bottom
     g[0, :] = g_left
+    r = np.empty((Nu, Nv))
+    r[:, 0] = rhs(coef[:, 0], g[:, 0])
+    r[0, :] = rhs(coef[0, :], g[0, :])
+    gf, rf, cf = g.reshape(-1), r.reshape(-1), coef.reshape(-1)
     cell = hu * hv / 4.0
-    for i, j in _wavefront_indices(Nu, Nv):
-        base = g[i - 1, j] + g[i, j - 1] - g[i - 1, j - 1]
-        known = rhs(i - 1, j - 1, g[i - 1, j - 1]) + rhs(i - 1, j, g[i - 1, j]) + rhs(i, j - 1, g[i, j - 1])
-        x = base + cell * (known + rhs(i, j, base))  # predictor
+    for node, du, dv, duv in _wavefronts(Nu, Nv):
+        c = cf[node]
+        base = gf[du] + gf[dv] - gf[duv]
+        known = rf[duv] + rf[du] + rf[dv]
+        x = base + cell * (known + rhs(c, base))  # predictor
         for _ in range(3):
-            val, dval = rhs(i, j, x, with_derivative=True)
+            val, dval = rhs(c, x, with_derivative=True)
             phi = x - base - cell * (known + val)
             x = x - phi / (1.0 - cell * dval)
-        g[i, j] = x
+        gf[node] = x
         # NaN-safe: any non-finite or out-of-range entry trips the guard
         if not np.all(np.abs(x) <= G_LIMIT):
             raise BlowUp(f"|ln mu| exceeded {G_LIMIT} during marching")
+        rf[node] = rhs(c, x)
     return g
+
+
+def _upwind_transport(f: np.ndarray, rhs: np.ndarray, wu: float, wv: float) -> None:
+    """Fill the interior of f from its bottom and left edges by f_u + f_v = rhs.
+
+    First-order upwind, one anti-diagonal at a time; f must be C-contiguous.
+    """
+    ff, rf = f.reshape(-1), np.ascontiguousarray(rhs).reshape(-1)
+    for node, du, dv, _ in _wavefronts(*f.shape):
+        ff[node] = (wu * ff[du] + wv * ff[dv] + rf[node]) / (wu + wv)
+
+
+def _degenerate_rhs(nusq, g, with_derivative=False):
+    """g_uv = -nu^2 e^{-g}, the degenerate curvature equation, and its g-derivative."""
+    e = np.exp(-np.clip(g, -700.0, 700.0))  # overflow-safe; guard trips first
+    val = -nusq * e
+    if with_derivative:
+        return val, nusq * e
+    return val
 
 
 def solve_goursat_degenerate(
@@ -265,15 +312,7 @@ def solve_goursat_degenerate(
         else np.asarray(lambda_bottom(u_f), dtype=float) * np.ones_like(u_f)
 
     nusq = nu_f * nu_f
-
-    def rhs(i, j, g, with_derivative=False):
-        e = np.exp(-np.clip(g, -700.0, 700.0))  # overflow-safe; guard trips first
-        val = -nusq[i] * e
-        if with_derivative:
-            return val, nusq[i] * e
-        return val
-
-    g = _goursat_march(fine, gb, gl, rhs)
+    g = _goursat_march(fine, gb, gl, np.broadcast_to(nusq[:, None], (fine.Nu, fine.Nv)), _degenerate_rhs)
 
     # transport lambda: lam_v = lam * g_v - nu_u, RK4 up every column at once
     g_v = make_interp_spline(v_f, g, k=3, axis=1).derivative()
@@ -306,6 +345,16 @@ def solve_goursat_degenerate(
     )
 
 
+def _hyperbolic_rhs(pq, g, with_derivative=False):
+    """g_uv = p q e^{-g} + e^{g}, the eps = -1 curvature equation, and its g-derivative."""
+    gc = np.clip(g, -700.0, 700.0)
+    e_minus, e_plus = np.exp(-gc), np.exp(gc)
+    val = pq * e_minus + e_plus
+    if with_derivative:
+        return val, -pq * e_minus + e_plus
+    return val
+
+
 def solve_goursat_hyperbolic(
     p_bottom,
     p_left,
@@ -326,6 +375,8 @@ def solve_goursat_hyperbolic(
     sweeps alternate the g-march with first-order upwind transports of p, q
     until the max sweep-to-sweep change drops below tol.  Residual is O(h).
     """
+    if max_sweeps < 1:
+        raise ValidationError("max_sweeps must be at least 1")
     Nu, Nv = grid.Nu, grid.Nv
     hu, hv = grid.hu, grid.hv
     u, v = grid.u_nodes, grid.v_nodes
@@ -346,48 +397,44 @@ def solve_goursat_hyperbolic(
     g = gb[:, None] + gl[None, :] - gb[0]
 
     wu, wv = 1.0 / hu, 1.0 / hv
-    for sweep in range(max_sweeps):
+    deltas = []
+    for _ in range(max_sweeps):
         p_old, q_old, g_old = p, q, g
         lam = 0.5 * (p_old + q_old)
 
-        pq = p_old * q_old
-
-        def rhs(i, j, gval, with_derivative=False):
-            gc = np.clip(gval, -700.0, 700.0)
-            val = pq[i, j] * np.exp(-gc) + np.exp(gc)
-            if with_derivative:
-                return val, -pq[i, j] * np.exp(-gc) + np.exp(gc)
-            return val
-
-        g = _goursat_march(grid, gb, gl, rhs)
+        g = _goursat_march(grid, gb, gl, p_old * q_old, _hyperbolic_rhs)
 
         g_u = np.gradient(g, hu, axis=0, edge_order=2)
         g_v = np.gradient(g, hv, axis=1, edge_order=2)
         rhs_p = lam * (g_u + g_v)
         rhs_q = lam * (g_u - g_v)
 
-        p = np.empty_like(p_old)
+        p = np.empty((Nu, Nv))
         p[:, 0] = pb
         p[0, :] = pl
-        for i, j in _wavefront_indices(Nu, Nv):
-            p[i, j] = (wu * p[i - 1, j] + wv * p[i, j - 1] + rhs_p[i, j]) / (wu + wv)
+        _upwind_transport(p, rhs_p, wu, wv)
 
-        q = np.empty_like(q_old)
-        q[0, :] = ql
-        q[:, -1] = qt
-        for i, jj in _wavefront_indices(Nu, Nv):
-            j = Nv - 1 - jj  # march downward in v along (1,-1)
-            q[i, j] = (wu * q[i - 1, j] + wv * q[i, j + 1] + rhs_q[i, j]) / (wu + wv)
+        # q rides (1,-1): transport it as p on the grid flipped in v
+        q_flip = np.empty((Nu, Nv))
+        q_flip[0, :] = ql[::-1]
+        q_flip[:, 0] = qt
+        _upwind_transport(q_flip, rhs_q[:, ::-1], wu, wv)
+        q = q_flip[:, ::-1]
 
         delta = max(
             np.max(np.abs(p - p_old)),
             np.max(np.abs(q - q_old)),
             np.max(np.abs(g - g_old)),
         )
+        deltas.append(delta)
         if delta <= tol:
             break
     else:
-        raise NoConvergence(f"Picard sweeps did not converge ({max_sweeps} sweeps, last change {delta:.3e})")
+        last = ", ".join(f"{d:.3e}" for d in deltas[-3:])
+        raise NoConvergence(
+            f"Picard sweeps did not converge in {max_sweeps} sweeps (tol {tol:.1e}); last changes {last}",
+            deltas,
+        )
 
     lam = 0.5 * (p + q)
     nu = 0.5 * (p - q)

@@ -154,11 +154,40 @@ def test_bad_tolerance_exit_1(tmp_path):
     code = run(["reconstruct", "--fixture", "constant", "--tol-build", "-1",
                 "--out", str(tmp_path / "x")])
     assert code == 1
+    # NaN would switch the residual gate off
+    assert run(["reconstruct", "--fixture", "constant", "--tol-build", "nan", "--out", str(tmp_path / "y")]) == 1
 
 
 def test_missing_file_exit_3(tmp_path):
-    code = run(["analyze", "--immersion", str(tmp_path / "missing.csv")])
+    report = tmp_path / "err.json"
+    code = run(["analyze", "--immersion", str(tmp_path / "missing.csv"), "--report", str(report)])
     assert code == 3
+    data = json.loads(report.read_text())
+    assert data["status"] == "error"
+    assert data["error"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("nodes", 33.7), ("nodes", True), ("nodes", "33"), ("radius", True), ("radius", float("nan"))],
+)
+def test_config_value_of_wrong_type_exit_1(tmp_path, key, value):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"command": "residual", "fixture": "jet", key: value}))
+    report = tmp_path / "err.json"
+    assert run(["--config", str(cfg), "residual", "--report", str(report)]) == 1
+    data = json.loads(report.read_text())
+    assert data["status"] == "error"
+    assert data["error"] == "ConfigError"
+    assert key in data["message"]
+
+
+def test_config_integral_float_is_an_int(tmp_path):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"command": "residual", "fixture": "constant", "nodes": 33.0}))
+    report = tmp_path / "r.json"
+    assert run(["--config", str(cfg), "residual", "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["inputs"]["nodes"] == 33
 
 
 def _set_cell(row: str, col: int, text: str) -> str:

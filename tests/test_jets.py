@@ -3,7 +3,18 @@ import pytest
 
 from minksurf.errors import ValidationError
 from minksurf.fixtures import jet_seed, jet_triple
-from minksurf.jets import JetSeed, jet_manufacture, p_diff_u, p_eval, p_exp, p_mul, p_zero
+from minksurf.jets import (
+    JetSeed,
+    _equation_vector,
+    _exps,
+    _residual_coeffs,
+    jet_manufacture,
+    p_diff_u,
+    p_eval,
+    p_exp,
+    p_mul,
+    p_zero,
+)
 from minksurf.natural import Case, residual
 
 
@@ -95,3 +106,29 @@ def test_analytic_partials_attached():
     # evaluator consistency at nodes
     U, V = t.grid.mesh()
     assert np.max(np.abs(t.lam.values - t.lam.evaluator(U, V))) < 1e-14
+
+
+@pytest.mark.parametrize("case", list(Case))
+def test_truncated_degree_system_matches_full_order(case):
+    # the degree-d rows read only coefficients of degree <= d, so solving on
+    # truncated arrays must reproduce the full-order rows bit for bit
+    order = 8
+    rng = np.random.default_rng(11)
+    degree = np.add.outer(np.arange(order + 1), np.arange(order + 1))
+    lam, nu, g = (  # some zero coefficients, as in a solved jet
+        np.where((degree <= order) & (rng.random(degree.shape) < 0.8), rng.standard_normal(degree.shape), 0.0)
+        for _ in range(3)
+    )
+    if case is Case.DEGENERATE:
+        nu[:, 1:] = 0.0
+    r1, r2, r3 = _residual_coeffs(lam, nu, g, case, order)
+    for d in range(1, order + 1):
+        rows = [r1[a, d - 1 - a] for a in range(d)]
+        if case is not Case.DEGENERATE:
+            rows += [r2[a, d - 1 - a] for a in range(d)]
+        rows += [r3[a, d - 2 - a] for a in range(d - 1)]
+        assert np.array_equal(_equation_vector(lam, nu, g, case, d), np.array(rows)), d
+        # exp(g) and exp(2g) built before the degree-d unknowns change still serve
+        g_other = np.where(degree == d, rng.standard_normal(g.shape), g)
+        exps = _exps(g_other[: d + 1, : d + 1], case, d)
+        assert np.array_equal(_equation_vector(lam, nu, g, case, d, exps), np.array(rows)), d

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minksurf.errors import BlowUp, BothMuZero, NearZeroField, ValidationError
+from minksurf.errors import BlowUp, BothMuZero, NearZeroField, NoConvergence, ValidationError
 from minksurf.fields import GridSpec, ScalarField
 from minksurf.fixtures import (
+    _hyperbolic_edge_functions,
     constant_triple,
     degenerate_g_exact,
     goursat_degenerate_triple,
@@ -15,6 +16,10 @@ from minksurf.fixtures import (
 from minksurf.natural import (
     CanonicalTriple,
     Case,
+    _degenerate_rhs,
+    _goursat_march,
+    _hyperbolic_rhs,
+    _upwind_transport,
     classify_from_frame,
     residual,
     solve_goursat_degenerate,
@@ -227,6 +232,97 @@ def test_goursat_hyperbolic_convergence():
         errs.append(residual(goursat_hyperbolic_triple(n)).interior_max_abs)
     slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(slopes) >= 0.9, (errs, slopes)
+
+
+def _hyperbolic_edges(grid: GridSpec) -> dict:
+    """solve_goursat_hyperbolic's edge data of the goursat-hyperbolic fixture."""
+    P, Q, G = _hyperbolic_edge_functions()
+    return dict(
+        p_bottom=lambda u: P(u, grid.v0), p_left=lambda v: P(grid.u0, v),
+        q_left=lambda v: Q(grid.u0, v), q_top=lambda u: Q(u, grid.v1),
+        g_bottom=lambda u: G(u, grid.v0), g_left=lambda v: G(grid.u0, v),
+    )
+
+
+def test_goursat_hyperbolic_no_convergence_reports_sweeps():
+    g = GridSpec(0, 0.5, 0, 0.5, 33, 33)
+    with pytest.raises(NoConvergence) as info:
+        solve_goursat_hyperbolic(grid=g, max_sweeps=2, **_hyperbolic_edges(g))
+    deltas = info.value.deltas
+    assert len(deltas) == 2
+    assert deltas[1] < deltas[0]
+    assert all(f"{d:.3e}" in str(info.value) for d in deltas)
+    with pytest.raises(ValidationError):
+        solve_goursat_hyperbolic(grid=g, max_sweeps=0, **_hyperbolic_edges(g))
+
+
+def _reference_march(grid, g_bottom, g_left, coef, rhs):
+    """Reference Goursat march: rhs evaluated afresh at the three known corners of every cell."""
+    Nu, Nv = grid.Nu, grid.Nv
+    g = np.empty((Nu, Nv))
+    g[:, 0] = g_bottom
+    g[0, :] = g_left
+    cell = grid.hu * grid.hv / 4.0
+
+    def f(i, j, x, with_derivative=False):
+        return rhs(coef[i, j], x, with_derivative=with_derivative)
+
+    for s in range(2, Nu + Nv - 1):
+        i = np.arange(max(1, s - (Nv - 1)), min(Nu - 1, s - 1) + 1)
+        j = s - i
+        base = g[i - 1, j] + g[i, j - 1] - g[i - 1, j - 1]
+        known = f(i - 1, j - 1, g[i - 1, j - 1]) + f(i - 1, j, g[i - 1, j]) + f(i, j - 1, g[i, j - 1])
+        x = base + cell * (known + f(i, j, base))
+        for _ in range(3):
+            val, dval = f(i, j, x, with_derivative=True)
+            phi = x - base - cell * (known + val)
+            x = x - phi / (1.0 - cell * dval)
+        g[i, j] = x
+    return g
+
+
+def test_goursat_march_bit_identical_to_reference():
+    # storing each node's right-hand side once it is final must not change a bit;
+    # compared within one run, not against stored values, because exp's last
+    # bits may differ between CPUs
+    g = GridSpec(0, 0.5, 0, 0.5, 33, 33)
+    e = _hyperbolic_edges(g)
+    u, v = g.u_nodes, g.v_nodes
+    pb, pl, ql, qt = e["p_bottom"](u), e["p_left"](v), e["q_left"](v), e["q_top"](u)
+    pq = (pb[:, None] + pl[None, :] - pb[0]) * (ql[None, :] + qt[:, None] - ql[-1])
+    gb, gl = e["g_bottom"](u), e["g_left"](v)
+    assert np.array_equal(
+        _goursat_march(g, gb, gl, pq, _hyperbolic_rhs), _reference_march(g, gb, gl, pq, _hyperbolic_rhs)
+    )
+
+    g = GridSpec(0, 1, 0, 1, 33, 33)
+    u, v = g.u_nodes, g.v_nodes
+    nusq = np.broadcast_to(((1.0 + u) ** 2)[:, None], (33, 33))
+    gb, gl = 2.0 + 0.3 * np.sin(3 * u), 2.0 - 0.2 * v
+    assert np.array_equal(
+        _goursat_march(g, gb, gl, nusq, _degenerate_rhs), _reference_march(g, gb, gl, nusq, _degenerate_rhs)
+    )
+
+    # zero edges and a rough coefficient: the marched values are then mostly
+    # cell * known, so a change in how the corners are summed shows in the bits
+    rng = np.random.default_rng(0)
+    zero = np.zeros(33)
+    rough = ((_hyperbolic_rhs, rng.standard_normal((33, 33))), (_degenerate_rhs, rng.uniform(0.5, 2.0, (33, 33))))
+    for rhs, coef in rough:
+        assert np.array_equal(_goursat_march(g, zero, zero, coef, rhs), _reference_march(g, zero, zero, coef, rhs))
+
+
+def test_upwind_transport_matches_index_loop():
+    rng = np.random.default_rng(5)
+    f = np.empty((17, 23))
+    f[:, 0], f[0, :] = rng.standard_normal(17), rng.standard_normal(23)
+    rhs = rng.standard_normal((17, 23))
+    ref = f.copy()
+    for s in range(2, 17 + 23 - 1):
+        i = np.arange(max(1, s - 22), min(16, s - 1) + 1)
+        ref[i, s - i] = (3.0 * ref[i - 1, s - i] + 7.0 * ref[i, s - i - 1] + rhs[i, s - i]) / 10.0
+    _upwind_transport(f, rhs, 3.0, 7.0)
+    assert np.array_equal(f, ref)
 
 
 def test_characteristic_reformulation_symbolic():
