@@ -23,6 +23,7 @@ from .errors import (
     DegenerateMetric,
     MinimalOrTotallyGeodesic,
     NotIsotropic,
+    ValidationError,
 )
 from .fields import GridSpec, ScalarField, bicubic, d_dudv, diff_values
 from .minkowski import lorentz_inner, minkowski_cross
@@ -54,9 +55,9 @@ class Immersion:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.shape != (self.grid.Nu, self.grid.Nv, 4):
-            raise ValueError(f"points shape {pts.shape} != (Nu, Nv, 4)")
+            raise ValidationError(f"points shape {pts.shape} != (Nu, Nv, 4)")
         if not np.all(np.isfinite(pts)):
-            raise ValueError("immersion samples must be finite")
+            raise ValidationError("immersion samples must be finite")
         self.points = pts
 
     def component(self, k: int) -> ScalarField:

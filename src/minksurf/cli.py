@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import fixtures, io
 from .analysis import Immersion, invariants
 from .canonical import canonicalize
-from .errors import ConfigError, MinksurfError, NumericalError, ValidationError
+from .errors import ConfigError, MinksurfError, ValidationError
 from .frames import TOL_BUILD, reconstruct
 from .natural import Case, residual
 
@@ -199,8 +200,6 @@ def _cmd_reconstruct(opts: dict) -> int:
     bundle = reconstruct(t, tol_build=opts["tol_build"], force=opts["force"])
     if not opts.get("out"):
         raise ConfigError("reconstruct needs --out for the bundle directory")
-    import os
-
     os.makedirs(opts["out"], exist_ok=True)
     m = Immersion(bundle.grid, bundle.points)
     io.write_immersion_csv(m, os.path.join(opts["out"], "immersion.csv"))
@@ -246,8 +245,6 @@ def _cmd_canonicalize(opts: dict) -> int:
     result = canonicalize(m)
     if not opts.get("out"):
         raise ConfigError("canonicalize needs --out for the bundle directory")
-    import os
-
     os.makedirs(opts["out"], exist_ok=True)
     io.write_triple_bundle(result.triple, opts["out"])
     io.write_immersion_csv(result.immersion, os.path.join(opts["out"], "immersion.csv"))
@@ -287,8 +284,6 @@ def _cmd_roundtrip(opts: dict) -> int:
 def _cmd_export(opts: dict) -> int:
     if not opts.get("bundle") or not opts.get("out"):
         raise ConfigError("export needs --bundle (dir with immersion.csv) and --out (.vtk)")
-    import os
-
     m = io.read_immersion_csv(os.path.join(opts["bundle"], "immersion.csv"))
     io.write_vtk_structured(opts["out"], m)
     report = _report("export", opts, {}, {"points": m.grid.Nu * m.grid.Nv})
@@ -330,10 +325,7 @@ def run(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         _emit_error(args.command, report_path, exc)
         return 1
-    except NumericalError as exc:
-        _emit_error(args.command, report_path, exc)
-        return 2
-    except MinksurfError as exc:
+    except MinksurfError as exc:  # NumericalError and the rest
         _emit_error(args.command, report_path, exc)
         return 2
     except OSError as exc:
@@ -348,6 +340,9 @@ def _emit_error(command: str, report_path: str | None, exc: Exception) -> None:
         "error": type(exc).__name__,
         "message": str(exc),
     }
+    for key in ("sweep", "s", "node", "uv", "deltas"):  # where a numerical failure happened
+        if getattr(exc, key, None) is not None:
+            report[key] = getattr(exc, key)
     if report_path:
         try:
             io.write_report(report, report_path)

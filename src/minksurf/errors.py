@@ -10,8 +10,8 @@ class MinksurfError(Exception):
     """Base class for all library errors."""
 
 
-class ValidationError(MinksurfError):
-    """Input data or configuration violates a precondition."""
+class ValidationError(MinksurfError, ValueError):
+    """Input data or configuration violates a precondition (also a ValueError)."""
 
 
 class NumericalError(MinksurfError):
@@ -71,7 +71,11 @@ class ResidualTooLarge(NumericalError):
 
 
 class StepUnstable(NumericalError):
-    """Frame entries exceeded 1e8 during transport."""
+    """Frame entries exceeded 1e8 at `s` in `sweep`, before grid node `node` at (u, v) = `uv`."""
+
+    def __init__(self, message: str, sweep=None, s=None, node=None, uv=None):
+        self.sweep, self.s, self.node, self.uv = sweep, s, node, uv
+        super().__init__(message)
 
 
 class DegenerateMetric(NumericalError):

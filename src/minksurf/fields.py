@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
-from .errors import GridTooSmall, NearZeroField, OutOfDomain
+from .errors import GridTooSmall, NearZeroField, OutOfDomain, ValidationError
 
 MU_MIN = 1e-8  # guards ln|mu| and 1/sqrt|mu| against blow-up
 
@@ -36,7 +36,7 @@ class GridSpec:
 
     def __post_init__(self):
         if not (self.u1 > self.u0 and self.v1 > self.v0):
-            raise ValueError("domain bounds must satisfy u1 > u0 and v1 > v0")
+            raise ValidationError("domain bounds must satisfy u1 > u0 and v1 > v0")
         if self.Nu < 5 or self.Nv < 5:
             raise GridTooSmall("grids need at least 5 nodes per axis")
 
@@ -90,16 +90,16 @@ class ScalarField:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.Nu, self.grid.Nv):
-            raise ValueError(f"values shape {vals.shape} != grid {(self.grid.Nu, self.grid.Nv)}")
+            raise ValidationError(f"values shape {vals.shape} != grid {(self.grid.Nu, self.grid.Nv)}")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("field samples must be finite")
+            raise ValidationError("field samples must be finite")
         self.values = vals
         if self.evaluator is not None:
             U, V = self.grid.mesh()
             probe = np.broadcast_to(np.asarray(self.evaluator(U, V), dtype=float), U.shape)
             scale = 1.0 + np.max(np.abs(vals))
             if np.max(np.abs(probe - vals)) > 1e-14 * scale:
-                raise ValueError("attached evaluator disagrees with the samples")
+                raise ValidationError("attached evaluator disagrees with the samples")
 
     # -- constructors ------------------------------------------------------
 
@@ -139,7 +139,7 @@ class ScalarField:
     def _binop(self, other, op) -> "ScalarField":
         if isinstance(other, ScalarField):
             if other.grid != self.grid:
-                raise ValueError("fields live on different grids")
+                raise ValidationError("fields live on different grids")
             return ScalarField(self.grid, op(self.values, other.values))
         return ScalarField(self.grid, op(self.values, other))
 
@@ -202,7 +202,7 @@ def diff_values(vals: np.ndarray, h: float, axis: int, order: int = 2) -> np.nda
         return _diff2(np.asarray(vals, dtype=float), h, axis)
     if order == 4:
         return _diff4(vals, h, axis)
-    raise ValueError("order must be 2 or 4")
+    raise ValidationError("order must be 2 or 4")
 
 
 def _d_axis(s: ScalarField, letter: str, order: int) -> ScalarField:
@@ -320,10 +320,10 @@ def resample(s: ScalarField, new_u: np.ndarray, new_v: np.ndarray) -> ScalarFiel
     if new_v.min() < g.v0 - pad_v or new_v.max() > g.v1 + pad_v:
         raise OutOfDomain("v nodes leave the source domain")
     if np.any(np.diff(new_u) <= 0) or np.any(np.diff(new_v) <= 0):
-        raise ValueError("new nodes must be strictly increasing")
+        raise ValidationError("new nodes must be strictly increasing")
     hu = np.diff(new_u)
     hv = np.diff(new_v)
     if np.ptp(hu) > 1e-9 * (new_u[-1] - new_u[0]) or np.ptp(hv) > 1e-9 * (new_v[-1] - new_v[0]):
-        raise ValueError("resample targets must be uniform node sets")
+        raise ValidationError("resample targets must be uniform node sets")
     new_grid = GridSpec(new_u[0], new_u[-1], new_v[0], new_v[-1], len(new_u), len(new_v))
     return ScalarField(new_grid, bicubic(s.values, g, new_u, new_v))

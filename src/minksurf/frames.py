@@ -13,10 +13,11 @@ integration holds only then, and the cross-path discrepancy is reported as a
 diagnostic rather than silently averaged away.  The frame is never
 re-orthonormalized: Gram drift is itself a diagnostic.
 
-Transport runs RK4 along grid lines.  On a grid line the not-a-knot tensor
-cubic interpolant of the node matrices is the 1-D not-a-knot cubic spline
-along that line, so each sweep builds that spline once and evaluates it at
-the RK4 stages.
+Transport runs RK4 along all grid lines of a sweep at once, as batched
+`matmul` products.  On a grid line the not-a-knot tensor cubic interpolant of
+the node matrices is the 1-D not-a-knot cubic spline along that line, so each
+sweep builds that spline once and evaluates it once per grid interval, at the
+vector of that interval's RK4 stage coordinates.
 """
 
 from __future__ import annotations
@@ -53,93 +54,98 @@ def coefficient_matrices(t: CanonicalTriple) -> CoefficientMatrices:
     gamma2 = -d_dv(root).values
     lam, mu, nu = t.lam.values, t.mu.values, t.nu.values
     inv_root = 1.0 / root.values
-    zero = np.zeros_like(lam)
 
-    A = np.empty((g.Nu, g.Nv, 4, 4))
-    A[..., 0, :] = np.stack([gamma1, zero, lam, mu], axis=-1)
-    A[..., 1, :] = np.stack([zero, -gamma1, -nu, zero], axis=-1)
-    A[..., 2, :] = np.stack([-nu, lam, zero, zero], axis=-1)
-    A[..., 3, :] = np.stack([zero, mu, zero, zero], axis=-1)
+    A = np.zeros((g.Nu, g.Nv, 4, 4))
+    A[..., 0, 0], A[..., 0, 2], A[..., 0, 3] = gamma1, lam, mu
+    A[..., 1, 1], A[..., 1, 2] = -gamma1, -nu
+    A[..., 2, 0], A[..., 2, 1] = -nu, lam
+    A[..., 3, 1] = mu
 
-    B = np.empty((g.Nu, g.Nv, 4, 4))
-    if t.case is Case.DEGENERATE:
-        B[..., 0, :] = np.stack([-gamma2, zero, -nu, zero], axis=-1)
-        B[..., 1, :] = np.stack([zero, gamma2, zero, zero], axis=-1)
-        B[..., 2, :] = np.stack([zero, -nu, zero, zero], axis=-1)
-        B[..., 3, :] = np.stack([zero, zero, zero, zero], axis=-1)
-    else:
+    B = np.zeros((g.Nu, g.Nv, 4, 4))
+    B[..., 0, 0], B[..., 0, 2] = -gamma2, -nu
+    B[..., 1, 1] = gamma2
+    B[..., 2, 1] = -nu
+    if t.case is not Case.DEGENERATE:
         eps = t.case.epsilon
-        B[..., 0, :] = np.stack([-gamma2, zero, -nu, zero], axis=-1)
-        B[..., 1, :] = np.stack([zero, gamma2, -eps * lam, -eps * mu], axis=-1)
-        B[..., 2, :] = np.stack([-eps * lam, -nu, zero, zero], axis=-1)
-        B[..., 3, :] = np.stack([-eps * mu, zero, zero, zero], axis=-1)
+        B[..., 1, 2], B[..., 1, 3] = -eps * lam, -eps * mu
+        B[..., 2, 0] = -eps * lam
+        B[..., 3, 0] = -eps * mu
 
     A *= inv_root[..., None, None]
     B *= inv_root[..., None, None]
     return CoefficientMatrices(A=A, B=B, grid=g)
 
 
-def compatibility_residual(t: CanonicalTriple) -> ScalarField:
-    """Per-node max-norm of A_v - B_u + AB - BA."""
-    cm = coefficient_matrices(t)
+def compatibility_residual(t: CanonicalTriple, cm: CoefficientMatrices | None = None) -> ScalarField:
+    """Per-node max-norm of A_v - B_u + AB - BA; `cm` is t's prebuilt matrices, if any."""
+    cm = cm or coefficient_matrices(t)
     g = cm.grid
     A_v = diff_values(cm.A, g.hv, axis=1)
     B_u = diff_values(cm.B, g.hu, axis=0)
-    comm = np.einsum("...ij,...jk->...ik", cm.A, cm.B) - np.einsum("...ij,...jk->...ik", cm.B, cm.A)
-    M = A_v - B_u + comm
+    M = A_v - B_u + (cm.A @ cm.B - cm.B @ cm.A)
     return ScalarField(g, np.max(np.abs(M), axis=(-2, -1)))
 
 
 RK4_SUBSTEPS = 2  # per grid interval; 1 leaves ~3e-9 vs the matrix-exponential oracle
 
 
-def _rk4_line(F0: np.ndarray, mats_at, coords: np.ndarray, substeps: int = RK4_SUBSTEPS) -> np.ndarray:
-    """RK4 transport of stacked frames along one coordinate line.
+def _rk4_line(F0: np.ndarray, mats_at, grid: GridSpec, axis: int, sweep: str,
+              substeps: int = RK4_SUBSTEPS) -> np.ndarray:
+    """RK4 transport of stacked frames along the grid lines of one sweep.
 
-    F0: (batch, 4, 4); mats_at(s) -> (batch, 4, 4) coefficient matrices at
-    coordinate s for every batch member; returns (len(coords), batch, 4, 4).
-    Each grid interval is covered by `substeps` RK4 steps; mats_at is a cubic
-    spline along `coords`, which supplies the off-node coefficients.
+    Lines run along grid axis `axis`; batch member b is line b of the other
+    axis.  F0: (batch, 4, 4); mats_at(s) -> (len(s), batch, 4, 4) is a cubic
+    spline along the lines; returns (nodes along axis, batch, 4, 4).  Each grid
+    interval takes `substeps` RK4 steps, whose 2*substeps + 1 stage matrices
+    come from one mats_at call (a step ends where the next starts).
     """
+    coords = grid.u_nodes if axis == 0 else grid.v_nodes
     h = (coords[1] - coords[0]) / substeps
     out = np.empty((len(coords),) + F0.shape)
     out[0] = F0
     F = F0
     for k in range(len(coords) - 1):
+        s = coords[k] + np.arange(substeps) * h
+        stages = mats_at(np.append(np.column_stack([s, s + 0.5 * h]).ravel(), s[-1] + h))
         for m in range(substeps):
-            s = coords[k] + m * h
-            M0 = mats_at(s)
-            M1 = mats_at(s + 0.5 * h)
-            M2 = mats_at(s + h)
-            k1 = np.einsum("...ij,...jk->...ik", M0, F)
-            k2 = np.einsum("...ij,...jk->...ik", M1, F + 0.5 * h * k1)
-            k3 = np.einsum("...ij,...jk->...ik", M1, F + 0.5 * h * k2)
-            k4 = np.einsum("...ij,...jk->...ik", M2, F + h * k3)
+            M0, M1, M2 = stages[2 * m], stages[2 * m + 1], stages[2 * m + 2]
+            k1 = M0 @ F
+            k2 = M1 @ (F + 0.5 * h * k1)
+            k3 = M1 @ (F + 0.5 * h * k2)
+            k4 = M2 @ (F + h * k3)
             F = F + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             if np.max(np.abs(F)) > STEP_LIMIT:
-                raise StepUnstable(f"frame entries exceeded {STEP_LIMIT:.0e} during transport")
+                b = int(np.argmax(np.max(np.abs(F), axis=(-2, -1))))
+                node = (k + 1, b) if axis == 0 else (b, k + 1)
+                uv = (float(grid.u_nodes[node[0]]), float(grid.v_nodes[node[1]]))
+                raise StepUnstable(f"frame entries exceeded {STEP_LIMIT:.0e} in the {sweep} sweep before "
+                                   f"node {node} at (u, v) = {uv}", sweep, float(s[m] + h), node, uv)
         out[k + 1] = F
     return out
 
 
 def _transport(cm: CoefficientMatrices, F0m: np.ndarray, bottom_first: bool) -> np.ndarray:
-    u, v = cm.grid.u_nodes, cm.grid.v_nodes
+    g = cm.grid
+    u, v = g.u_nodes, g.v_nodes
+    B_by_v = np.swapaxes(cm.B, 0, 1)  # line axis first: a spline call gives (stages, batch, 4, 4)
     if bottom_first:
         # along the bottom edge v = v0, then up every column at once
-        edge = _rk4_line(F0m[None], make_interp_spline(u, cm.A[:, :1], k=3, axis=0), u)[:, 0]
-        field = _rk4_line(edge, make_interp_spline(v, cm.B, k=3, axis=1), v)
+        edge = _rk4_line(F0m[None], make_interp_spline(u, cm.A[:, :1], k=3), g, 0, "bottom edge")[:, 0]
+        field = _rk4_line(edge, make_interp_spline(v, B_by_v, k=3), g, 1, "columns")
         return np.moveaxis(field, 0, 1)  # -> (Nu, Nv, 4, 4)
     # up the left edge u = u0, then across every row at once
-    edge = _rk4_line(F0m[None], make_interp_spline(v, cm.B[:1], k=3, axis=1), v)[:, 0]
-    return _rk4_line(edge, make_interp_spline(u, cm.A, k=3, axis=0), u)
+    edge = _rk4_line(F0m[None], make_interp_spline(v, B_by_v[:, :1], k=3), g, 1, "left edge")[:, 0]
+    return _rk4_line(edge, make_interp_spline(u, cm.A, k=3), g, 0, "rows")
 
 
-def integrate_frame(t: CanonicalTriple, F0: FrameState | np.ndarray | None = None):
+def integrate_frame(t: CanonicalTriple, F0: FrameState | np.ndarray | None = None,
+                    cm: CoefficientMatrices | None = None):
     """Transport the frame over the grid; returns (frames, diagnostics).
 
-    frames has shape (Nu, Nv, 4, 4).  Diagnostics: gram_drift (max deviation
-    of the transported Gram products over all nodes) and path_discrepancy
-    (max entry difference against the alternate integration order).
+    `cm` is t's prebuilt coefficient matrices, if any.  frames has shape
+    (Nu, Nv, 4, 4).  Diagnostics: gram_drift (max deviation of the transported
+    Gram products over all nodes) and path_discrepancy (max entry difference
+    against the alternate integration order).
     """
     if F0 is None:
         F0 = standard_frame()
@@ -148,7 +154,7 @@ def integrate_frame(t: CanonicalTriple, F0: FrameState | np.ndarray | None = Non
         raise ValidationError(
             f"initial frame impure: gram residual {gram_residual(F0m):.3e} > {F0_GRAM_TOL:.0e}"
         )
-    cm = coefficient_matrices(t)
+    cm = cm or coefficient_matrices(t)
     frames = _transport(cm, F0m, bottom_first=True)
     alt = _transport(cm, F0m, bottom_first=False)
     diagnostics = {
@@ -201,15 +207,17 @@ def reconstruct(
     tol_build: float = TOL_BUILD,
     force: bool = False,
 ) -> ReconstructionBundle:
-    """Full reconstruction: residual gate, frame transport, position quadrature."""
+    """Full reconstruction: residual gate, frame transport (one coefficient-matrix
+    build serves it and the compatibility check), position quadrature."""
     rep = residual(t)
     if rep.interior_max_abs > tol_build and not force:
         raise ResidualTooLarge(rep.interior_max_abs, tol_build)
     if p0 is None:
         p0 = np.zeros(4)
-    frames, diag = integrate_frame(t, F0)
+    cm = coefficient_matrices(t)
+    frames, diag = integrate_frame(t, F0, cm)
     points, pos_disc = integrate_position(frames, t.mu, p0)
-    compat = compatibility_residual(t)
+    compat = compatibility_residual(t, cm)
     diagnostics = {
         "residual_max": rep.interior_max_abs,
         "compat_max": compat.interior_max_abs(),

@@ -59,12 +59,15 @@ def _read_grid_csv(path: str, header: str) -> tuple[GridSpec, np.ndarray]:
     try:
         with open(path) as fh:
             found, lines = fh.readline().rstrip("\n"), fh.readlines()
-        if found != header:
-            raise bad(f"header {found!r} is not {header!r}")
-        if len(lines) < 2:
-            raise bad(f"only {len(lines)} data rows")
+    except ValueError as exc:  # undecodable text
+        raise bad(exc) from exc
+    if found != header:
+        raise bad(f"header {found!r} is not {header!r}")
+    if len(lines) < 2:
+        raise bad(f"only {len(lines)} data rows")
+    try:
         data = np.loadtxt(lines, delimiter=",", ndmin=2)
-    except ValueError as exc:  # undecodable or non-numeric text, ragged rows
+    except ValueError as exc:  # non-numeric text, ragged rows
         raise bad(exc) from exc
     ncols = header.count(",") + 1
     if data.shape[1] != ncols:
@@ -175,13 +178,10 @@ def read_triple_bundle(dirpath: str) -> CanonicalTriple:
 def _emit(obj, out: list) -> None:
     if isinstance(obj, Mapping):
         out.append("{")
-        first = True
-        for k, val in obj.items():
-            if not first:
+        for idx, (k, val) in enumerate(obj.items()):
+            if idx:
                 out.append(", ")
-            first = False
-            out.append(json.dumps(str(k)))
-            out.append(": ")
+            out.append(json.dumps(str(k)) + ": ")
             _emit(val, out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
@@ -196,13 +196,13 @@ def _emit(obj, out: list) -> None:
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(fmt(obj))
+        out.append(fmt(obj) if np.isfinite(obj) else "null")  # JSON has no nan or inf
     else:
         out.append(json.dumps(str(obj)))
 
 
 def report_text(report: dict) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON with floats at 17 significant digits; nan and inf as null."""
     out: list = []
     _emit(report, out)
     return "".join(out) + "\n"

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 # diag of the ambient metric: <a,b> = a1 b1 + a2 b2 + a3 b3 - a4 b4
 METRIC_DIAG = np.array([1.0, 1.0, 1.0, -1.0])
 
@@ -26,14 +28,12 @@ TARGET_GRAM = np.array(
     ]
 )
 
-_EPS4 = None  # Levi-Civita symbol, built lazily
-
 
 def mink_vec(c1: float, c2: float, c3: float, c4: float) -> np.ndarray:
     """Build a Minkowski 4-vector, checking finiteness."""
     vec = np.array([c1, c2, c3, c4], dtype=float)
     if not np.all(np.isfinite(vec)):
-        raise ValueError("Minkowski vector components must be finite")
+        raise ValidationError("Minkowski vector components must be finite")
     return vec
 
 
@@ -75,7 +75,7 @@ class FrameState:
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=float)
         if mat.shape != (4, 4):
-            raise ValueError("frame matrix must be 4x4")
+            raise ValidationError("frame matrix must be 4x4")
         object.__setattr__(self, "mat", mat)
 
     @classmethod
@@ -117,31 +117,23 @@ def standard_frame() -> FrameState:
     )
 
 
-def _levi_civita() -> np.ndarray:
-    global _EPS4
-    if _EPS4 is None:
-        eps = np.zeros((4, 4, 4, 4))
-        from itertools import permutations
-
-        for perm in permutations(range(4)):
-            sign = 1.0
-            p = list(perm)
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    if p[i] > p[j]:
-                        sign = -sign
-            eps[perm] = sign
-        _EPS4 = eps
-    return _EPS4
-
-
 def minkowski_cross(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Vector Lorentz-orthogonal to a, b, c (generalized cross product).
 
-    w^m = eta^{mn} eps_{nijk} a^i b^j c^k; broadcasts over leading axes.
+    w^m = eta^{mn} eps_{nijk} a^i b^j c^k; broadcasts over leading axes.  The
+    contraction is expanded along c over the six 2x2 minors of (a, b).
     """
-    eps = _levi_civita()
-    w_low = np.einsum("nijk,...i,...j,...k->...n", eps, a, b, c)
+    a0, a1, a2, a3 = np.moveaxis(a, -1, 0)
+    b0, b1, b2, b3 = np.moveaxis(b, -1, 0)
+    c0, c1, c2, c3 = np.moveaxis(c, -1, 0)
+    p01, p02, p03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+    p12, p13, p23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    w_low = np.stack([
+        p23 * c1 - p13 * c2 + p12 * c3,
+        -p23 * c0 + p03 * c2 - p02 * c3,
+        p13 * c0 - p03 * c1 + p01 * c3,
+        -p12 * c0 + p02 * c1 - p01 * c2,
+    ], axis=-1)
     return w_low * METRIC_DIAG  # raise the index (eta is diagonal, own inverse)
 
 

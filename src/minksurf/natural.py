@@ -55,7 +55,7 @@ class Case(enum.Enum):
             return 1
         if self is Case.NEGATIVE_KH:
             return -1
-        raise ValueError("degenerate case has no epsilon")
+        raise ValidationError("degenerate case has no epsilon")
 
 
 def nu_constancy_tol(nu_max: float) -> float:
@@ -78,7 +78,7 @@ class CanonicalTriple:
 
     def __post_init__(self):
         if not (self.lam.grid == self.mu.grid == self.nu.grid):
-            raise ValueError("triple fields must share one grid")
+            raise ValidationError("triple fields must share one grid")
         if self.mu.min_abs() < MU_MIN:
             raise NearZeroField(f"min |mu| = {self.mu.min_abs():.3e} < {MU_MIN:.3e}")
         if not self.mu.sign_constant():

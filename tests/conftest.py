@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from minksurf.analysis import Immersion
+from minksurf.fields import GridSpec, ScalarField
 from minksurf.fixtures import (
     constant_triple,
     cylinder_immersion,
@@ -9,7 +10,7 @@ from minksurf.fixtures import (
     jet_triple,
 )
 from minksurf.frames import reconstruct
-from minksurf.natural import Case
+from minksurf.natural import CanonicalTriple, Case
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +40,15 @@ def immersion_of(bundle) -> Immersion:
 def interior_max(values: np.ndarray, grid, layers: int = 2) -> float:
     su, sv = grid.interior(layers)
     return float(np.max(np.abs(values[su, sv])))
+
+
+def unstable_triple() -> CanonicalTriple:
+    """Huge constant coefficients: the frames grow along u, then blow up along v."""
+    g = GridSpec(0, 40.0, 0, 1, 33, 33)
+    return CanonicalTriple(
+        lam=ScalarField.constant(g, 60.0),
+        mu=ScalarField.constant(g, 1.0),
+        nu=ScalarField.constant(g, 0.0),
+        case=Case.POSITIVE_KH,
+        flags=("nu-constant",),
+    )

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from conftest import unstable_triple
 
 from minksurf import io
-from minksurf.cli import run
+from minksurf.cli import _emit_error, run
+from minksurf.errors import NoConvergence
+from minksurf.fields import GridSpec, ScalarField
 from minksurf.fixtures import cylinder_immersion, goursat_degenerate_triple, nonsolution_triple
 
 
@@ -46,6 +49,45 @@ def test_reconstruct_nonsolution_exit_2(tmp_path):
     data = json.loads(report.read_text())
     assert data["status"] == "error"
     assert data["error"] == "ResidualTooLarge"
+
+
+def test_step_unstable_report_locates_failure(tmp_path):
+    t = unstable_triple()
+    g = t.grid
+    io.write_triple_bundle(t, str(tmp_path / "unstable"))
+    report = tmp_path / "err.json"
+    code = run([
+        "reconstruct", "--triple", str(tmp_path / "unstable"), "--force",
+        "--out", str(tmp_path / "out"), "--report", str(report),
+    ])
+    assert code == 2
+    data = json.loads(report.read_text())
+    assert data["error"] == "StepUnstable"
+    assert data["sweep"] == "columns"
+    i, j = data["node"]
+    assert data["uv"] == [g.u_nodes[i], g.v_nodes[j]]
+    assert g.v_nodes[j - 1] < data["s"] <= g.v_nodes[j]
+
+
+def test_no_convergence_report_has_deltas(tmp_path, capsys):
+    report = tmp_path / "err.json"
+    _emit_error("solve", str(report), NoConvergence("sweep diverged", deltas=[0.5, 0.25, float("nan")]))
+    data = json.loads(report.read_text())
+    assert data["error"] == "NoConvergence"
+    assert data["deltas"] == [0.5, 0.25, None]
+    assert json.loads(capsys.readouterr().err) == data
+
+
+def test_bundle_fields_on_different_grids_exit_1(tmp_path):
+    # CanonicalTriple's grid check raises a ValidationError, no longer a bare ValueError
+    bundle = tmp_path / "bundle"
+    io.write_triple_bundle(goursat_degenerate_triple(33), str(bundle))
+    io.write_field_csv(ScalarField.constant(GridSpec(0, 1, 0, 1, 9, 9), 1.0), str(bundle / "lambda.csv"))
+    report = tmp_path / "err.json"
+    assert run(["residual", "--triple", str(bundle), "--report", str(report)]) == 1
+    data = json.loads(report.read_text())
+    assert data["error"] == "ValidationError"
+    assert "one grid" in data["message"]
 
 
 def test_unknown_triple_fixture_exit_1(tmp_path):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from conftest import unstable_triple
+from scipy.interpolate import make_interp_spline
 from scipy.linalg import expm
 
+from minksurf import frames as frames_module
 from minksurf.errors import ResidualTooLarge, StepUnstable, ValidationError
 from minksurf.fields import GridSpec, ScalarField
 from minksurf.fixtures import (
@@ -12,6 +15,7 @@ from minksurf.fixtures import (
     perturbed_constant_triple,
 )
 from minksurf.frames import (
+    RK4_SUBSTEPS,
     _transport,
     coefficient_matrices,
     compatibility_residual,
@@ -229,14 +233,65 @@ def test_gram_drift_decreases_under_refinement():
 
 
 def test_step_unstable_guard():
-    g = GridSpec(0, 40.0, 0, 1, 33, 33)
-    # huge constant coefficients push entries past the limit along u
-    t = CanonicalTriple(
-        lam=ScalarField.constant(g, 60.0),
-        mu=ScalarField.constant(g, 1.0),
-        nu=ScalarField.constant(g, 0.0),
-        case=Case.POSITIVE_KH,
-        flags=("nu-constant",),
-    )
-    with pytest.raises(StepUnstable):
+    t = unstable_triple()
+    g = t.grid
+    with pytest.raises(StepUnstable) as info:
         integrate_frame(t)
+    exc = info.value
+    # the bottom edge survives; the columns sweep fails first on the last column,
+    # where the edge left the largest frame
+    assert exc.sweep == "columns"
+    i, j = exc.node
+    assert i == g.Nu - 1 and 1 <= j < g.Nv
+    assert exc.uv == (g.u_nodes[i], g.v_nodes[j])
+    assert g.v_nodes[j - 1] < exc.s <= g.v_nodes[j]
+    assert f"node {exc.node}" in str(exc)
+
+
+def _transport_reference(cm, F0m, bottom_first, mul):
+    """The transport as six separate spline calls per interval and `mul` products."""
+
+    def line(F, spl, coords, substeps=RK4_SUBSTEPS):
+        h = (coords[1] - coords[0]) / substeps
+        out = [F]
+        for k in range(len(coords) - 1):
+            for m in range(substeps):
+                s = coords[k] + m * h
+                M0, M1, M2 = spl(s), spl(s + 0.5 * h), spl(s + h)
+                k1 = mul(M0, F)
+                k2 = mul(M1, F + 0.5 * h * k1)
+                k3 = mul(M1, F + 0.5 * h * k2)
+                k4 = mul(M2, F + h * k3)
+                F = F + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            out.append(F)
+        return np.stack(out)
+
+    u, v = cm.grid.u_nodes, cm.grid.v_nodes
+    if bottom_first:
+        edge = line(F0m[None], make_interp_spline(u, cm.A[:, :1], k=3, axis=0), u)[:, 0]
+        return np.moveaxis(line(edge, make_interp_spline(v, cm.B, k=3, axis=1), v), 0, 1)
+    edge = line(F0m[None], make_interp_spline(v, cm.B[:1], k=3, axis=1), v)[:, 0]
+    return line(edge, make_interp_spline(u, cm.A, k=3, axis=0), u)
+
+
+@pytest.mark.parametrize("bottom_first", [True, False])
+def test_transport_matches_einsum_reference(bottom_first):
+    cm = coefficient_matrices(jet_triple(Case.POSITIVE_KH, 6, 0.1, 65))
+    F0m = standard_frame().mat
+    frames = _transport(cm, F0m, bottom_first)
+    einsum = _transport_reference(cm, F0m, bottom_first, lambda M, F: np.einsum("...ij,...jk->...ik", M, F))
+    assert np.max(np.abs(frames - einsum)) <= 1e-15
+    # one spline call per interval gives the very matrices of the separate calls
+    assert np.array_equal(frames, _transport_reference(cm, F0m, bottom_first, np.matmul))
+
+
+def test_reconstruct_builds_coefficient_matrices_once(monkeypatch):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return coefficient_matrices(t)
+
+    monkeypatch.setattr(frames_module, "coefficient_matrices", counted)
+    reconstruct(constant_triple(33))
+    assert len(calls) == 1

@@ -150,6 +150,20 @@ def test_report_determinism(tmp_path):
     assert parsed["metrics"]["b"] == 1.0 / 3.0
 
 
+def test_report_nonfinite_floats_are_null():
+    report = {"a": float("nan"), "b": [np.inf, -np.inf, 1.5], "c": {"d": np.float64("nan")}}
+    parsed = json.loads(io.report_text(report))
+    assert parsed == {"a": None, "b": [None, None, 1.5], "c": {"d": None}}
+
+
+def test_report_finite_bytes_pinned():
+    report = {"command": "x", "metrics": {"a": 0.1, "b": -2.5e-300, "n": 5, "ok": True}, "v": [1.0, None]}
+    assert io.report_text(report) == (
+        '{"command": "x", "metrics": {"a": 0.10000000000000001, "b": -2.5e-300, '
+        '"n": 5, "ok": true}, "v": [1, null]}\n'
+    )
+
+
 def test_invariant_report(tmp_path, degenerate_bundle):
     rep = invariants(immersion_of(degenerate_bundle))
     io.write_invariant_report(rep, str(tmp_path / "inv"))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -105,6 +107,24 @@ def test_minkowski_cross_completes_standard_frame():
     if np.linalg.det(np.stack([F.x, F.y, F.n1, w])) < 0:
         w = -w
     assert np.allclose(w, F.n2, atol=1e-14)
+
+
+def _cross_by_levi_civita(a, b, c):
+    """Reference: w^m = eta^{mn} eps_{nijk} a^i b^j c^k with the 4-index symbol."""
+    eps = np.zeros((4, 4, 4, 4))
+    for perm in itertools.permutations(range(4)):
+        eps[perm] = np.linalg.det(np.eye(4)[list(perm)])
+    return np.einsum("nijk,...i,...j,...k->...n", eps, a, b, c) * np.array([1.0, 1.0, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (9, 11)])
+def test_minkowski_cross_matches_levi_civita(shape):
+    rng = np.random.default_rng(17)
+    a, b, c = rng.standard_normal((3,) + shape + (4,))
+    ref = _cross_by_levi_civita(a, b, c)
+    w = minkowski_cross(a, b, c)
+    assert w.shape == shape + (4,)
+    assert np.max(np.abs(w - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_frame_state_shape_check():
