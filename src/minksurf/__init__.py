@@ -37,7 +37,7 @@ from .frames import (
     integrate_position,
     reconstruct,
 )
-from .jets import JetSeed, jet_manufacture
+from .jets import JetSeed, jet_coefficients, jet_manufacture
 from .minkowski import (
     FrameState,
     gram_residual,

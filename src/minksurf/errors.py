@@ -30,11 +30,19 @@ class ConfigError(ValidationError):
     """Malformed job configuration (unknown keys, bad values)."""
 
 
-class NearZeroField(NumericalError):
+class LocatedError(NumericalError):
+    """A numerical failure at grid node `node` = (i, j), at (u, v) = `uv` (None when unknown)."""
+
+    def __init__(self, message: str, node=None, uv=None):
+        self.node, self.uv = node, uv
+        super().__init__(message)
+
+
+class NearZeroField(LocatedError):
     """A field that must stay away from zero came too close (or changed sign)."""
 
 
-class BlowUp(NumericalError):
+class BlowUp(LocatedError):
     """Marched quantity left the trust region (|ln mu| > 50)."""
 
 
@@ -70,12 +78,12 @@ class ResidualTooLarge(NumericalError):
         super().__init__(f"natural-system residual {measured:.3e} exceeds tol_build {tol:.3e}")
 
 
-class StepUnstable(NumericalError):
+class StepUnstable(LocatedError):
     """Frame entries exceeded 1e8 at `s` in `sweep`, before grid node `node` at (u, v) = `uv`."""
 
     def __init__(self, message: str, sweep=None, s=None, node=None, uv=None):
-        self.sweep, self.s, self.node, self.uv = sweep, s, node, uv
-        super().__init__(message)
+        self.sweep, self.s = sweep, s
+        super().__init__(message, node, uv)
 
 
 class DegenerateMetric(NumericalError):

@@ -1,18 +1,19 @@
 """Scalar fields of (u, v) on uniform rectangular grids.
 
-A ScalarField is a sampled Nu x Nv array, optionally backed by a closed-form
-evaluator with declared analytic partials.  Differentiation uses order-2
-central differences with 3-point one-sided closures on the boundary rows and
-columns (an order-4 variant is available for the analysis pipeline); when an
-analytic partial is attached it is used instead of the stencil.
+A ScalarField is a sampled Nu x Nv array.  `ScalarField.from_function`
+samples a callable of (u, v) and records it as `evaluator`, so callers can
+evaluate the same closed form off the grid; nothing in this module reads it.
+Every derivative, and every transform (`ln_abs`, `sqrt_abs`), works on the
+samples alone: differentiation is always the order-2 stencil (central, with
+3-point one-sided closures on the boundary rows and columns) or, on request,
+the order-4 stencil used by the analysis pipeline.
 
-Partial keys are canonical strings "u"*a + "v"*b, e.g. "u", "v", "uv", "uuv".
 All fields are immutable by convention: operations return new instances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,6 +60,10 @@ class GridSpec:
     def mesh(self):
         return np.meshgrid(self.u_nodes, self.v_nodes, indexing="ij")
 
+    def uv(self, node) -> tuple[float, float]:
+        """(u, v) coordinate of grid node (i, j)."""
+        return float(self.u_nodes[node[0]]), float(self.v_nodes[node[1]])
+
     def interior(self, layers: int = 2):
         """Index slices excluding `layers` boundary rows/columns."""
         return slice(layers, self.Nu - layers), slice(layers, self.Nv - layers)
@@ -84,8 +89,7 @@ class GridSpec:
 class ScalarField:
     grid: GridSpec
     values: np.ndarray
-    evaluator: Optional[Callable] = None
-    partials: dict = dc_field(default_factory=dict)
+    evaluator: Optional[Callable] = None  # the callable from_function sampled
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -94,30 +98,19 @@ class ScalarField:
         if not np.all(np.isfinite(vals)):
             raise ValidationError("field samples must be finite")
         self.values = vals
-        if self.evaluator is not None:
-            U, V = self.grid.mesh()
-            probe = np.broadcast_to(np.asarray(self.evaluator(U, V), dtype=float), U.shape)
-            scale = 1.0 + np.max(np.abs(vals))
-            if np.max(np.abs(probe - vals)) > 1e-14 * scale:
-                raise ValidationError("attached evaluator disagrees with the samples")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_function(cls, grid: GridSpec, fn: Callable, partials: dict | None = None) -> "ScalarField":
+    def from_function(cls, grid: GridSpec, fn: Callable) -> "ScalarField":
+        """Samples of fn(U, V) on the grid's mesh, with fn kept as `evaluator`."""
         U, V = grid.mesh()
         vals = np.broadcast_to(np.asarray(fn(U, V), dtype=float), U.shape).copy()
-        return cls(grid, vals, evaluator=fn, partials=dict(partials or {}))
+        return cls(grid, vals, evaluator=fn)
 
     @classmethod
     def constant(cls, grid: GridSpec, value: float) -> "ScalarField":
-        zero = lambda U, V: np.zeros_like(np.asarray(U, dtype=float))
-        return cls(
-            grid,
-            np.full((grid.Nu, grid.Nv), float(value)),
-            evaluator=lambda U, V, c=float(value): np.full_like(np.asarray(U, dtype=float), c),
-            partials={"u": zero, "v": zero, "uu": zero, "uv": zero, "vv": zero, "uuv": zero, "uvv": zero},
-        )
+        return cls(grid, np.full((grid.Nu, grid.Nv), float(value)))
 
     # -- reductions --------------------------------------------------------
 
@@ -205,32 +198,12 @@ def diff_values(vals: np.ndarray, h: float, axis: int, order: int = 2) -> np.nda
     raise ValidationError("order must be 2 or 4")
 
 
-def _d_axis(s: ScalarField, letter: str, order: int) -> ScalarField:
-    axis = 0 if letter == "u" else 1
-    h = s.grid.hu if letter == "u" else s.grid.hv
-    if letter in s.partials:
-        fn = s.partials[letter]
-        U, V = s.grid.mesh()
-        vals = np.broadcast_to(np.asarray(fn(U, V), dtype=float), U.shape).copy()
-        # parent key "letter"+k supplies the derivative's partial k
-        new_partials = {}
-        for key, pfn in s.partials.items():
-            au, av = key.count("u"), key.count("v")
-            if letter == "u" and au >= 1:
-                new_partials["u" * (au - 1) + "v" * av] = pfn
-            elif letter == "v" and av >= 1:
-                new_partials["u" * au + "v" * (av - 1)] = pfn
-        new_partials.pop("", None)
-        return ScalarField(s.grid, vals, evaluator=fn, partials=new_partials)
-    return ScalarField(s.grid, diff_values(s.values, h, axis, order))
-
-
 def d_du(s: ScalarField, order: int = 2) -> ScalarField:
-    return _d_axis(s, "u", order)
+    return ScalarField(s.grid, diff_values(s.values, s.grid.hu, 0, order))
 
 
 def d_dv(s: ScalarField, order: int = 2) -> ScalarField:
-    return _d_axis(s, "v", order)
+    return ScalarField(s.grid, diff_values(s.values, s.grid.hv, 1, order))
 
 
 def d_dudv(s: ScalarField, order: int = 2) -> ScalarField:
@@ -239,54 +212,46 @@ def d_dudv(s: ScalarField, order: int = 2) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# pointwise transforms that keep analytic partials when available
+# pointwise transforms of fields that must stay away from zero
+
+
+def require_away_from_zero(
+    s: ScalarField, mu_min: float = MU_MIN, name: str = "field", constant_sign: bool = False
+) -> None:
+    """Raise NearZeroField, located at a node, unless min |s| >= mu_min.
+
+    The error's `node` is the first node of min |s|.  With constant_sign the
+    samples must not change sign either (a sign flip between nodes implies a
+    zero crossing of the underlying function); then `node` is the first node,
+    in row-major order, whose sign differs from node (0, 0).
+    """
+    vals = s.values
+    k = int(np.argmin(np.abs(vals)))
+    if abs(vals.flat[k]) < mu_min:
+        msg = f"min |{name}| = {abs(vals.flat[k]):.3e} < {mu_min:.3e}"
+    elif constant_sign and not s.sign_constant():
+        k = int(np.argmax((vals > 0) != (vals.flat[0] > 0)))
+        msg = f"{name} changes sign on the grid"
+    else:
+        return
+    node = divmod(k, s.grid.Nv)
+    uv = s.grid.uv(node)
+    raise NearZeroField(f"{msg}: node {node} at (u, v) = {uv}", node=node, uv=uv)
 
 
 def ln_abs(s: ScalarField, mu_min: float = MU_MIN, require_constant_sign: bool = False) -> ScalarField:
     """Pointwise ln|s|; rejects fields that come within mu_min of zero.
 
-    With require_constant_sign the samples must not change sign either (a sign
-    flip between nodes implies a zero crossing of the underlying function).
+    With require_constant_sign the samples must not change sign either.
     """
-    if s.min_abs() < mu_min:
-        raise NearZeroField(f"min |field| = {s.min_abs():.3e} < {mu_min:.3e}")
-    if require_constant_sign and not s.sign_constant():
-        raise NearZeroField("field changes sign on the grid")
-    vals = np.log(np.abs(s.values))
-    evaluator = None
-    partials = {}
-    if s.evaluator is not None:
-        f = s.evaluator
-        evaluator = lambda U, V: np.log(np.abs(f(U, V)))
-        if "u" in s.partials:
-            fu = s.partials["u"]
-            partials["u"] = lambda U, V: fu(U, V) / f(U, V)
-        if "v" in s.partials:
-            fv = s.partials["v"]
-            partials["v"] = lambda U, V: fv(U, V) / f(U, V)
-        if {"u", "v", "uv"} <= set(s.partials):
-            fu, fv, fuv = s.partials["u"], s.partials["v"], s.partials["uv"]
-            partials["uv"] = lambda U, V: fuv(U, V) / f(U, V) - fu(U, V) * fv(U, V) / f(U, V) ** 2
-    return ScalarField(s.grid, vals, evaluator=evaluator, partials=partials)
+    require_away_from_zero(s, mu_min, constant_sign=require_constant_sign)
+    return ScalarField(s.grid, np.log(np.abs(s.values)))
 
 
 def sqrt_abs(s: ScalarField, mu_min: float = MU_MIN) -> ScalarField:
-    """Pointwise sqrt|s| with first-order analytic partials when available."""
-    if s.min_abs() < mu_min:
-        raise NearZeroField(f"min |field| = {s.min_abs():.3e} < {mu_min:.3e}")
-    vals = np.sqrt(np.abs(s.values))
-    evaluator = None
-    partials = {}
-    if s.evaluator is not None:
-        f = s.evaluator
-        evaluator = lambda U, V: np.sqrt(np.abs(f(U, V)))
-        for key in ("u", "v"):
-            if key in s.partials:
-                fk = s.partials[key]
-                partials[key] = (
-                    lambda U, V, fk=fk: np.sign(f(U, V)) * fk(U, V) / (2.0 * np.sqrt(np.abs(f(U, V))))
-                )
-    return ScalarField(s.grid, vals, evaluator=evaluator, partials=partials)
+    """Pointwise sqrt|s|; rejects fields that come within mu_min of zero."""
+    require_away_from_zero(s, mu_min)
+    return ScalarField(s.grid, np.sqrt(np.abs(s.values)))
 
 
 # ---------------------------------------------------------------------------

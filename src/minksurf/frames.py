@@ -117,7 +117,7 @@ def _rk4_line(F0: np.ndarray, mats_at, grid: GridSpec, axis: int, sweep: str,
             if np.max(np.abs(F)) > STEP_LIMIT:
                 b = int(np.argmax(np.max(np.abs(F), axis=(-2, -1))))
                 node = (k + 1, b) if axis == 0 else (b, k + 1)
-                uv = (float(grid.u_nodes[node[0]]), float(grid.v_nodes[node[1]]))
+                uv = grid.uv(node)
                 raise StepUnstable(f"frame entries exceeded {STEP_LIMIT:.0e} in the {sweep} sweep before "
                                    f"node {node} at (u, v) = {uv}", sweep, float(s[m] + h), node, uv)
         out[k + 1] = F

@@ -7,6 +7,12 @@ equations vanish through total degree N-1 and of the third through N-2.
 On a patch of radius r around the center the residual then scales like
 r^{N-1}.
 
+`jet_coefficients` returns the coefficient arrays; `jet_manufacture` samples
+them on a grid and keeps each polynomial as the field's `evaluator`.  Like
+any other field, the samples are differentiated with the order-2 or order-4
+stencils; the exact truncation is read from the coefficients through
+`_residual_coeffs`.
+
 Free data per total degree d (the seed): the pure powers g_{d,0}, g_{0,d}
 of g, and the edge-jet coefficients lam_{d,0}, nu_{d,0} of lambda and nu
 along the v = const line through the center.  Everything else is pinned by
@@ -214,19 +220,11 @@ def _unknown_slots(case: Case, d: int):
     return slots
 
 
-def jet_manufacture(
-    case: Case,
-    order: int,
-    seed: JetSeed,
-    center: tuple[float, float] = (0.0, 0.0),
-    radius: float = 0.1,
-    nodes: int = 65,
-) -> CanonicalTriple:
-    """Truncated Taylor solution of the natural system on a square patch.
+def jet_coefficients(case: Case, order: int, seed: JetSeed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Taylor coefficients (lam, nu, g = ln|mu|) through total degree `order`.
 
-    Returns a CanonicalTriple whose fields carry exact polynomial evaluators
-    and analytic partials, sampled on a nodes x nodes grid over the patch
-    [cu - r, cu + r] x [cv - r, cv + r].
+    Solved degree by degree from the seed, as the module docstring states.
+    Entry [a, b] multiplies (u - cu)^a (v - cv)^b about the patch center.
     """
     if order < 2:
         raise ValidationError("jet order must be at least 2")
@@ -268,34 +266,32 @@ def jet_manufacture(
             raise SingularDegreeSystem(d)
         for (name, a, b), val in zip(slots, x):
             arrays[name][a, b] = val
+    return lam, nu, g
 
+
+def jet_manufacture(
+    case: Case,
+    order: int,
+    seed: JetSeed,
+    center: tuple[float, float] = (0.0, 0.0),
+    radius: float = 0.1,
+    nodes: int = 65,
+) -> CanonicalTriple:
+    """Truncated Taylor solution of the natural system on a square patch.
+
+    Samples the polynomials of `jet_coefficients` (mu = sign_mu * exp(g)) on a
+    nodes x nodes grid over [cu - r, cu + r] x [cv - r, cv + r].  Each field
+    keeps its polynomial as `evaluator`, for edge data off the grid; the
+    pipeline differentiates the samples with stencils like any other field.
+    """
+    lam, nu, g = jet_coefficients(case, order, seed)
     cu, cv = center
     grid = GridSpec(cu - radius, cu + radius, cv - radius, cv + radius, nodes, nodes)
-
-    def poly_field(coeffs: np.ndarray) -> ScalarField:
-        c_u, c_v = p_diff_u(coeffs), p_diff_v(coeffs)
-        c_uv = p_diff_v(c_u)
-        make = lambda c: (lambda U, V: p_eval(c, np.asarray(U) - cu, np.asarray(V) - cv))
-        return ScalarField.from_function(
-            grid,
-            make(coeffs),
-            partials={"u": make(c_u), "v": make(c_v), "uv": make(c_uv)},
-        )
-
-    sign = seed.sign_mu
-    g_uc, g_vc = p_diff_u(g), p_diff_v(g)
-    g_uvc = p_diff_v(g_uc)
-    ev = lambda c: (lambda U, V: p_eval(c, np.asarray(U) - cu, np.asarray(V) - cv))
-    g_e, gu_e, gv_e, guv_e = ev(g), ev(g_uc), ev(g_vc), ev(g_uvc)
-    mu_eval = lambda U, V: sign * np.exp(g_e(U, V))
-    mu_field = ScalarField.from_function(
-        grid,
-        mu_eval,
-        partials={
-            "u": lambda U, V: gu_e(U, V) * mu_eval(U, V),
-            "v": lambda U, V: gv_e(U, V) * mu_eval(U, V),
-            "uv": lambda U, V: (guv_e(U, V) + gu_e(U, V) * gv_e(U, V)) * mu_eval(U, V),
-        },
+    poly = lambda c: (lambda U, V: p_eval(c, np.asarray(U) - cu, np.asarray(V) - cv))
+    g_e, sign = poly(g), seed.sign_mu
+    return CanonicalTriple(
+        lam=ScalarField.from_function(grid, poly(lam)),
+        mu=ScalarField.from_function(grid, lambda U, V: sign * np.exp(g_e(U, V))),
+        nu=ScalarField.from_function(grid, poly(nu)),
+        case=case,
     )
-
-    return CanonicalTriple(lam=poly_field(lam), mu=mu_field, nu=poly_field(nu), case=case)

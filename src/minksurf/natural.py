@@ -37,8 +37,8 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
-from .errors import BlowUp, BothMuZero, NearZeroField, NoConvergence, ValidationError
-from .fields import MU_MIN, GridSpec, ScalarField, d_du, d_dudv, d_dv, ln_abs
+from .errors import BlowUp, BothMuZero, NoConvergence, ValidationError
+from .fields import MU_MIN, GridSpec, ScalarField, d_du, d_dudv, d_dv, ln_abs, require_away_from_zero
 
 G_LIMIT = 50.0          # |ln mu| trust region during marching
 CLASSIFY_TOL = 1e-10    # relative zero threshold for K - H^2
@@ -79,10 +79,7 @@ class CanonicalTriple:
     def __post_init__(self):
         if not (self.lam.grid == self.mu.grid == self.nu.grid):
             raise ValidationError("triple fields must share one grid")
-        if self.mu.min_abs() < MU_MIN:
-            raise NearZeroField(f"min |mu| = {self.mu.min_abs():.3e} < {MU_MIN:.3e}")
-        if not self.mu.sign_constant():
-            raise NearZeroField("mu changes sign on the grid")
+        require_away_from_zero(self.mu, MU_MIN, "mu", constant_sign=True)
         if self.case is Case.DEGENERATE:
             dv = np.max(np.abs(np.diff(self.nu.values, axis=1)))
             if dv > nu_constancy_tol(self.nu.max_abs()):
@@ -219,7 +216,9 @@ def _goursat_march(
     Cell update is the trapezoidal corner rule, implicit in the new corner and
     solved by a few Newton steps; second order overall.  Each node's
     right-hand side is evaluated once, when the node is final, and reused by
-    the three cells it is a known corner of.
+    the three cells it is a known corner of.  Raises BlowUp, with the node and
+    (u, v) of the first node whose |g| exceeds G_LIMIT, when the march leaves
+    the trust region.
     """
     Nu, Nv = grid.Nu, grid.Nv
     hu, hv = grid.hu, grid.hv
@@ -246,7 +245,10 @@ def _goursat_march(
         gf[node] = x
         # NaN-safe: any non-finite or out-of-range entry trips the guard
         if not np.all(np.abs(x) <= G_LIMIT):
-            raise BlowUp(f"|ln mu| exceeded {G_LIMIT} during marching")
+            first = divmod(node.start + int(np.argmax(~(np.abs(x) <= G_LIMIT))) * node.step, Nv)
+            uv = grid.uv(first)
+            raise BlowUp(f"|ln mu| exceeded {G_LIMIT} during marching: node {first} at (u, v) = {uv}",
+                         node=first, uv=uv)
         rf[node] = rhs(c, x)
     return g
 

@@ -69,6 +69,18 @@ def test_step_unstable_report_locates_failure(tmp_path):
     assert g.v_nodes[j - 1] < data["s"] <= g.v_nodes[j]
 
 
+def test_near_zero_mu_report_locates_failure(tmp_path):
+    # on a radius-2 patch the eps = -1 jet's g = ln|mu| falls to -35 at a corner
+    report = tmp_path / "r.json"
+    code = run(["residual", "--fixture", "jet", "--case", "negative", "--radius", "2", "--report", str(report)])
+    assert code == 2
+    data = json.loads(report.read_text())
+    assert data["error"] == "NearZeroField"
+    assert data["node"] == [64, 64]
+    assert data["uv"] == [2.0, 2.0]
+    assert "node (64, 64)" in data["message"]
+
+
 def test_no_convergence_report_has_deltas(tmp_path, capsys):
     report = tmp_path / "err.json"
     _emit_error("solve", str(report), NoConvergence("sweep diverged", deltas=[0.5, 0.25, float("nan")]))

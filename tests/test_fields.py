@@ -20,8 +20,8 @@ from minksurf.fields import (
 G = GridSpec(0.0, 1.0, 0.0, 1.0, 33, 33)
 
 
-def field_of(fn, grid=G, partials=None):
-    return ScalarField.from_function(grid, fn, partials=partials)
+def field_of(fn, grid=G):
+    return ScalarField.from_function(grid, fn)
 
 
 def test_grid_validation():
@@ -85,63 +85,40 @@ def test_mixed_partials_commute():
     assert np.max(np.abs(a - exact)[su, sv]) < 50 * G.hu**2
 
 
-def test_analytic_partials_used():
-    s = field_of(
-        lambda U, V: np.sin(U) * V,
-        partials={"u": lambda U, V: np.cos(U) * V, "v": lambda U, V: np.sin(U), "uv": lambda U, V: np.cos(U)},
-    )
-    exact_u = np.cos(G.mesh()[0]) * G.mesh()[1]
-    assert np.max(np.abs(d_du(s).values - exact_u)) == 0.0
-    # propagation: mixed partial of the derivative field stays analytic
-    assert np.max(np.abs(d_dudv(s).values - np.cos(G.mesh()[0]))) == 0.0
-    # analytic result agrees with the stencil to O(h^2)
-    bare = ScalarField(G, s.values)
-    su, sv = G.interior(2)
-    assert np.max(np.abs(d_du(bare).values - exact_u)[su, sv]) < 10 * G.hu**2
-
-
 def test_ln_abs_examples():
     assert np.max(np.abs(ln_abs(ScalarField.constant(G, np.e)).values - 1.0)) < 1e-15
     assert np.max(np.abs(ln_abs(ScalarField.constant(G, -1.0)).values)) == 0.0
     bad = ScalarField.constant(G, 1.0).values.copy()
     bad[3, 3] = 0.0
-    with pytest.raises(NearZeroField):
+    bad[5, 7] = 0.0
+    with pytest.raises(NearZeroField) as info:
         ln_abs(ScalarField(G, bad))
+    # the first node of min |field|, in row-major order
+    assert info.value.node == (3, 3)
+    assert info.value.uv == (G.u_nodes[3], G.v_nodes[3])
+    assert "node (3, 3)" in str(info.value)
 
 
 def test_ln_abs_sign_constancy_flag():
     vals = np.ones((G.Nu, G.Nv))
-    vals[0, 0] = -1.0
-    with pytest.raises(NearZeroField):
+    vals[4:, 2:] = -1.0
+    with pytest.raises(NearZeroField) as info:
         ln_abs(ScalarField(G, vals), require_constant_sign=True)
+    # the first node whose sign differs from node (0, 0)
+    assert info.value.node == (4, 2)
+    assert info.value.uv == (G.u_nodes[4], G.v_nodes[2])
+    with pytest.raises(NearZeroField) as info:
+        sqrt_abs(ScalarField(G, -vals), mu_min=1.5)
+    assert info.value.node == (0, 0)
     # without the flag, |value| >= mu_min passes
     ln_abs(ScalarField(G, vals))
 
 
 def test_ln_abs_analytic_propagation():
-    s = field_of(
-        lambda U, V: np.exp(U * V),
-        partials={
-            "u": lambda U, V: V * np.exp(U * V),
-            "v": lambda U, V: U * np.exp(U * V),
-            "uv": lambda U, V: (1 + U * V) * np.exp(U * V),
-        },
-    )
+    s = field_of(lambda U, V: np.exp(U * V))
     ln_s = ln_abs(s)
     U, V = G.mesh()
     assert np.max(np.abs(ln_s.values - U * V)) < 1e-13
-    assert np.max(np.abs(d_dudv(ln_s).values - 1.0)) < 1e-12
-
-
-def test_sqrt_abs_partials():
-    s = field_of(
-        lambda U, V: np.exp(2 * U),
-        partials={"u": lambda U, V: 2 * np.exp(2 * U), "v": lambda U, V: np.zeros_like(U)},
-    )
-    r = sqrt_abs(s)
-    U, _ = G.mesh()
-    assert np.max(np.abs(r.values - np.exp(U))) < 1e-12
-    assert np.max(np.abs(d_du(r).values - np.exp(U))) < 1e-12
 
 
 def test_resample_identity_and_quadratic():

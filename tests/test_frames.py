@@ -75,12 +75,10 @@ def test_coefficient_matrices_match_direct_assembly():
     mu = t.mu.values[i, j]
     nu = t.nu.values[i, j]
     root = np.sqrt(abs(mu))
-    # gamma via the analytic mu partials attached to the jet fields
-    U, V = t.grid.mesh()
-    mu_u = t.mu.partials["u"](U, V)[i, j]
-    mu_v = t.mu.partials["v"](U, V)[i, j]
-    g1 = -np.sign(mu) * mu_u / (2 * root)
-    g2 = -np.sign(mu) * mu_v / (2 * root)
+    # gamma = -grad sqrt|mu| by the order-2 stencil, as the frame equations take it
+    root_field = np.sqrt(np.abs(t.mu.values))
+    g1 = -np.gradient(root_field, t.grid.hu, axis=0, edge_order=2)[i, j]
+    g2 = -np.gradient(root_field, t.grid.hv, axis=1, edge_order=2)[i, j]
     x, y, n1, n2 = F
     rhs_u = np.stack([
         (g1 * x + lam * n1 + mu * n2) / root,

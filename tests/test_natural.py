@@ -85,13 +85,27 @@ def test_degenerate_r3_independent_of_lambda():
 
 
 def test_triple_validation():
-    with pytest.raises(NearZeroField):
+    with pytest.raises(NearZeroField) as info:
         CanonicalTriple(
             lam=ScalarField.constant(G65, 0.0),
             mu=ScalarField.constant(G65, 0.0),
             nu=ScalarField.constant(G65, 1.0),
             case=Case.NEGATIVE_KH,
         )
+    assert info.value.node == (0, 0)
+    assert info.value.uv == (G65.u0, G65.v0)
+    assert str(info.value).startswith("min |mu| = 0.000e+00")
+    U, V = G65.mesh()
+    with pytest.raises(NearZeroField) as info:
+        CanonicalTriple(  # mu = 0 on the line u = v; the first sign flip is at node (1, 0)
+            lam=ScalarField.constant(G65, 0.0),
+            mu=ScalarField(G65, np.where(U > V, 1.0, -1.0)),
+            nu=ScalarField.constant(G65, 1.0),
+            case=Case.NEGATIVE_KH,
+        )
+    assert info.value.node == (1, 0)
+    assert info.value.uv == (G65.u_nodes[1], G65.v0)
+    assert str(info.value).startswith("mu changes sign")
     U, _ = G65.mesh()
     with pytest.raises(ValidationError):
         # nu varying along v contradicts the degenerate case tag
@@ -182,10 +196,17 @@ def test_goursat_degenerate_zero_data_exists_on_subdomain():
 
 def test_goursat_degenerate_zero_data_blows_up_on_unit_square():
     # the closed-form solution is singular at v * int(nu^2) = 2, inside [0,1]^2
-    with pytest.raises(BlowUp):
+    with pytest.raises(BlowUp) as info:
         solve_goursat_degenerate(
             lambda u: 1 + u, lambda u: 0 * u, lambda v: 0 * v, lambda u: 0 * u, 1, G65
         )
+    i, j = info.value.node
+    u, v = info.value.uv
+    assert (u, v) == (G65.u_nodes[i], G65.v_nodes[j])
+    assert f"node {(i, j)}" in str(info.value)
+    # the march fails where the exact solution does: on the singular curve v W(u) = 2
+    W = ((1.0 + u) ** 3 - 1.0) / 3.0
+    assert abs(v * W - 2.0) <= 0.1, (i, j, v * W)
 
 
 def test_goursat_degenerate_incompatible_corner():
