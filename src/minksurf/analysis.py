@@ -128,24 +128,20 @@ class GeometricFrame:
     fundamental: FundamentalForm
 
 
-def _require_isotropic(fff: FundamentalForm, gate: float):
-    worst = max(fff.E.max_abs(), fff.G.max_abs())
-    limit = gate * fff.F.max_abs()
-    if worst > limit:
-        raise NotIsotropic(
-            f"max(|E|,|G|) = {worst:.3e} exceeds {limit:.3e}; analysis needs isotropic "
-            "(null) parameters - construct them before calling"
-        )
-
-
-def geometric_frame(m: Immersion, iso_gate: float = ISO_GATE_TOL) -> GeometricFrame:
+def geometric_frame(m: Immersion) -> GeometricFrame:
     """Frame {x, y, n1, n2} with x = z_u/f, y = z_v/f, n1 along H.
 
     n2 is the unit normal orthogonal to n1 with det[x; y; n1; n2] > 0.
     Raises MinimalOrTotallyGeodesic when |H| falls below its floor anywhere.
     """
     fff = first_fundamental_form(m)
-    _require_isotropic(fff, iso_gate)
+    worst = max(fff.E.max_abs(), fff.G.max_abs())
+    limit = ISO_GATE_TOL * fff.F.max_abs()
+    if worst > limit:
+        raise NotIsotropic(
+            f"max(|E|,|G|) = {worst:.3e} exceeds {limit:.3e}; analysis needs isotropic "
+            "(null) parameters - construct them before calling"
+        )
     if np.any(fff.F.values >= 0):
         raise NotIsotropic("requires <z_u, z_v> < 0 at every node")
 
@@ -270,9 +266,8 @@ class InvariantReport:
         return counts.most_common(1)[0][0]
 
 
-def invariants(m: Immersion, frame: GeometricFrame | None = None) -> InvariantReport:
-    if frame is None:
-        frame = geometric_frame(m)
+def invariants(m: Immersion) -> InvariantReport:
+    frame = geometric_frame(m)
     funcs = frame_functions(m, frame)
     g = m.grid
     f = frame.f.values
@@ -349,9 +344,8 @@ class ChristoffelReport:
     check_y: ScalarField
 
 
-def christoffel_isotropic(m: Immersion, frame: GeometricFrame | None = None) -> ChristoffelReport:
-    if frame is None:
-        frame = geometric_frame(m)
+def christoffel_isotropic(m: Immersion) -> ChristoffelReport:
+    frame = geometric_frame(m)
     g = m.grid
     f = frame.f.values
     f_u = diff_values(f, g.hu, axis=0, order=FD_ORDER)

@@ -174,6 +174,8 @@ def _cmd_residual(opts: dict) -> int:
 
 
 def _cmd_solve(opts: dict) -> int:
+    if not opts.get("out"):
+        raise ConfigError("solve needs --out for the triple bundle")
     method = opts["method"]
     if method == "jet":
         t = fixtures.jet_triple(
@@ -187,8 +189,6 @@ def _cmd_solve(opts: dict) -> int:
     else:
         raise ConfigError(f"unknown solve method {method!r}")
     rep = residual(t)
-    if not opts.get("out"):
-        raise ConfigError("solve needs --out for the triple bundle")
     io.write_triple_bundle(t, opts["out"])
     metrics = {"residual_max": rep.max_abs, "residual_interior_max": rep.interior_max_abs}
     report = _report("solve", opts, {}, metrics)
@@ -196,10 +196,10 @@ def _cmd_solve(opts: dict) -> int:
 
 
 def _cmd_reconstruct(opts: dict) -> int:
-    t = _load_triple(opts)
-    bundle = reconstruct(t, tol_build=opts["tol_build"], force=opts["force"])
     if not opts.get("out"):
         raise ConfigError("reconstruct needs --out for the bundle directory")
+    t = _load_triple(opts)
+    bundle = reconstruct(t, tol_build=opts["tol_build"], force=opts["force"])
     os.makedirs(opts["out"], exist_ok=True)
     m = Immersion(bundle.grid, bundle.points)
     io.write_immersion_csv(m, os.path.join(opts["out"], "immersion.csv"))
@@ -241,10 +241,9 @@ def _cmd_analyze(opts: dict) -> int:
 def _cmd_canonicalize(opts: dict) -> int:
     if not opts.get("immersion"):
         raise ConfigError("canonicalize needs --immersion CSV")
-    m = io.read_immersion_csv(opts["immersion"])
-    result = canonicalize(m)
     if not opts.get("out"):
         raise ConfigError("canonicalize needs --out for the bundle directory")
+    result = canonicalize(io.read_immersion_csv(opts["immersion"]))
     os.makedirs(opts["out"], exist_ok=True)
     io.write_triple_bundle(result.triple, opts["out"])
     io.write_immersion_csv(result.immersion, os.path.join(opts["out"], "immersion.csv"))

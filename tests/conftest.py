@@ -24,6 +24,11 @@ def jet_bundle():
 
 
 @pytest.fixture(scope="session")
+def negative_jet_bundle():
+    return reconstruct(jet_triple(Case.NEGATIVE_KH, order=6, radius=0.1, nodes=65))
+
+
+@pytest.fixture(scope="session")
 def degenerate_bundle():
     return reconstruct(goursat_degenerate_triple(65))
 

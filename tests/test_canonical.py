@@ -73,16 +73,22 @@ def test_canonicalize_identity_on_canonical_surface(constant_bundle):
     assert res.diagnostics["sigma_relation_max_dev"] <= 1e-3
 
 
-def test_canonicalize_jet_recovers_triple(jet_bundle):
-    t = jet_bundle.triple
-    res = canonicalize(immersion_of(jet_bundle))
+@pytest.mark.parametrize(
+    "bundle_name, case",
+    [("jet_bundle", Case.POSITIVE_KH), ("negative_jet_bundle", Case.NEGATIVE_KH)],
+    ids=["positive", "negative"],
+)
+def test_canonicalize_jet_recovers_triple(request, bundle_name, case):
+    bundle = request.getfixturevalue(bundle_name)
+    t = bundle.triple
+    res = canonicalize(immersion_of(bundle))
     g2 = res.triple.grid
     su, sv = g2.interior(2)
     # canonical input: ubar = u - u0, so node-wise comparison is direct
     assert np.max(np.abs(res.triple.lam.values - t.lam.values)[su, sv]) <= 1e-3
     assert np.max(np.abs(res.triple.mu.values - t.mu.values)[su, sv]) <= 1e-3
     assert np.max(np.abs(res.triple.nu.values - t.nu.values)[su, sv]) <= 1e-3
-    assert res.triple.case is Case.POSITIVE_KH
+    assert res.triple.case is case
     # ratio law lambda/mu = lambda1/mu1
     funcs = frame_functions(res.immersion)
     ratio_new = res.triple.lam.values[su, sv] / res.triple.mu.values[su, sv]

@@ -309,11 +309,49 @@ def test_malformed_config_json_exit_1(tmp_path):
     assert data["error"] == "ConfigError"
 
 
-def test_report_byte_determinism(tmp_path):
+# canonicalize writes its diagnostics in this order, per case
+CANONICAL_DIAGNOSTIC_KEYS = {
+    "jet": ["separability_dev_u", "separability_dev_v", "metric_law_max_dev",
+            "sigma_relation_max_dev", "case"],
+    "goursat-degenerate": ["separability_dev_v", "metric_law_max_dev", "nu_projection_dev", "case"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, fixture",
+    [("residual", "jet"), ("canonicalize", "jet"), ("canonicalize", "goursat-degenerate")],
+)
+def test_report_byte_determinism(tmp_path, command, fixture):
     r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(["residual", "--fixture", "jet", "--nodes", "33", "--report", str(r1)]) == 0
-    assert run(["residual", "--fixture", "jet", "--nodes", "33", "--report", str(r2)]) == 0
+    argv = [command, "--fixture", fixture, "--nodes", "33"]
+    if command == "canonicalize":
+        # goursat-degenerate misses the build gate at 33 nodes (residual 2.6e-3)
+        rec = tmp_path / "rec"
+        assert run(["reconstruct", "--fixture", fixture, "--nodes", "33", "--force", "--out", str(rec)]) == 0
+        argv = [command, "--immersion", str(rec / "immersion.csv"), "--out", str(tmp_path / "canon")]
+    assert run(argv + ["--report", str(r1)]) == 0
+    assert run(argv + ["--report", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+    if command == "canonicalize":
+        assert list(json.loads(r1.read_text())["metrics"]) == CANONICAL_DIAGNOSTIC_KEYS[fixture]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the work would fail first: this fixture misses the build gate (exit 2)
+        ["reconstruct", "--fixture", "goursat-hyperbolic", "--nodes", "33"],
+        # ... and this file does not exist (exit 3)
+        ["canonicalize", "--immersion", "no-such-immersion.csv"],
+    ],
+    ids=["reconstruct", "canonicalize"],
+)
+def test_missing_out_is_checked_before_the_work(tmp_path, argv):
+    report = tmp_path / "err.json"
+    assert run(argv + ["--report", str(report)]) == 1
+    data = json.loads(report.read_text())
+    assert data["error"] == "ConfigError"
+    assert "needs --out" in data["message"]
 
 
 def test_solve_jet_degenerate_case(tmp_path):
