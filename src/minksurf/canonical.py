@@ -38,17 +38,23 @@ from .natural import CanonicalTriple, Case, classify_from_frame
 DEGENERATE_REL_TOL = 1e-3
 
 
-def check_separability(f: ScalarField, mu1: ScalarField, mu2: ScalarField) -> tuple[float, float]:
-    """Max deviations from the separability laws.
+def check_separability(f: ScalarField, mu1: ScalarField, mu2: ScalarField | None = None) -> tuple[dict, float]:
+    """Interior max deviations from the separability laws, in report order, and their log scale.
 
-    dev_u = max |d/du ln(f^2 |mu2|)|, dev_v = max |d/dv ln(f^2 |mu1|)|;
-    both must be small for canonicalization to make sense.
+    separability_dev_u = max |d/du ln(f^2 |mu2|)| (skipped when mu2 is None,
+    the degenerate case), separability_dev_v = max |d/dv ln(f^2 |mu1|)|; the
+    scale is the largest |ln(f^2 |mu_i|)|.  The ln_abs guards keep every
+    f^2 |mu_i|, and so phi and psi, positive.
     """
-    ln_fsq_mu2 = ln_abs(f * f * mu2, mu_min=MU_MIN**2)
-    ln_fsq_mu1 = ln_abs(f * f * mu1, mu_min=MU_MIN**2)
-    dev_u = d_du(ln_fsq_mu2).interior_max_abs()
-    dev_v = d_dv(ln_fsq_mu1).interior_max_abs()
-    return float(dev_u), float(dev_v)
+    fsq = f * f
+    ln_phi = ln_abs(fsq * mu1.abs(), mu_min=MU_MIN**2)
+    devs = {"separability_dev_v": d_dv(ln_phi).interior_max_abs()}
+    scale = ln_phi.max_abs()
+    if mu2 is not None:
+        ln_psi = ln_abs(fsq * mu2.abs(), mu_min=MU_MIN**2)
+        devs = {"separability_dev_u": d_du(ln_psi).interior_max_abs(), **devs}
+        scale = max(scale, ln_psi.max_abs())
+    return devs, scale
 
 
 def classify_functions(funcs: FrameFunctions):
@@ -135,30 +141,21 @@ def canonicalize(m: Immersion) -> CanonicalizationResult:
     g = m.grid
     su, sv = g.interior(2)
 
-    # phi = f^2|mu1| must not vary along v, nor (general case) psi = f^2|mu2| along u;
-    # the ln_abs guards also keep every sample, and so phi and psi, positive
-    fsq = funcs.f * funcs.f
-    phi_field = fsq * funcs.mu1.abs()
-    ln_phi = ln_abs(phi_field, mu_min=MU_MIN**2)
-    devs = {"separability_dev_v": d_dv(ln_phi).interior_max_abs()}
-    scale = ln_phi.max_abs()
-    if not degenerate:
-        psi_field = fsq * funcs.mu2.abs()
-        ln_psi = ln_abs(psi_field, mu_min=MU_MIN**2)
-        devs = {"separability_dev_u": d_du(ln_psi).interior_max_abs(), **devs}
-        scale = max(scale, ln_psi.max_abs())
+    # phi = f^2|mu1| must not vary along v, nor (general case) psi = f^2|mu2| along u
+    devs, scale = check_separability(funcs.f, funcs.mu1, None if degenerate else funcs.mu2)
     limit = 1e-3 * (1.0 + scale)
     if max(devs.values()) > limit:
         listed = ", ".join(f"{k} {v:.3e}" for k, v in devs.items())
         raise NotSeparable(f"separability deviations ({listed}) exceed {limit:.3e}")
 
-    phi = np.mean(phi_field.values[:, sv], axis=1)
+    fsq = funcs.f * funcs.f
+    phi = np.mean((fsq * funcs.mu1.abs()).values[:, sv], axis=1)
     if degenerate:
         psi = None
         ubar = cumulative_simpson(phi, dx=g.hu, initial=0.0)
         vbar = src_v = g.v_nodes
     else:
-        psi = np.mean(psi_field.values[su, :], axis=0)
+        psi = np.mean((fsq * funcs.mu2.abs()).values[su, :], axis=0)
         ubar = cumulative_simpson(np.sqrt(phi), dx=g.hu, initial=0.0)
         vbar = cumulative_simpson(np.sqrt(psi), dx=g.hv, initial=0.0)
         src_v = _monotone_inverse(vbar, g.v_nodes, np.linspace(0.0, vbar[-1], g.Nv))

@@ -45,8 +45,7 @@ SCHEMAS = {
                     "out": (str, None), "report": (str, None)},
     "analyze": {"immersion": (str, None), "fixture": (str, None), "nodes": (int, 65),
                 "out": (str, None), "report": (str, None)},
-    "canonicalize": {"immersion": (str, None), "nodes": (int, 65),
-                     "out": (str, None), "report": (str, None)},
+    "canonicalize": {"immersion": (str, None), "out": (str, None), "report": (str, None)},
     "roundtrip": {"fixture": (str, "jet"), "nodes": (int, 65), "order": (int, 6),
                   "radius": (float, 0.1), "case": (str, "positive"),
                   "tol_build": (float, TOL_BUILD), "report": (str, None)},

@@ -68,12 +68,6 @@ class GridSpec:
         """Index slices excluding `layers` boundary rows/columns."""
         return slice(layers, self.Nu - layers), slice(layers, self.Nv - layers)
 
-    def refined_by(self, factor: int) -> "GridSpec":
-        return GridSpec(
-            self.u0, self.u1, self.v0, self.v1,
-            factor * (self.Nu - 1) + 1, factor * (self.Nv - 1) + 1,
-        )
-
     def to_dict(self) -> dict:
         return {
             "u0": self.u0, "u1": self.u1, "v0": self.v0, "v1": self.v1,

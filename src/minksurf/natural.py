@@ -24,7 +24,10 @@ p = lam + nu, q = lam - nu, g = ln|mu| the eps = -1 system is equivalent to
     g_uv      = p q e^{-g} + e^{g}
 
 (p transports along (1,1), q along (1,-1); the equivalence is checked
-symbolically in the test suite).
+symbolically in the test suite).  Along its characteristic each transport is
+dp = lam dg (dq = lam dg): the trapezoid rule from node to node, O(h^2), on
+grids with hu == hv.  In the degenerate case lam_v = lam g_v - nu_u is
+integrated exactly as (lam e^{-g})_v = -nu_u e^{-g}, by Simpson's rule.
 """
 
 from __future__ import annotations
@@ -35,13 +38,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
+from scipy.integrate import cumulative_simpson
 
 from .errors import BlowUp, BothMuZero, NoConvergence, ValidationError
 from .fields import MU_MIN, GridSpec, ScalarField, d_du, d_dudv, d_dv, ln_abs, require_away_from_zero
 
 G_LIMIT = 50.0          # |ln mu| trust region during marching
 CLASSIFY_TOL = 1e-10    # relative zero threshold for K - H^2
+PICARD_TOL = 1e-10      # sweep-to-sweep change at which the eps = -1 sweep stops
 
 
 class Case(enum.Enum):
@@ -166,19 +170,13 @@ def classify_from_frame(lambda1: float, mu1: float, lambda2: float, mu2: float) 
 
 
 def _samples_1d(data, nodes: np.ndarray, name: str) -> np.ndarray:
-    """Accept a callable or an array sampled on the coarse nodes."""
+    """Accept a callable or an array sampled on the nodes."""
     if callable(data):
         return np.asarray(data(nodes), dtype=float) * np.ones_like(nodes)
     arr = np.asarray(data, dtype=float)
     if arr.shape != nodes.shape:
         raise ValidationError(f"{name}: expected {nodes.shape[0]} samples, got {arr.shape}")
     return arr
-
-
-def _resample_1d(samples: np.ndarray, coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
-    if len(coarse) == len(fine):
-        return samples.copy()
-    return make_interp_spline(coarse, samples, k=3)(fine)
 
 
 @functools.lru_cache(maxsize=4)
@@ -189,7 +187,7 @@ def _wavefronts(Nu: int, Nv: int) -> tuple:
     grid: the anti-diagonal's nodes (i, j) in increasing i, and their
     neighbours (i-1, j), (i, j-1) and (i-1, j-1).  An anti-diagonal is a run
     of stride Nv-1 in the flat array, so each slice is a view, not a gather.
-    Built once per grid shape and shared by every march and transport.
+    Built once per grid shape and shared by every march.
     """
     fronts = []
     for s in range(2, Nu + Nv - 1):
@@ -253,16 +251,6 @@ def _goursat_march(
     return g
 
 
-def _upwind_transport(f: np.ndarray, rhs: np.ndarray, wu: float, wv: float) -> None:
-    """Fill the interior of f from its bottom and left edges by f_u + f_v = rhs.
-
-    First-order upwind, one anti-diagonal at a time; f must be C-contiguous.
-    """
-    ff, rf = f.reshape(-1), np.ascontiguousarray(rhs).reshape(-1)
-    for node, du, dv, _ in _wavefronts(*f.shape):
-        ff[node] = (wu * ff[du] + wv * ff[dv] + rf[node]) / (wu + wv)
-
-
 def _degenerate_rhs(nusq, g, with_derivative=False):
     """g_uv = -nu^2 e^{-g}, the degenerate curvature equation, and its g-derivative."""
     e = np.exp(-np.clip(g, -700.0, 700.0))  # overflow-safe; guard trips first
@@ -279,70 +267,41 @@ def solve_goursat_degenerate(
     lambda_bottom,
     sign_mu: int,
     grid: GridSpec,
-    refine: int = 1,
 ) -> CanonicalTriple:
     """Degenerate-case fixture generator.
 
     With g = ln|mu| the curvature equation becomes g_uv = -nu(u)^2 e^{-g},
     marched causally from data on the bottom (v = v0) and left (u = u0)
-    edges.  lambda then solves the linear transport lam_v = lam g_v - nu_u
-    along each u = const line (RK4 in v).  `refine` marches on an internally
-    refined grid and restricts, trading time for a smaller residual constant.
+    edges.  lambda then solves lam_v = lam g_v - nu_u along each u = const
+    line through the integrating factor e^{-g}:
+    lam = e^{g} (lam_b e^{-g_b} - nu_u int_{v0}^{v} e^{-g} dv), the integral
+    by cumulative Simpson on the nodes.
 
-    Edge data may be callables of the coordinate or arrays on the coarse
-    nodes.  nu must be non-constant (constant nu is the parallel-H case the
-    degenerate system is not meant for).
+    Edge data may be callables of the coordinate or arrays on the nodes.  nu
+    must be non-constant (constant nu is the parallel-H case the degenerate
+    system is not meant for).
     """
     if sign_mu not in (1, -1):
         raise ValidationError("sign_mu must be +1 or -1")
-    u_c, v_c = grid.u_nodes, grid.v_nodes
-    fine = grid.refined_by(refine) if refine > 1 else grid
-    u_f, v_f = fine.u_nodes, fine.v_nodes
-
-    nu_u_coarse = _samples_1d(nu_of_u, u_c, "nu_of_u")
-    if np.max(nu_u_coarse) - np.min(nu_u_coarse) <= nu_constancy_tol(np.max(np.abs(nu_u_coarse))):
+    u, v = grid.u_nodes, grid.v_nodes
+    nu = _samples_1d(nu_of_u, u, "nu_of_u")
+    if np.max(nu) - np.min(nu) <= nu_constancy_tol(np.max(np.abs(nu))):
         raise ValidationError("nu must be non-constant over the u-range")
-    if callable(nu_of_u):
-        nu_f = np.asarray(nu_of_u(u_f), dtype=float) * np.ones_like(u_f)
-    else:
-        nu_f = _resample_1d(nu_u_coarse, u_c, u_f)
-    gb = _resample_1d(_samples_1d(g_bottom, u_c, "g_bottom"), u_c, u_f) if not callable(g_bottom) \
-        else np.asarray(g_bottom(u_f), dtype=float) * np.ones_like(u_f)
-    gl = _resample_1d(_samples_1d(g_left, v_c, "g_left"), v_c, v_f) if not callable(g_left) \
-        else np.asarray(g_left(v_f), dtype=float) * np.ones_like(v_f)
-    lb = _resample_1d(_samples_1d(lambda_bottom, u_c, "lambda_bottom"), u_c, u_f) if not callable(lambda_bottom) \
-        else np.asarray(lambda_bottom(u_f), dtype=float) * np.ones_like(u_f)
+    gb = _samples_1d(g_bottom, u, "g_bottom")
+    gl = _samples_1d(g_left, v, "g_left")
+    lb = _samples_1d(lambda_bottom, u, "lambda_bottom")
 
-    nusq = nu_f * nu_f
-    g = _goursat_march(fine, gb, gl, np.broadcast_to(nusq[:, None], (fine.Nu, fine.Nv)), _degenerate_rhs)
+    nusq = nu * nu
+    g = _goursat_march(grid, gb, gl, np.broadcast_to(nusq[:, None], (grid.Nu, grid.Nv)), _degenerate_rhs)
 
-    # transport lambda: lam_v = lam * g_v - nu_u, RK4 up every column at once
-    g_v = make_interp_spline(v_f, g, k=3, axis=1).derivative()
-    nu_u_f = np.gradient(nu_f, fine.hu, edge_order=2)
-    lam = np.empty_like(g)
-    lam[:, 0] = lb
-    hv = fine.hv
-
-    def slope(lam_vec, v):
-        return g_v(v) * lam_vec - nu_u_f
-
-    for j in range(fine.Nv - 1):
-        v = v_f[j]
-        y = lam[:, j]
-        k1 = slope(y, v)
-        k2 = slope(y + 0.5 * hv * k1, v + 0.5 * hv)
-        k3 = slope(y + 0.5 * hv * k2, v + 0.5 * hv)
-        k4 = slope(y + hv * k3, v + hv)
-        lam[:, j + 1] = y + hv / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    step = refine if refine > 1 else 1
-    g_c = g[::step, ::step]
-    lam_c = lam[::step, ::step]
-    nu_c = np.repeat(nu_f[::step, None], grid.Nv, axis=1)
+    nu_u = np.gradient(nu, grid.hu, edge_order=2)
+    e_minus = np.exp(-g)
+    integral = cumulative_simpson(e_minus, dx=grid.hv, axis=1, initial=0.0)
+    lam = np.exp(g) * ((lb * e_minus[:, 0])[:, None] - nu_u[:, None] * integral)
     return CanonicalTriple(
-        lam=ScalarField(grid, lam_c),
-        mu=ScalarField(grid, sign_mu * np.exp(g_c)),
-        nu=ScalarField(grid, nu_c),
+        lam=ScalarField(grid, lam),
+        mu=ScalarField(grid, sign_mu * np.exp(g)),
+        nu=ScalarField(grid, np.repeat(nu[:, None], grid.Nv, axis=1)),
         case=Case.DEGENERATE,
     )
 
@@ -367,20 +326,23 @@ def solve_goursat_hyperbolic(
     grid: GridSpec,
     sign_mu: int = 1,
     max_sweeps: int = 25,
-    tol: float = 1e-10,
 ) -> CanonicalTriple:
     """eps = -1 fixture generator via the characteristic reformulation.
 
     p = lam + nu rides the (1,1) characteristics (data on bottom + left),
     q = lam - nu rides (1,-1) (data on left + top), g = ln|mu| solves the
     Goursat problem g_uv = p q e^{-g} + e^g from bottom + left data.  Picard
-    sweeps alternate the g-march with first-order upwind transports of p, q
-    until the max sweep-to-sweep change drops below tol.  Residual is O(h).
+    sweeps alternate the g-march with the transports dp = lam dg and
+    dq = lam dg, each integrated by the trapezoid rule along the diagonal
+    step from the previous row, until the max sweep-to-sweep change drops
+    below PICARD_TOL.  Residual is O(h^2).  The diagonal steps land on nodes
+    only when hu == hv, so any other grid raises ValidationError.
     """
     if max_sweeps < 1:
         raise ValidationError("max_sweeps must be at least 1")
+    if not np.isclose(grid.hu, grid.hv, rtol=1e-12, atol=0.0):
+        raise ValidationError(f"characteristic sweep needs hu == hv, got hu {grid.hu!r}, hv {grid.hv!r}")
     Nu, Nv = grid.Nu, grid.Nv
-    hu, hv = grid.hu, grid.hv
     u, v = grid.u_nodes, grid.v_nodes
 
     pb = _samples_1d(p_bottom, u, "p_bottom")
@@ -398,7 +360,6 @@ def solve_goursat_hyperbolic(
     q = ql[None, :] + qt[:, None] - ql[-1]
     g = gb[:, None] + gl[None, :] - gb[0]
 
-    wu, wv = 1.0 / hu, 1.0 / hv
     deltas = []
     for _ in range(max_sweeps):
         p_old, q_old, g_old = p, q, g
@@ -406,51 +367,35 @@ def solve_goursat_hyperbolic(
 
         g = _goursat_march(grid, gb, gl, p_old * q_old, _hyperbolic_rhs)
 
-        g_u = np.gradient(g, hu, axis=0, edge_order=2)
-        g_v = np.gradient(g, hv, axis=1, edge_order=2)
-        rhs_p = lam * (g_u + g_v)
-        rhs_q = lam * (g_u - g_v)
-
         p = np.empty((Nu, Nv))
         p[:, 0] = pb
         p[0, :] = pl
-        _upwind_transport(p, rhs_p, wu, wv)
+        q = np.empty((Nu, Nv))
+        q[0, :] = ql
+        q[:, -1] = qt
+        for i in range(1, Nu):
+            # p from (i-1, j-1) along (1,1), q from (i-1, j+1) along (1,-1)
+            p[i, 1:] = p[i - 1, :-1] + 0.5 * (lam[i, 1:] + lam[i - 1, :-1]) * (g[i, 1:] - g[i - 1, :-1])
+            q[i, :-1] = q[i - 1, 1:] + 0.5 * (lam[i, :-1] + lam[i - 1, 1:]) * (g[i, :-1] - g[i - 1, 1:])
 
-        # q rides (1,-1): transport it as p on the grid flipped in v
-        q_flip = np.empty((Nu, Nv))
-        q_flip[0, :] = ql[::-1]
-        q_flip[:, 0] = qt
-        _upwind_transport(q_flip, rhs_q[:, ::-1], wu, wv)
-        q = q_flip[:, ::-1]
-
-        delta = max(
-            np.max(np.abs(p - p_old)),
-            np.max(np.abs(q - q_old)),
-            np.max(np.abs(g - g_old)),
-        )
+        delta = max(np.max(np.abs(p - p_old)), np.max(np.abs(q - q_old)), np.max(np.abs(g - g_old)))
         deltas.append(delta)
-        if delta <= tol:
+        if delta <= PICARD_TOL:
             break
     else:
         last = ", ".join(f"{d:.3e}" for d in deltas[-3:])
         raise NoConvergence(
-            f"Picard sweeps did not converge in {max_sweeps} sweeps (tol {tol:.1e}); last changes {last}",
+            f"Picard sweeps did not converge in {max_sweeps} sweeps (tol {PICARD_TOL:.1e}); last changes {last}",
             deltas,
         )
 
     lam = 0.5 * (p + q)
     nu = 0.5 * (p - q)
-    flags = ()
-    # upwind errors hit p and q through different stencils, so data meant to
-    # give constant (or zero) nu shows O(h) noise; flag at scheme accuracy
-    scheme_tol = 4.0 * (hu + hv) * max(1.0, np.max(np.abs(p)), np.max(np.abs(q)))
-    variation = np.max(nu) - np.min(nu)
-    if variation <= max(nu_constancy_tol(np.max(np.abs(nu))), scheme_tol):
-        flags = ("nu-constant",)
+    nu_constant = np.max(nu) - np.min(nu) <= nu_constancy_tol(np.max(np.abs(nu)))
     return CanonicalTriple(
         lam=ScalarField(grid, lam),
         mu=ScalarField(grid, sign_mu * np.exp(g)),
         nu=ScalarField(grid, nu),
         case=Case.NEGATIVE_KH,
-        flags=flags,
+        flags=("nu-constant",) if nu_constant else (),
     )

@@ -6,6 +6,8 @@ from minksurf.analysis import Immersion, frame_functions, invariants
 from minksurf.canonical import canonicalize, check_separability, classify_functions
 from minksurf.errors import BothMuZero, NotSeparable
 from minksurf.fields import GridSpec, ScalarField
+from minksurf.fixtures import goursat_hyperbolic_triple
+from minksurf.frames import reconstruct
 from minksurf.natural import Case
 
 
@@ -16,11 +18,17 @@ def F(fn):
     return ScalarField.from_function(G, fn)
 
 
+def check_separability_pair(f, mu1, mu2):
+    devs, _ = check_separability(f, mu1, mu2)
+    assert list(devs) == ["separability_dev_u", "separability_dev_v"]  # report order
+    return devs["separability_dev_u"], devs["separability_dev_v"]
+
+
 def test_separability_canonical_input():
     # f = 1/sqrt|mu| with mu1 = mu, mu2 = -eps mu: f^2|mu_i| = 1
     mu = F(lambda U, V: np.exp(np.sin(U) * np.cos(V)))
     f = ScalarField(G, 1.0 / np.sqrt(np.abs(mu.values)))
-    dev_u, dev_v = check_separability(f, mu, ScalarField(G, -mu.values))
+    dev_u, dev_v = check_separability_pair(f, mu, ScalarField(G, -mu.values))
     assert dev_u <= 1e-10 and dev_v <= 1e-10
 
 
@@ -28,7 +36,7 @@ def test_separability_separated_exponentials():
     f = F(lambda U, V: np.ones_like(U))
     mu1 = F(lambda U, V: np.exp(U))
     mu2 = F(lambda U, V: np.exp(V))
-    dev_u, dev_v = check_separability(f, mu1, mu2)
+    dev_u, dev_v = check_separability_pair(f, mu1, mu2)
     assert dev_u <= 1e-10 and dev_v <= 1e-10
 
 
@@ -36,7 +44,7 @@ def test_separability_mixed_rejected():
     f = F(lambda U, V: np.ones_like(U))
     mu1 = F(lambda U, V: np.exp(U * V))
     mu2 = F(lambda U, V: np.exp(V))
-    dev_u, dev_v = check_separability(f, mu1, mu2)
+    dev_u, dev_v = check_separability_pair(f, mu1, mu2)
     # d/dv ln f^2|mu1| = u, so dev_v ~ interior max of u
     interior_u_max = G.u_nodes[G.Nu - 3]
     assert abs(dev_v - interior_u_max) < 1e-10
@@ -136,13 +144,34 @@ def test_canonicalize_reparametrization_invariance(constant_bundle):
         assert np.max(np.abs(a.values - b.values)[su, sv]) <= 1e-3
 
 
+def test_separability_degenerate_measures_phi_only():
+    # without mu2 only f^2|mu1| is checked; the scale is its largest |ln|
+    f = F(lambda U, V: np.ones_like(U))
+    devs, scale = check_separability(f, F(lambda U, V: np.exp(U)))
+    assert list(devs) == ["separability_dev_v"]
+    assert devs["separability_dev_v"] <= 1e-10
+    assert abs(scale - 1.0) <= 1e-12
+
+
+def test_canonicalize_goursat_hyperbolic_round_trip():
+    # the eps = -1 fixture passes the build gate and comes back as itself;
+    # its metric is already canonical, so the canonical grid is the original
+    t = goursat_hyperbolic_triple(65)
+    res = canonicalize(immersion_of(reconstruct(t)))
+    assert res.triple.case is Case.NEGATIVE_KH
+    assert res.diagnostics["case"] == "negative"
+    su, sv = t.grid.interior(4)
+    for a, b in ((res.triple.lam, t.lam), (res.triple.mu, t.mu), (res.triple.nu, t.nu)):
+        assert np.max(np.abs(a.values - b.values)[su, sv]) < 2e-5
+
+
 def test_not_separable_rejected():
     # build a fake immersion whose f^2|mu1| genuinely mixes u and v: a graph
     # over a non-canonical parametrization will do, via direct separability
     f = F(lambda U, V: np.ones_like(U))
     mu1 = F(lambda U, V: np.exp(U * V))
     mu2 = F(lambda U, V: np.exp(V))
-    dev_u, dev_v = check_separability(f, mu1, mu2)
+    dev_u, dev_v = check_separability_pair(f, mu1, mu2)
     assert max(dev_u, dev_v) > 1e-3  # would be rejected by canonicalize
 
 

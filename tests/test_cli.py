@@ -164,6 +164,24 @@ def test_canonicalize_command(tmp_path):
     assert (out / "reparametrization.json").exists()
     data = json.loads(report.read_text())
     assert data["metrics"]["metric_law_max_dev"] <= 1e-2
+    # the grid comes from the CSV, so the report names no node count
+    assert "nodes" not in data["inputs"]
+
+
+def test_canonicalize_config_rejects_nodes(tmp_path):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"command": "canonicalize", "immersion": "x.csv", "nodes": 33}))
+    report = tmp_path / "err.json"
+    assert run(["--config", str(cfg), "canonicalize", "--report", str(report)]) == 1
+    data = json.loads(report.read_text())
+    assert data["error"] == "ConfigError"
+    assert "nodes" in data["message"]
+
+
+def test_reconstruct_goursat_hyperbolic_passes_build_gate(tmp_path):
+    # default 65 nodes, residual gate on: the eps = -1 fixture reconstructs
+    assert run(["reconstruct", "--fixture", "goursat-hyperbolic", "--out", str(tmp_path / "rec")]) == 0
+    assert (tmp_path / "rec" / "immersion.csv").exists()
 
 
 def test_roundtrip_jet(tmp_path):
@@ -339,8 +357,8 @@ def test_report_byte_determinism(tmp_path, command, fixture):
 @pytest.mark.parametrize(
     "argv",
     [
-        # the work would fail first: this fixture misses the build gate (exit 2)
-        ["reconstruct", "--fixture", "goursat-hyperbolic", "--nodes", "33"],
+        # the work would fail first: this fixture misses the build gate at 33 nodes (exit 2)
+        ["reconstruct", "--fixture", "goursat-degenerate", "--nodes", "33"],
         # ... and this file does not exist (exit 3)
         ["canonicalize", "--immersion", "no-such-immersion.csv"],
     ],

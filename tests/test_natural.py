@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from minksurf.errors import BlowUp, BothMuZero, NearZeroField, NoConvergence, ValidationError
 from minksurf.fields import GridSpec, ScalarField
 from minksurf.fixtures import (
+    DEGENERATE_EDGE_LEVEL,
     _hyperbolic_edge_functions,
     constant_triple,
     degenerate_g_exact,
@@ -19,7 +20,6 @@ from minksurf.natural import (
     _degenerate_rhs,
     _goursat_march,
     _hyperbolic_rhs,
-    _upwind_transport,
     classify_from_frame,
     residual,
     solve_goursat_degenerate,
@@ -186,6 +186,21 @@ def test_goursat_degenerate_matches_closed_form():
     assert errs[-1] < 2e-5
 
 
+def test_goursat_degenerate_lambda_matches_closed_form():
+    # with lam = 0 on the bottom edge and nu_u = 1, lam_v = lam g_v - 1 integrates
+    # to lam = -e^g int_0^v e^{-g} = -v (1 - (v/2) e^{-c} W(u)) on the closed-form g
+    c = DEGENERATE_EDGE_LEVEL
+    errs = []
+    for n in (33, 65, 129, 257):
+        tri = goursat_degenerate_triple(n)
+        U, V = tri.grid.mesh()
+        W = ((1.0 + U) ** 3 - 1.0) / 3.0
+        errs.append(np.max(np.abs(tri.lam.values + V * (1.0 - 0.5 * V * np.exp(-c) * W))))
+    slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(3)]
+    assert min(slopes) >= 1.9, (errs, slopes)
+    assert errs[2] < 2e-6
+
+
 def test_goursat_degenerate_zero_data_exists_on_subdomain():
     g = GridSpec(0, 0.7, 0, 0.7, 65, 65)
     tri = solve_goursat_degenerate(
@@ -234,25 +249,35 @@ def test_goursat_hyperbolic_constant_solution():
     assert "nu-constant" in tri.flags
 
 
-def test_goursat_hyperbolic_zero_nu_flagged():
-    # p = q means nu = 0; the solver succeeds and flags the constant nu
-    g = GridSpec(0, 0.5, 0, 0.5, 33, 33)
-    tri = solve_goursat_hyperbolic(
-        lambda u: 0.5 + 0 * u, lambda v: 0.5 + 0 * v,
-        lambda v: 0.5 + 0 * v, lambda u: 0.5 + 0 * u,
-        lambda u: 0 * u, lambda v: 0 * v, g,
-    )
-    assert "nu-constant" in tri.flags
-    # numerical nu is upwind noise around zero, not exactly zero
-    assert np.max(np.abs(tri.nu.values)) < 4 * (g.hu + g.hv)
+def test_goursat_hyperbolic_equal_edge_data_gives_nonzero_nu():
+    # p = q on the edges does not make nu = 0 inside: with nu = 0 the first two
+    # equations force lam = 0.5 e^g, so q_top would be 0.5 e^g, not 0.5, once g
+    # grows.  max |nu| converges to 0.09277, so the nu-constant flag stays off
+    for n in (33, 65):
+        g = GridSpec(0, 0.5, 0, 0.5, n, n)
+        tri = solve_goursat_hyperbolic(
+            lambda u: 0.5 + 0 * u, lambda v: 0.5 + 0 * v,
+            lambda v: 0.5 + 0 * v, lambda u: 0.5 + 0 * u,
+            lambda u: 0 * u, lambda v: 0 * v, g,
+        )
+        assert "nu-constant" not in tri.flags
+        assert abs(np.max(np.abs(tri.nu.values)) - 0.09277) < 1e-4, n
 
 
 def test_goursat_hyperbolic_convergence():
+    # trapezoid along the characteristics: second order once past 33 nodes (1.73 there)
     errs = []
-    for n in (33, 65, 129):
+    for n in (65, 129, 257):
         errs.append(residual(goursat_hyperbolic_triple(n)).interior_max_abs)
     slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    assert min(slopes) >= 0.9, (errs, slopes)
+    assert min(slopes) >= 1.8, (errs, slopes)
+
+
+def test_goursat_hyperbolic_rejects_unequal_spacing():
+    # the diagonal steps of the sweep land on nodes only when hu == hv
+    g = GridSpec(0, 0.5, 0, 1.0, 33, 33)
+    with pytest.raises(ValidationError, match="hu == hv"):
+        solve_goursat_hyperbolic(grid=g, **_hyperbolic_edges(g))
 
 
 def _hyperbolic_edges(grid: GridSpec) -> dict:
@@ -331,19 +356,6 @@ def test_goursat_march_bit_identical_to_reference():
     rough = ((_hyperbolic_rhs, rng.standard_normal((33, 33))), (_degenerate_rhs, rng.uniform(0.5, 2.0, (33, 33))))
     for rhs, coef in rough:
         assert np.array_equal(_goursat_march(g, zero, zero, coef, rhs), _reference_march(g, zero, zero, coef, rhs))
-
-
-def test_upwind_transport_matches_index_loop():
-    rng = np.random.default_rng(5)
-    f = np.empty((17, 23))
-    f[:, 0], f[0, :] = rng.standard_normal(17), rng.standard_normal(23)
-    rhs = rng.standard_normal((17, 23))
-    ref = f.copy()
-    for s in range(2, 17 + 23 - 1):
-        i = np.arange(max(1, s - 22), min(16, s - 1) + 1)
-        ref[i, s - i] = (3.0 * ref[i - 1, s - i] + 7.0 * ref[i, s - i - 1] + rhs[i, s - i]) / 10.0
-    _upwind_transport(f, rhs, 3.0, 7.0)
-    assert np.array_equal(f, ref)
 
 
 def test_characteristic_reformulation_symbolic():
