@@ -43,7 +43,7 @@ SCHEMAS = {
                     "order": (int, 6), "radius": (float, 0.1), "case": (str, "positive"),
                     "tol_build": (float, TOL_BUILD), "force": (bool, False),
                     "out": (str, None), "report": (str, None)},
-    "analyze": {"immersion": (str, None), "fixture": (str, None), "nodes": (int, 65),
+    "analyze": {"immersion": (str, None), "fixture": (str, None), "nodes": (int, None),
                 "out": (str, None), "report": (str, None)},
     "canonicalize": {"immersion": (str, None), "out": (str, None), "report": (str, None)},
     "roundtrip": {"fixture": (str, "jet"), "nodes": (int, 65), "order": (int, 6),
@@ -228,6 +228,11 @@ def _load_immersion(opts: dict) -> Immersion:
 
 
 def _cmd_analyze(opts: dict) -> int:
+    if opts.get("immersion"):
+        if opts["nodes"] is not None:
+            raise ConfigError("analyze --immersion takes its grid from the CSV; nodes must not be given")
+    elif opts["nodes"] is None:
+        opts = {**opts, "nodes": 65}
     m = _load_immersion(opts)
     rep = invariants(m)
     summary = io.invariant_report_dict(rep)

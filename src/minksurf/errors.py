@@ -57,14 +57,6 @@ class NoConvergence(NumericalError):
         super().__init__(message)
 
 
-class SingularDegreeSystem(NumericalError):
-    """Per-degree linear system of the jet recursion is singular."""
-
-    def __init__(self, degree: int, message: str = ""):
-        self.degree = degree
-        super().__init__(message or f"singular coefficient system at total degree {degree}")
-
-
 class BothMuZero(NumericalError):
     """mu1 and mu2 both vanish: inflection configuration, surface lies in a 3-space."""
 

@@ -97,9 +97,9 @@ def degenerate_g_exact(u, v):
     return c + 2.0 * np.log(1.0 - 0.5 * v * np.exp(-c) * W)
 
 
-def _hyperbolic_edge_functions(order: int = HYPERBOLIC_JET_ORDER, seed: int = JET_RNG_SEED):
-    s = JetSeed.random(order, np.random.default_rng(seed), amplitude=0.35)
-    jt = jet_manufacture(Case.NEGATIVE_KH, order, s, center=(0.25, 0.25), radius=0.26, nodes=9)
+def _hyperbolic_edge_functions():
+    s = JetSeed.random(HYPERBOLIC_JET_ORDER, np.random.default_rng(JET_RNG_SEED), amplitude=0.35)
+    jt = jet_manufacture(Case.NEGATIVE_KH, HYPERBOLIC_JET_ORDER, s, center=(0.25, 0.25), radius=0.26, nodes=9)
     lam_e, nu_e = jt.lam.evaluator, jt.nu.evaluator
     mu_e = jt.mu.evaluator
     g_e = lambda U, V: np.log(np.abs(mu_e(U, V)))
@@ -138,14 +138,14 @@ def cylinder_immersion(nodes: int = 65) -> Immersion:
     return Immersion(g, pts)
 
 
-def gaussian_bump(grid: GridSpec, center=(0.5, 0.5), width: float = 0.15) -> ScalarField:
+def gaussian_bump(grid: GridSpec) -> ScalarField:
+    """exp(-r^2 / (2 * 0.15^2)), r the distance from (0.5, 0.5)."""
     U, V = grid.mesh()
-    cu, cv = center
-    return ScalarField(grid, np.exp(-(((U - cu) ** 2 + (V - cv) ** 2) / (2.0 * width**2))))
+    return ScalarField(grid, np.exp(-(((U - 0.5) ** 2 + (V - 0.5) ** 2) / (2.0 * 0.15**2))))
 
 
-def perturbed_constant_triple(nodes: int = 65, amplitude: float = 0.01) -> CanonicalTriple:
-    """Constant fixture with mu multiplied by (1 + amplitude * Gaussian bump).
+def perturbed_constant_triple(nodes: int = 65) -> CanonicalTriple:
+    """Constant fixture with mu multiplied by (1 + 0.01 * Gaussian bump).
 
     Not a solution: detection of the perturbation by the compatibility and
     path-discrepancy diagnostics is part of the acceptance suite.
@@ -153,7 +153,7 @@ def perturbed_constant_triple(nodes: int = 65, amplitude: float = 0.01) -> Canon
     base = constant_triple(nodes)
     g = base.grid
     bump = gaussian_bump(g)
-    mu = ScalarField(g, base.mu.values * (1.0 + amplitude * bump.values))
+    mu = ScalarField(g, base.mu.values * (1.0 + 0.01 * bump.values))
     return CanonicalTriple(lam=base.lam, mu=mu, nu=base.nu, case=Case.NEGATIVE_KH, flags=("nu-constant",))
 
 

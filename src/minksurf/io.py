@@ -43,11 +43,17 @@ def _rows(table: np.ndarray, sep: str) -> str:
 
 
 def _write_grid_csv(path: str, header: str, grid: GridSpec, samples: np.ndarray) -> None:
-    """`header`, then one `u,v,samples...` row per node, u outer / v fastest."""
-    U, V = grid.mesh()
-    table = np.column_stack([U.ravel(), V.ravel(), samples.reshape(U.size, -1)])
+    """`header`, then one `u,v,samples...` row per node, u outer / v fastest.
+
+    Each coordinate is formatted once; one `%` fills in the samples.
+    """
+    table = samples.reshape(grid.Nu * grid.Nv, -1)
+    tail = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
+    us = [fmt(u) + "," for u in grid.u_nodes]
+    vs = [fmt(v) + "," for v in grid.v_nodes]
+    template = "".join([u + v + tail for u in us for v in vs])
     with open(path, "w") as fh:
-        fh.write(header + "\n" + _rows(table, ","))
+        fh.write(header + "\n" + template % tuple(table.ravel().tolist()))
 
 
 def _read_grid_csv(path: str, header: str) -> tuple[GridSpec, np.ndarray]:

@@ -15,32 +15,43 @@ stencils; the exact truncation is read from the coefficients through
 
 Free data per total degree d (the seed): the pure powers g_{d,0}, g_{0,d}
 of g, and the edge-jet coefficients lam_{d,0}, nu_{d,0} of lambda and nu
-along the v = const line through the center.  Everything else is pinned by
-one small linear system per degree; the interior coefficients of g come from
-the curvature equation, the zig-zag of lambda/nu coefficients from the two
-transport equations.
+along the v = const line through the center.  Everything else follows in a
+triangular order.  Each unknown is divided by a nonzero integer, times
+e^{g00} for g, so no degree can be singular:
 
-The degree-d system reads r1 and r2 through total degree d-1 and r3 through
-d-2, and a product or exponential's coefficient of degree k depends only on
-its factors' coefficients of degree <= k.  So degree d reads only
-coefficients of degree <= d: it is solved on arrays truncated to
-[:d+1, :d+1], and every product and exponential is truncated at degree d.
-The same terms are summed in the same order as at full order, so the
-coefficients are bit-identical.  exp(g) and exp(2g) enter only through
-degree d-2, out of reach of the degree-d unknowns, so each degree builds
-them once for all of its unknown columns.
+  1. Row a of r3 at degree d-2 is e^{g00} (a+1)(d-1-a) g_{a+1,d-1-a} plus
+     terms of lower degree, which gives every interior degree-d coefficient
+     of g.
+  2. With g set, row a of r1 at degree d-1 is (d-a) lam_{a,d-a} plus
+     (a+1) nu_{a+1,d-1-a}, and row a of r2 is -eps (d-a) nu_{a,d-a} plus
+     (a+1) lam_{a+1,d-1-a}, each plus known terms.  Going from a = d-1 down
+     to 0, the seed's lam_{d,0}, nu_{d,0} start a zig-zag that gives the
+     rest of degree d.  The degenerate case has nu = nu(u), so only r1 is
+     read.
+
+Each step reads one `_residual_coeffs` evaluation with the step's unknowns
+at zero, so a degree costs two.  A product or exponential's coefficient of
+degree k depends only on its factors' coefficients of degree <= k, so the
+degree-d evaluations work on arrays cut to [:d+1, :d+1] with every product
+cut at degree d.  exp(g) and exp(2g) enter only through degree d-2, out of
+reach of the degree-d coefficients, so each degree builds them once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularDegreeSystem, ValidationError
+from .errors import ValidationError
 from .fields import GridSpec, ScalarField
 from .natural import CanonicalTriple, Case
+
+# `p_mul`'s cached index at total degree n holds (n+1)^4 entries, 3 MB at
+# n = 24; the bound keeps the indices one jet builds in memory small
+MAX_JET_ORDER = 24
 
 
 # -- dense truncated polynomials in two variables ---------------------------
@@ -51,18 +62,35 @@ def p_zero(n: int) -> np.ndarray:
     return np.zeros((n + 1, n + 1))
 
 
-def p_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((n + 1, n + 1))
-    for i, j in np.argwhere(a != 0.0):
-        if i + j > n:
-            continue
-        bi = min(b.shape[0], n + 1 - i)
-        bj = min(b.shape[1], n + 1 - j)
-        out[i : i + bi, j : j + bj] += a[i, j] * b[:bi, :bj]
-    # keep only total degree <= n
-    mask = np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n
-    out[~mask] = 0.0
+@functools.lru_cache(maxsize=16)
+def _cauchy_index(n: int) -> np.ndarray:
+    """Gather index of the truncated Cauchy product on flattened (n+1)^2 arrays.
+
+    Entry [(i, j), (p, q)] is the flat position of b[i-p, j-q], or (n+1)^2
+    where p > i, q > j or i + j > n; `_flat` puts a zero there.  So
+    `_flat(b, n)[index] @ _flat(a, n)[:-1]` is the product, already cut at
+    total degree n.  A jet reads n = 1 .. order; 16 entries hold every order
+    up to 16 at once.  Shared between callers, so it is read-only.
+    """
+    k = np.arange(n + 1)
+    i, j, p, q = (x.ravel() for x in np.meshgrid(k, k, k, k, indexing="ij"))
+    ok = (p <= i) & (q <= j) & (i + j <= n)
+    index = np.where(ok, (i - p) * (n + 1) + (j - q), (n + 1) ** 2).reshape((n + 1) ** 2, (n + 1) ** 2)
+    index.setflags(write=False)
+    return index
+
+
+def _flat(c: np.ndarray, n: int) -> np.ndarray:
+    """c cut or zero-padded to (n+1, n+1), flattened, then one zero appended."""
+    k = n + 1
+    out = np.zeros(k * k + 1)
+    out[:-1].reshape(k, k)[: c.shape[0], : c.shape[1]] = c[:k, :k]
     return out
+
+
+def p_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """a * b with every entry above total degree n zero, for any input shapes."""
+    return (_flat(b, n)[_cauchy_index(n)] @ _flat(a, n)[:-1]).reshape(n + 1, n + 1)
 
 
 def p_diff_u(c: np.ndarray) -> np.ndarray:
@@ -188,46 +216,15 @@ def _residual_coeffs(lam, nu, g, case: Case, n: int, exps=None):
     return r1, r2, r3
 
 
-def _equation_vector(lam, nu, g, case: Case, d: int, exps=None) -> np.ndarray:
-    """Stacked residual coefficients that must vanish when solving degree d.
-
-    Works on the coefficients of degree <= d only (see the module docstring);
-    `exps` is `_exps` of g truncated to degree d.
-    """
-    k = d + 1
-    r1, r2, r3 = _residual_coeffs(lam[:k, :k], nu[:k, :k], g[:k, :k], case, d, exps)
-    rows = []
-    for a in range(d):          # degree d-1 coefficients of r1 (and r2)
-        rows.append(r1[a, d - 1 - a])
-    if case is not Case.DEGENERATE:
-        for a in range(d):
-            rows.append(r2[a, d - 1 - a])
-    for a in range(d - 1):      # degree d-2 coefficients of r3
-        rows.append(r3[a, d - 2 - a])
-    return np.array(rows)
-
-
-def _unknown_slots(case: Case, d: int):
-    """(array_name, a, b) positions of the unpinned degree-d coefficients."""
-    slots = []
-    for b in range(1, d + 1):
-        slots.append(("lam", d - b, b))
-    if case is not Case.DEGENERATE:
-        for b in range(1, d + 1):
-            slots.append(("nu", d - b, b))
-    for a in range(1, d):
-        slots.append(("g", a, d - a))
-    return slots
-
-
 def jet_coefficients(case: Case, order: int, seed: JetSeed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Taylor coefficients (lam, nu, g = ln|mu|) through total degree `order`.
 
-    Solved degree by degree from the seed, as the module docstring states.
-    Entry [a, b] multiplies (u - cu)^a (v - cv)^b about the patch center.
+    Found degree by degree from the seed by the triangular pass of the module
+    docstring.  Entry [a, b] multiplies (u - cu)^a (v - cv)^b about the patch
+    center.
     """
-    if order < 2:
-        raise ValidationError("jet order must be at least 2")
+    if not 2 <= order <= MAX_JET_ORDER:
+        raise ValidationError(f"jet order must be between 2 and {MAX_JET_ORDER}")
     for arr, name in ((seed.g_u, "g_u"), (seed.g_v, "g_v"), (seed.lam_u, "lam_u"), (seed.nu_u, "nu_u")):
         if len(arr) < order + 1:
             raise ValidationError(f"seed.{name} must supply order+1 coefficients")
@@ -237,35 +234,33 @@ def jet_coefficients(case: Case, order: int, seed: JetSeed) -> tuple[np.ndarray,
     lam[0, 0] = seed.lam_u[0]
     nu[0, 0] = seed.nu_u[0]
     g[0, 0] = seed.g_u[0]
+    e0 = float(np.exp(g[0, 0]))
 
     for d in range(1, n + 1):
         lam[d, 0] = seed.lam_u[d]
         nu[d, 0] = seed.nu_u[d]
         g[d, 0] = seed.g_u[d]
         g[0, d] = seed.g_v[d]
-
-        slots = _unknown_slots(case, d)
-        arrays = {"lam": lam, "nu": nu, "g": g}
-        exps = _exps(g[: d + 1, : d + 1], case, d)
-        base = _equation_vector(lam, nu, g, case, d, exps)
-        m = len(slots)
-        if m == 0:
-            continue
-        M = np.empty((len(base), m))
-        for k, (name, a, b) in enumerate(slots):
-            arrays[name][a, b] = 1.0
-            M[:, k] = _equation_vector(lam, nu, g, case, d, exps) - base
-            arrays[name][a, b] = 0.0
-        if M.shape[0] != m:
-            raise SingularDegreeSystem(d, f"degree {d}: {M.shape[0]} equations for {m} unknowns")
-        try:
-            x = np.linalg.solve(M, -base)
-        except np.linalg.LinAlgError as exc:
-            raise SingularDegreeSystem(d, f"degree {d}: {exc}") from exc
-        if not np.all(np.isfinite(x)):
-            raise SingularDegreeSystem(d)
-        for (name, a, b), val in zip(slots, x):
-            arrays[name][a, b] = val
+        k = d + 1
+        # views: the coefficients written below land in lam, nu and g
+        lk, nk, gk = lam[:k, :k], nu[:k, :k], g[:k, :k]
+        exps = _exps(gk, case, d)
+        # step 1 of the module docstring: interior g from r3 at degree d-2
+        _, _, r3 = _residual_coeffs(lk, nk, gk, case, d, exps)
+        for a in range(d - 1):
+            g[a + 1, d - 1 - a] = -r3[a, d - 2 - a] / (e0 * (a + 1) * (d - 1 - a))
+        # step 2: the zig-zag; the rows were evaluated with the unknown degree-d
+        # lam and nu at zero, so each one found adds its derivative term to row a-1
+        r1, r2, _ = _residual_coeffs(lk, nk, gk, case, d, exps)
+        for a in range(d - 1, -1, -1):
+            b = d - a
+            lam[a, b] = -r1[a, b - 1] / b
+            if case is Case.DEGENERATE:
+                continue
+            nu[a, b] = r2[a, b - 1] / (case.epsilon * b)
+            if a:
+                r1[a - 1, b] += a * nu[a, b]
+                r2[a - 1, b] += a * lam[a, b]
     return lam, nu, g
 
 

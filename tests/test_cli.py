@@ -148,6 +148,27 @@ def test_analyze_cylinder(tmp_path):
     assert code == 0
     data = json.loads(report.read_text())
     assert data["metrics"]["classification"] == "parallel-H"
+    assert data["inputs"]["nodes"] == 33
+    # without --nodes the fixture keeps its default size
+    assert run(["analyze", "--fixture", "cylinder", "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["inputs"]["nodes"] == 65
+
+
+def test_analyze_immersion_takes_no_nodes(tmp_path):
+    csv = tmp_path / "cyl.csv"
+    io.write_immersion_csv(cylinder_immersion(33), str(csv))
+    report = tmp_path / "inv.json"
+    assert run(["analyze", "--immersion", str(csv), "--report", str(report)]) == 0
+    # the grid comes from the CSV, so the report names no node count
+    assert "nodes" not in json.loads(report.read_text())["inputs"]
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"command": "analyze", "immersion": str(csv), "nodes": 33}))
+    for argv in (["analyze", "--immersion", str(csv), "--nodes", "33"], ["--config", str(cfg), "analyze"]):
+        err = tmp_path / "err.json"
+        assert run(argv + ["--report", str(err)]) == 1
+        data = json.loads(err.read_text())
+        assert data["error"] == "ConfigError"
+        assert "nodes" in data["message"]
 
 
 def test_canonicalize_command(tmp_path):

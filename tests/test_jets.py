@@ -1,13 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from minksurf import jets
 from minksurf.errors import ValidationError
 from minksurf.fields import GridSpec
 from minksurf.fixtures import jet_seed, jet_triple
 from minksurf.jets import (
     JetSeed,
-    _equation_vector,
-    _exps,
     _residual_coeffs,
     jet_coefficients,
     jet_manufacture,
@@ -117,6 +118,8 @@ def test_seed_length_validation():
         jet_manufacture(Case.POSITIVE_KH, 6, seed)
     with pytest.raises(ValidationError):
         jet_manufacture(Case.POSITIVE_KH, 1, jet_seed(1))
+    with pytest.raises(ValidationError):  # the product index would hold 26^4 entries
+        jet_manufacture(Case.POSITIVE_KH, 25, jet_seed(25))
 
 
 def test_negative_sign_mu():
@@ -128,27 +131,84 @@ def test_negative_sign_mu():
     assert residual(t).interior_max_abs <= 1e-3
 
 
-@pytest.mark.parametrize("case", list(Case))
-def test_truncated_degree_system_matches_full_order(case):
-    # the degree-d rows read only coefficients of degree <= d, so solving on
-    # truncated arrays must reproduce the full-order rows bit for bit
-    order = 8
-    rng = np.random.default_rng(11)
-    degree = np.add.outer(np.arange(order + 1), np.arange(order + 1))
-    lam, nu, g = (  # some zero coefficients, as in a solved jet
-        np.where((degree <= order) & (rng.random(degree.shape) < 0.8), rng.standard_normal(degree.shape), 0.0)
-        for _ in range(3)
-    )
-    if case is Case.DEGENERATE:
-        nu[:, 1:] = 0.0
-    r1, r2, r3 = _residual_coeffs(lam, nu, g, case, order)
-    for d in range(1, order + 1):
-        rows = [r1[a, d - 1 - a] for a in range(d)]
+def _loop_mul(a, b, n):
+    """The truncated product as a Python loop over the nonzero entries of a."""
+    out = np.zeros((n + 1, n + 1))
+    for i, j in np.argwhere(a != 0.0):
+        if i + j > n:
+            continue
+        bi = min(b.shape[0], n + 1 - i)
+        bj = min(b.shape[1], n + 1 - j)
+        out[i : i + bi, j : j + bj] += a[i, j] * b[:bi, :bj]
+    out[np.add.outer(np.arange(n + 1), np.arange(n + 1)) > n] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((6, 6), (6, 6)), ((3, 7), (6, 2)), ((9, 4), (2, 9)), ((1, 1), (6, 6))])
+def test_p_mul_matches_loop_and_cuts_at_degree(shape_a, shape_b):
+    # integer values keep every sum exact, so the two orders of summation agree bit for bit
+    n = 5
+    rng = np.random.default_rng(5)
+    a, b = (np.where(rng.random(s) < 0.7, rng.integers(-9, 10, s), 0).astype(float) for s in (shape_a, shape_b))
+    c = p_mul(a, b, n)
+    assert c.shape == (n + 1, n + 1)
+    assert np.array_equal(c, _loop_mul(a, b, n))
+    assert np.all(c[np.add.outer(np.arange(n + 1), np.arange(n + 1)) > n] == 0.0)
+
+
+def _reference_jet(case, order, seed):
+    """Each degree by a finite-difference Jacobian of its rows and a dense solve."""
+    n = order
+    lam, nu, g = p_zero(n), p_zero(n), p_zero(n)
+    lam[0, 0], nu[0, 0], g[0, 0] = seed.lam_u[0], seed.nu_u[0], seed.g_u[0]
+    arrays = {"lam": lam, "nu": nu, "g": g}
+    for d in range(1, n + 1):
+        lam[d, 0], nu[d, 0], g[d, 0], g[0, d] = seed.lam_u[d], seed.nu_u[d], seed.g_u[d], seed.g_v[d]
+        slots = [("lam", d - b, b) for b in range(1, d + 1)]
         if case is not Case.DEGENERATE:
-            rows += [r2[a, d - 1 - a] for a in range(d)]
-        rows += [r3[a, d - 2 - a] for a in range(d - 1)]
-        assert np.array_equal(_equation_vector(lam, nu, g, case, d), np.array(rows)), d
-        # exp(g) and exp(2g) built before the degree-d unknowns change still serve
-        g_other = np.where(degree == d, rng.standard_normal(g.shape), g)
-        exps = _exps(g_other[: d + 1, : d + 1], case, d)
-        assert np.array_equal(_equation_vector(lam, nu, g, case, d, exps), np.array(rows)), d
+            slots += [("nu", d - b, b) for b in range(1, d + 1)]
+        slots += [("g", a, d - a) for a in range(1, d)]
+
+        def rows():  # r1, r2 at degree d-1 and r3 at degree d-2
+            r1, r2, r3 = _residual_coeffs(lam, nu, g, case, n)
+            out = [r1[a, d - 1 - a] for a in range(d)]
+            if case is not Case.DEGENERATE:
+                out += [r2[a, d - 1 - a] for a in range(d)]
+            return np.array(out + [r3[a, d - 2 - a] for a in range(d - 1)])
+
+        base = rows()
+        M = np.empty((len(base), len(slots)))
+        for k, (name, a, b) in enumerate(slots):
+            arrays[name][a, b] = 1.0
+            M[:, k] = rows() - base
+            arrays[name][a, b] = 0.0
+        for (name, a, b), val in zip(slots, np.linalg.solve(M, -base)):
+            arrays[name][a, b] = val
+    return lam, nu, g
+
+
+@pytest.mark.parametrize("case", list(Case))
+def test_triangular_pass_matches_dense_solve(case):
+    for order in range(2, 9):
+        for seed in range(5):
+            s = jet_seed(order, seed=seed)
+            if case is Case.DEGENERATE:
+                s.nu_u[2:] = 0.0
+            for new, ref in zip(jet_coefficients(case, order, s), _reference_jet(case, order, s)):
+                assert np.max(np.abs(new - ref)) <= 1e-14, (order, seed)
+
+
+def test_two_residual_evaluations_per_degree(monkeypatch):
+    degrees = []
+    real = jets._residual_coeffs
+
+    def counted(lam, nu, g, case, n, exps=None):
+        degrees.append(n)
+        return real(lam, nu, g, case, n, exps)
+
+    monkeypatch.setattr(jets, "_residual_coeffs", counted)
+    for case in Case:
+        degrees.clear()
+        jet_coefficients(case, 8, jet_seed(8))
+        assert set(degrees) <= set(range(1, 9))
+        assert max(Counter(degrees).values()) <= 2, Counter(degrees)
