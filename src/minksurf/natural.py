@@ -26,8 +26,12 @@ p = lam + nu, q = lam - nu, g = ln|mu| the eps = -1 system is equivalent to
 (p transports along (1,1), q along (1,-1); the equivalence is checked
 symbolically in the test suite).  Along its characteristic each transport is
 dp = lam dg (dq = lam dg): the trapezoid rule from node to node, O(h^2), on
-grids with hu == hv.  In the degenerate case lam_v = lam g_v - nu_u is
-integrated exactly as (lam e^{-g})_v = -nu_u e^{-g}, by Simpson's rule.
+grids with hu == hv.  Both cases march g with the implicit trapezoidal corner
+rule, one anti-diagonal at a time, by Newton steps that stop once the front's
+largest correction is at or below NEWTON_TOL (one step per front from 65
+nodes up on the built-in fixtures; the next correction reads 1e-16 or less).
+In the degenerate case lam_v = lam g_v - nu_u is integrated exactly as
+(lam e^{-g})_v = -nu_u e^{-g}, by Simpson's rule.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .fields import MU_MIN, GridSpec, ScalarField, d_du, d_dudv, d_dv, ln_abs, r
 G_LIMIT = 50.0          # |ln mu| trust region during marching
 CLASSIFY_TOL = 1e-10    # relative zero threshold for K - H^2
 PICARD_TOL = 1e-10      # sweep-to-sweep change at which the eps = -1 sweep stops
+NEWTON_TOL = 1e-8       # Newton correction at which a march front stops (see _goursat_march)
 
 
 class Case(enum.Enum):
@@ -211,11 +216,20 @@ def _goursat_march(
     (value, d value / d g).  It must act elementwise, so the value at a node
     does not depend on the batch it is evaluated in.
 
-    Cell update is the trapezoidal corner rule, implicit in the new corner and
-    solved by a few Newton steps; second order overall.  Each node's
-    right-hand side is evaluated once, when the node is final, and reused by
-    the three cells it is a known corner of.  Raises BlowUp, with the node and
-    (u, v) of the first node whose |g| exceeds G_LIMIT, when the march leaves
+    Cell update is the trapezoidal corner rule, implicit in the new corner;
+    second order overall.  The part of it fixed by the three known corners is
+    formed once per anti-diagonal, which is then solved from an explicit
+    predictor by Newton steps that stop once the front's largest correction
+    |dx| is at or below NEWTON_TOL, or after 3 steps.  Newton converges
+    quadratically: a correction e leaves a next one of about
+    cell |d^2 rhs / dg^2| e^2 / 2, below round-off for e <= NEWTON_TOL.  Measured
+    on the built-in fixtures, the first correction is at most 2.3e-8 / 1.5e-9
+    / 5.8e-12 on goursat-hyperbolic (33 / 65 / 257 nodes) and 1.3e-7 / 8.5e-9
+    / 3.4e-11 on goursat-degenerate, and the second is 1.1e-16 or less; so
+    from 65 nodes up a front takes one Newton step.  Each node's right-hand
+    side is evaluated once, when the node is final, and reused by the three
+    cells it is a known corner of.  Raises BlowUp, with the node and (u, v)
+    of the first node whose |g| exceeds G_LIMIT, when the march leaves
     the trust region.
     """
     Nu, Nv = grid.Nu, grid.Nv
@@ -234,15 +248,17 @@ def _goursat_march(
     for node, du, dv, duv in _wavefronts(Nu, Nv):
         c = cf[node]
         base = gf[du] + gf[dv] - gf[duv]
-        known = rf[duv] + rf[du] + rf[dv]
-        x = base + cell * (known + rhs(c, base))  # predictor
+        fixed = base + cell * (rf[duv] + rf[du] + rf[dv])
+        x = fixed + cell * rhs(c, base)  # predictor
         for _ in range(3):
             val, dval = rhs(c, x, with_derivative=True)
-            phi = x - base - cell * (known + val)
-            x = x - phi / (1.0 - cell * dval)
+            dx = (x - fixed - cell * val) / (1.0 - cell * dval)
+            x = x - dx
+            if np.abs(dx).max() <= NEWTON_TOL:
+                break
         gf[node] = x
-        # NaN-safe: any non-finite or out-of-range entry trips the guard
-        if not np.all(np.abs(x) <= G_LIMIT):
+        # NaN-safe: max propagates NaN, and NaN fails the comparison
+        if not np.abs(x).max() <= G_LIMIT:
             first = divmod(node.start + int(np.argmax(~(np.abs(x) <= G_LIMIT))) * node.step, Nv)
             uv = grid.uv(first)
             raise BlowUp(f"|ln mu| exceeded {G_LIMIT} during marching: node {first} at (u, v) = {uv}",
@@ -253,7 +269,8 @@ def _goursat_march(
 
 def _degenerate_rhs(nusq, g, with_derivative=False):
     """g_uv = -nu^2 e^{-g}, the degenerate curvature equation, and its g-derivative."""
-    e = np.exp(-np.clip(g, -700.0, 700.0))  # overflow-safe; guard trips first
+    # clip to +-700, overflow-safe (the guard trips first); two ufuncs cost less than np.clip
+    e = np.exp(-np.minimum(np.maximum(g, -700.0), 700.0))
     val = -nusq * e
     if with_derivative:
         return val, nusq * e
@@ -308,12 +325,11 @@ def solve_goursat_degenerate(
 
 def _hyperbolic_rhs(pq, g, with_derivative=False):
     """g_uv = p q e^{-g} + e^{g}, the eps = -1 curvature equation, and its g-derivative."""
-    gc = np.clip(g, -700.0, 700.0)
-    e_minus, e_plus = np.exp(-gc), np.exp(gc)
-    val = pq * e_minus + e_plus
+    gc = np.minimum(np.maximum(g, -700.0), 700.0)  # clip, as in _degenerate_rhs
+    a, b = pq * np.exp(-gc), np.exp(gc)
     if with_derivative:
-        return val, -pq * e_minus + e_plus
-    return val
+        return a + b, b - a
+    return a + b
 
 
 def solve_goursat_hyperbolic(

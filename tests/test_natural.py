@@ -1,3 +1,5 @@
+from itertools import groupby
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,13 @@ from minksurf.fixtures import (
     nonsolution_triple,
 )
 from minksurf.natural import (
+    NEWTON_TOL,
     CanonicalTriple,
     Case,
     _degenerate_rhs,
     _goursat_march,
     _hyperbolic_rhs,
+    _wavefronts,
     classify_from_frame,
     residual,
     solve_goursat_degenerate,
@@ -216,6 +220,7 @@ def test_goursat_degenerate_zero_data_blows_up_on_unit_square():
             lambda u: 1 + u, lambda u: 0 * u, lambda v: 0 * v, lambda u: 0 * u, 1, G65
         )
     i, j = info.value.node
+    assert (i, j) == (64, 56)
     u, v = info.value.uv
     assert (u, v) == (G65.u_nodes[i], G65.v_nodes[j])
     assert f"node {(i, j)}" in str(info.value)
@@ -303,7 +308,39 @@ def test_goursat_hyperbolic_no_convergence_reports_sweeps():
 
 
 def _reference_march(grid, g_bottom, g_left, coef, rhs):
-    """Reference Goursat march: rhs evaluated afresh at the three known corners of every cell."""
+    """Reference Goursat march: rhs evaluated afresh at the three known corners of every cell.
+
+    Same stopping rule as the march: Newton steps until the front's largest
+    correction is at or below NEWTON_TOL, at most 3.
+    """
+    Nu, Nv = grid.Nu, grid.Nv
+    g = np.empty((Nu, Nv))
+    g[:, 0] = g_bottom
+    g[0, :] = g_left
+    cell = grid.hu * grid.hv / 4.0
+
+    def f(i, j, x, with_derivative=False):
+        return rhs(coef[i, j], x, with_derivative=with_derivative)
+
+    for s in range(2, Nu + Nv - 1):
+        i = np.arange(max(1, s - (Nv - 1)), min(Nu - 1, s - 1) + 1)
+        j = s - i
+        base = g[i - 1, j] + g[i, j - 1] - g[i - 1, j - 1]
+        known = f(i - 1, j - 1, g[i - 1, j - 1]) + f(i - 1, j, g[i - 1, j]) + f(i, j - 1, g[i, j - 1])
+        fixed = base + cell * known
+        x = fixed + cell * f(i, j, base)
+        for _ in range(3):
+            val, dval = f(i, j, x, with_derivative=True)
+            dx = (x - fixed - cell * val) / (1.0 - cell * dval)
+            x = x - dx
+            if np.max(np.abs(dx)) <= NEWTON_TOL:
+                break
+        g[i, j] = x
+    return g
+
+
+def _three_step_reference_march(grid, g_bottom, g_left, coef, rhs):
+    """Reference Goursat march with a fixed three Newton steps per front and no stopping test."""
     Nu, Nv = grid.Nu, grid.Nv
     g = np.empty((Nu, Nv))
     g[:, 0] = g_bottom
@@ -327,35 +364,69 @@ def _reference_march(grid, g_bottom, g_left, coef, rhs):
     return g
 
 
+def _march_cases():
+    """(grid, g_bottom, g_left, coef, rhs) of four marches: fixture-like data, then zero edges
+    and a rough coefficient, for which the marched values are mostly cell * known, so a change
+    in how the corners are summed shows in the bits."""
+    g = GridSpec(0, 0.5, 0, 0.5, 33, 33)
+    cases = [(g, *_hyperbolic_march_data(g), _hyperbolic_rhs)]
+    g = GridSpec(0, 1, 0, 1, 33, 33)
+    u, v = g.u_nodes, g.v_nodes
+    nusq = np.broadcast_to(((1.0 + u) ** 2)[:, None], (33, 33))
+    cases.append((g, 2.0 + 0.3 * np.sin(3 * u), 2.0 - 0.2 * v, nusq, _degenerate_rhs))
+    rng = np.random.default_rng(0)
+    zero = np.zeros(33)
+    cases.append((g, zero, zero, rng.standard_normal((33, 33)), _hyperbolic_rhs))
+    cases.append((g, zero, zero, rng.uniform(0.5, 2.0, (33, 33)), _degenerate_rhs))
+    return cases
+
+
+def _hyperbolic_march_data(grid):
+    """g_bottom, g_left and the first sweep's p q of the goursat-hyperbolic edge data."""
+    e = _hyperbolic_edges(grid)
+    u, v = grid.u_nodes, grid.v_nodes
+    pb, pl, ql, qt = e["p_bottom"](u), e["p_left"](v), e["q_left"](v), e["q_top"](u)
+    pq = (pb[:, None] + pl[None, :] - pb[0]) * (ql[None, :] + qt[:, None] - ql[-1])
+    return e["g_bottom"](u), e["g_left"](v), pq
+
+
 def test_goursat_march_bit_identical_to_reference():
     # storing each node's right-hand side once it is final must not change a bit;
     # compared within one run, not against stored values, because exp's last
     # bits may differ between CPUs
-    g = GridSpec(0, 0.5, 0, 0.5, 33, 33)
-    e = _hyperbolic_edges(g)
-    u, v = g.u_nodes, g.v_nodes
-    pb, pl, ql, qt = e["p_bottom"](u), e["p_left"](v), e["q_left"](v), e["q_top"](u)
-    pq = (pb[:, None] + pl[None, :] - pb[0]) * (ql[None, :] + qt[:, None] - ql[-1])
-    gb, gl = e["g_bottom"](u), e["g_left"](v)
-    assert np.array_equal(
-        _goursat_march(g, gb, gl, pq, _hyperbolic_rhs), _reference_march(g, gb, gl, pq, _hyperbolic_rhs)
-    )
+    for case in _march_cases():
+        assert np.array_equal(_goursat_march(*case), _reference_march(*case))
 
-    g = GridSpec(0, 1, 0, 1, 33, 33)
-    u, v = g.u_nodes, g.v_nodes
-    nusq = np.broadcast_to(((1.0 + u) ** 2)[:, None], (33, 33))
-    gb, gl = 2.0 + 0.3 * np.sin(3 * u), 2.0 - 0.2 * v
-    assert np.array_equal(
-        _goursat_march(g, gb, gl, nusq, _degenerate_rhs), _reference_march(g, gb, gl, nusq, _degenerate_rhs)
-    )
 
-    # zero edges and a rough coefficient: the marched values are then mostly
-    # cell * known, so a change in how the corners are summed shows in the bits
-    rng = np.random.default_rng(0)
-    zero = np.zeros(33)
-    rough = ((_hyperbolic_rhs, rng.standard_normal((33, 33))), (_degenerate_rhs, rng.uniform(0.5, 2.0, (33, 33))))
-    for rhs, coef in rough:
-        assert np.array_equal(_goursat_march(g, zero, zero, coef, rhs), _reference_march(g, zero, zero, coef, rhs))
+def test_goursat_march_matches_three_step_newton():
+    # stopping Newton at NEWTON_TOL leaves the solution at round-off from three full steps
+    for case in _march_cases():
+        g = _goursat_march(*case)
+        err = np.max(np.abs(g - _three_step_reference_march(*case)))
+        assert err <= 1e-13 * (1.0 + np.max(np.abs(g))), err
+
+
+def _newton_steps_per_front(case) -> list:
+    """Marches the case with a counting rhs; returns the Newton steps of each front."""
+    grid, gb, gl, coef, rhs = case
+    calls = []
+
+    def counted(c, g, with_derivative=False):
+        calls.append(with_derivative)
+        return rhs(c, g, with_derivative=with_derivative)
+
+    _goursat_march(grid, gb, gl, coef, counted)
+    # each front: one predictor call, its Newton steps (with derivative), one final call
+    return [len(list(run)) for flag, run in groupby(calls) if flag]
+
+
+def test_goursat_march_newton_steps():
+    g = GridSpec(0, 0.5, 0, 0.5, 129, 129)
+    steps = _newton_steps_per_front((g, *_hyperbolic_march_data(g), _hyperbolic_rhs))
+    assert steps == [1] * len(_wavefronts(129, 129))
+    for case in _march_cases()[2:]:
+        steps = _newton_steps_per_front(case)
+        assert len(steps) == len(_wavefronts(33, 33)) and max(steps) <= 3
 
 
 def test_characteristic_reformulation_symbolic():
