@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Stage wall times of the Goursat solvers at 65, 129 and 257 nodes.
+"""Stage wall times of the Goursat solvers and the inverse direction at 65, 129 and 257 nodes.
 
 Times, with `time.perf_counter` and no library timer, the median of
 REPEATS calls (after one untimed warm-up call) of:
@@ -8,6 +8,9 @@ REPEATS calls (after one untimed warm-up call) of:
   solve_goursat_hyperbolic    the Picard sweep alone, on edge data sampled beforehand
   goursat_march               one Goursat march: the first sweep's g on the same data
   goursat_degenerate_triple   the degenerate fixture: Goursat march + Simpson for lambda
+  invariants                  `analysis.invariants` of the reconstructed positive
+                              order-6 jet at radius 0.1, built beforehand
+  canonicalize                `canonical.canonicalize` of the same immersion
 
 The result is stored under `--label` in the JSON file `--out`, next to the
 runs already there, with the machine and the Python, numpy and scipy
@@ -27,8 +30,9 @@ import time
 import numpy as np
 import scipy
 
-from minksurf import fixtures, natural
+from minksurf import analysis, canonical, fixtures, frames, natural
 from minksurf.fields import GridSpec
+from minksurf.natural import Case
 
 NODES = (65, 129, 257)
 REPEATS = 5
@@ -65,13 +69,22 @@ def _first_march(nodes: int):
     return lambda: natural._goursat_march(e["grid"], e["g_bottom"], e["g_left"], pq, natural._hyperbolic_rhs)
 
 
+def _jet_immersion(nodes: int) -> analysis.Immersion:
+    """The reconstructed positive order-6 jet at radius 0.1, as `roundtrip-elliptic` builds it."""
+    bundle = frames.reconstruct(fixtures.jet_triple(Case.POSITIVE_KH, order=6, radius=0.1, nodes=nodes))
+    return analysis.Immersion(bundle.grid, bundle.points)
+
+
 def _stages(nodes: int) -> dict:
     edges = _hyperbolic_edges(nodes)
+    m = _jet_immersion(nodes)
     return {
         "goursat_hyperbolic_triple": lambda: fixtures.goursat_hyperbolic_triple(nodes),
         "solve_goursat_hyperbolic": lambda: natural.solve_goursat_hyperbolic(**edges),
         "goursat_march": _first_march(nodes),
         "goursat_degenerate_triple": lambda: fixtures.goursat_degenerate_triple(nodes),
+        "invariants": lambda: analysis.invariants(m),
+        "canonicalize": lambda: canonical.canonicalize(m),
     }
 
 

@@ -5,7 +5,8 @@ Manufactures a solution of the chosen natural system, reconstructs the
 surface by frame transport, analyzes the sampled immersion back into frame
 functions, canonicalizes, and prints every diagnostic along the way.
 
-Usage: python scripts/roundtrip_demo.py [--fixture jet|constant|goursat-degenerate]
+Usage: python scripts/roundtrip_demo.py
+       [--fixture jet|constant|goursat-degenerate|goursat-hyperbolic]
        [--nodes 65] [--out DIR]
 """
 
@@ -17,15 +18,15 @@ import numpy as np
 from minksurf import io
 from minksurf.analysis import Immersion, invariants
 from minksurf.canonical import canonicalize
-from minksurf.fixtures import make_triple_fixture
+from minksurf.fixtures import FIXTURE_NAMES, make_triple_fixture
 from minksurf.frames import reconstruct
 from minksurf.natural import residual
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--fixture", default="jet",
-                    choices=["jet", "constant", "goursat-degenerate"])
+    # every triple fixture; cylinder is an immersion, not a triple
+    ap.add_argument("--fixture", default="jet", choices=[n for n in FIXTURE_NAMES if n != "cylinder"])
     ap.add_argument("--nodes", type=int, default=65)
     ap.add_argument("--out", default=None, help="optional directory for CSV/VTK artifacts")
     args = ap.parse_args()

@@ -2,14 +2,16 @@
 
 From z(u, v) in Minkowski 4-space the pipeline recovers the first fundamental
 form, the geometric frame {x, y, n1, n2} (x = z_u/f, y = z_v/f, n1 = H/|H|,
-n2 fixed by orientation), the frame functions (gamma1, gamma2, lambda1, mu1,
-lambda2, mu2, nu, beta1, beta2), curvature invariants through two independent
-formulas, the inflection determinants, and the parallel / PNMC
-classification.
+n2 oriented by construction so that det[x; y; n1; n2] = +1), the frame
+functions (gamma1, gamma2, lambda1, mu1, lambda2, mu2, nu, beta1, beta2),
+curvature invariants through two independent formulas, the inflection
+determinants, and the parallel / PNMC classification.
 
 Derivatives here use order-4 stencils: the isotropy check |E|, |G| <= 1e-6|F|
 and the beta tolerances sit below what order-2 differencing of an oscillatory
-immersion can deliver on production grids.
+immersion can deliver on production grids.  Each derivative of z is taken
+once per frame: `geometric_frame` keeps z_u, z_v and z_uv, and `invariants`
+and `christoffel_isotropic` reuse them.
 """
 
 from __future__ import annotations
@@ -60,9 +62,6 @@ class Immersion:
             raise ValidationError("immersion samples must be finite")
         self.points = pts
 
-    def component(self, k: int) -> ScalarField:
-        return ScalarField(self.grid, self.points[..., k])
-
     def d_du(self) -> np.ndarray:
         return diff_values(self.points, self.grid.hu, axis=0, order=FD_ORDER)
 
@@ -93,14 +92,15 @@ class FundamentalForm:
     E: ScalarField
     F: ScalarField
     G: ScalarField
-    W: ScalarField
     is_timelike: bool
     is_isotropic: bool
 
 
 def first_fundamental_form(m: Immersion) -> FundamentalForm:
-    zu = m.d_du()
-    zv = m.d_dv()
+    return _fundamental_form(m.grid, m.d_du(), m.d_dv())
+
+
+def _fundamental_form(g: GridSpec, zu: np.ndarray, zv: np.ndarray) -> FundamentalForm:
     E = lorentz_inner(zu, zu)
     F = lorentz_inner(zu, zv)
     G = lorentz_inner(zv, zv)
@@ -108,12 +108,10 @@ def first_fundamental_form(m: Immersion) -> FundamentalForm:
     scale = max(np.max(np.abs(E)), np.max(np.abs(F)), np.max(np.abs(G)))
     if np.min(np.abs(disc)) < 1e-14 * scale**2:
         raise DegenerateMetric("EG - F^2 is numerically zero somewhere")
-    g = m.grid
     return FundamentalForm(
         E=ScalarField(g, E),
         F=ScalarField(g, F),
         G=ScalarField(g, G),
-        W=ScalarField(g, np.sqrt(np.abs(disc))),
         is_timelike=bool(np.all(disc < 0)),
         is_isotropic=bool(max(np.max(np.abs(E)), np.max(np.abs(G))) <= ISO_FLAG_TOL * np.max(np.abs(F))),
     )
@@ -126,15 +124,24 @@ class GeometricFrame:
     nu: ScalarField          # |H|
     H: np.ndarray            # (Nu, Nv, 4)
     fundamental: FundamentalForm
+    zu: np.ndarray           # (Nu, Nv, 4) order-4 derivatives of z the frame is built from
+    zv: np.ndarray
+    zuv: np.ndarray
 
 
 def geometric_frame(m: Immersion) -> GeometricFrame:
     """Frame {x, y, n1, n2} with x = z_u/f, y = z_v/f, n1 along H.
 
-    n2 is the unit normal orthogonal to n1 with det[x; y; n1; n2] > 0.
-    Raises MinimalOrTotallyGeodesic when |H| falls below its floor anywhere.
+    n2 is the unit normal orthogonal to n1 with det[x; y; n1; n2] = +1.  For
+    w = minkowski_cross(x, y, n1), det[x; y; n1; w] = -<w, w> (an odd index
+    cycle), and w is spacelike, normal to the timelike tangent plane; so
+    n2 = -w / |w| is oriented by construction.  Raises
+    MinimalOrTotallyGeodesic when |H| falls below its floor anywhere.
     """
-    fff = first_fundamental_form(m)
+    g = m.grid
+    zu = m.d_du()
+    zv = m.d_dv()
+    fff = _fundamental_form(g, zu, zv)
     worst = max(fff.E.max_abs(), fff.G.max_abs())
     limit = ISO_GATE_TOL * fff.F.max_abs()
     if worst > limit:
@@ -145,9 +152,6 @@ def geometric_frame(m: Immersion) -> GeometricFrame:
     if np.any(fff.F.values >= 0):
         raise NotIsotropic("requires <z_u, z_v> < 0 at every node")
 
-    g = m.grid
-    zu = m.d_du()
-    zv = m.d_dv()
     f = np.sqrt(-fff.F.values)
     x = zu / f[..., None]
     y = zv / f[..., None]
@@ -168,20 +172,16 @@ def geometric_frame(m: Immersion) -> GeometricFrame:
     nu = np.sqrt(H2)
     n1 = H / nu[..., None]
 
-    n2 = minkowski_cross(x, y, n1)
-    n2_norm2 = lorentz_inner(n2, n2)
-    n2 = n2 / np.sqrt(np.abs(n2_norm2))[..., None]
-    frames = np.stack([x, y, n1, n2], axis=-2)
-    flip = np.linalg.det(frames) < 0
-    n2[flip] = -n2[flip]
-    frames = np.stack([x, y, n1, n2], axis=-2)
+    n2 = -minkowski_cross(x, y, n1)
+    n2 = n2 / np.sqrt(np.abs(lorentz_inner(n2, n2)))[..., None]
 
     return GeometricFrame(
-        frames=frames,
+        frames=np.stack([x, y, n1, n2], axis=-2),
         f=ScalarField(g, f),
         nu=ScalarField(g, nu),
         H=H,
         fundamental=fff,
+        zu=zu, zv=zv, zuv=zuv,
     )
 
 
@@ -288,11 +288,9 @@ def invariants(m: Immersion) -> InvariantReport:
     formula = np.where(formula_valid, formula, 0.0)
 
     # inflection determinants from c_ij^k = <z_ij, n_k>
-    zu = m.d_du()
-    zv = m.d_dv()
-    zuu = diff_values(zu, g.hu, axis=0, order=FD_ORDER)
-    zuv = diff_values(zu, g.hv, axis=1, order=FD_ORDER)
-    zvv = diff_values(zv, g.hv, axis=1, order=FD_ORDER)
+    zuu = diff_values(frame.zu, g.hu, axis=0, order=FD_ORDER)
+    zuv = frame.zuv
+    zvv = diff_values(frame.zv, g.hv, axis=1, order=FD_ORDER)
     n1 = frame.frames[..., 2, :]
     n2 = frame.frames[..., 3, :]
     c = {
@@ -353,7 +351,7 @@ def christoffel_isotropic(m: Immersion) -> ChristoffelReport:
     G111 = 2.0 * f_u / f
     G222 = 2.0 * f_v / f
 
-    zu = m.d_du()
+    zu = frame.zu
     zuu = diff_values(zu, g.hu, axis=0, order=FD_ORDER)
     x = frame.frames[..., 0, :]
     y = frame.frames[..., 1, :]

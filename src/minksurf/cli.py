@@ -294,7 +294,14 @@ def _cmd_export(opts: dict) -> int:
 
 
 def _report(command: str, opts: dict, tolerances: dict, metrics: dict) -> dict:
-    inputs = {k: v for k, v in sorted(opts.items()) if k not in ("report",) and v is not None}
+    # list only the options the command read: a triple bundle has its own
+    # grid, and only the jet reads the jet options
+    unread = {"report"}
+    if opts.get("triple"):
+        unread |= {"fixture", "nodes"}
+    if opts.get("triple") or "jet" not in (opts.get("fixture"), opts.get("method")):
+        unread |= {"order", "radius", "case", "seed"}
+    inputs = {k: v for k, v in sorted(opts.items()) if k not in unread and v is not None}
     return {
         "command": command,
         "inputs": inputs,

@@ -111,9 +111,6 @@ class ScalarField:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def min_abs(self) -> float:
-        return float(np.min(np.abs(self.values)))
-
     def interior_max_abs(self, layers: int = 2) -> float:
         su, sv = self.grid.interior(layers)
         return float(np.max(np.abs(self.values[su, sv])))
@@ -233,12 +230,9 @@ def require_away_from_zero(
     raise NearZeroField(f"{msg}: node {node} at (u, v) = {uv}", node=node, uv=uv)
 
 
-def ln_abs(s: ScalarField, mu_min: float = MU_MIN, require_constant_sign: bool = False) -> ScalarField:
-    """Pointwise ln|s|; rejects fields that come within mu_min of zero.
-
-    With require_constant_sign the samples must not change sign either.
-    """
-    require_away_from_zero(s, mu_min, constant_sign=require_constant_sign)
+def ln_abs(s: ScalarField, mu_min: float = MU_MIN) -> ScalarField:
+    """Pointwise ln|s|; rejects fields that come within mu_min of zero."""
+    require_away_from_zero(s, mu_min)
     return ScalarField(s.grid, np.log(np.abs(s.values)))
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import immersion_of
+from minksurf import fields
 from minksurf.analysis import (
     Immersion,
     SurfaceClass,
@@ -11,8 +12,11 @@ from minksurf.analysis import (
     geometric_frame,
     invariants,
 )
+from minksurf.canonical import canonicalize
 from minksurf.errors import MinimalOrTotallyGeodesic, NotIsotropic
 from minksurf.fields import GridSpec
+from minksurf.fixtures import goursat_hyperbolic_triple, jet_triple
+from minksurf.frames import reconstruct
 from minksurf.natural import Case
 
 
@@ -71,8 +75,45 @@ def test_cylinder_geometric_frame(cylinder):
     assert np.max(np.abs(n1[..., 0] + np.cos(th))[su, sv]) < 1e-5
     assert np.max(np.abs(n1[..., 1] + np.sin(th))[su, sv]) < 1e-5
     assert np.max(np.abs(n1[..., 2])[su, sv]) < 1e-10
-    # frame orientation fixed: det > 0
-    assert np.all(np.linalg.det(gf.frames) > 0)
+
+
+# every surface the frame is built on: the cylinder, each reconstructed fixture
+# and a canonicalized immersion
+ORIENTED_SURFACES = {
+    "cylinder": lambda request: request.getfixturevalue("cylinder"),
+    "jet-positive": lambda request: immersion_of(request.getfixturevalue("jet_bundle")),
+    "jet-negative": lambda request: immersion_of(request.getfixturevalue("negative_jet_bundle")),
+    "jet-degenerate": lambda request: immersion_of(reconstruct(jet_triple(Case.DEGENERATE, nodes=33))),
+    "goursat-degenerate": lambda request: immersion_of(request.getfixturevalue("degenerate_bundle")),
+    "goursat-hyperbolic": lambda request: immersion_of(reconstruct(goursat_hyperbolic_triple(33))),
+    "canonicalized-jet": lambda request: canonicalize(immersion_of(request.getfixturevalue("jet_bundle"))).immersion,
+}
+
+
+@pytest.mark.parametrize("surface", ORIENTED_SURFACES)
+def test_geometric_frame_orientation(request, surface):
+    # n2 is oriented by construction; this determinant is the only check of it
+    gf = geometric_frame(ORIENTED_SURFACES[surface](request))
+    det = np.linalg.det(gf.frames)
+    assert np.all(det > 0)
+    assert np.max(np.abs(det - 1.0)) <= 1e-3
+
+
+def test_order4_stencil_passes(monkeypatch, jet_bundle):
+    # each derivative of z is taken once per frame
+    m = immersion_of(jet_bundle)
+    calls = []
+    diff4 = fields._diff4
+    monkeypatch.setattr(fields, "_diff4", lambda *args: calls.append(1) or diff4(*args))
+
+    def passes(fn):
+        calls.clear()
+        fn(m)
+        return len(calls)
+
+    assert passes(geometric_frame) == 3
+    assert passes(invariants) <= 13
+    assert passes(canonicalize) <= 18
 
 
 def test_cylinder_frame_functions(cylinder):

@@ -142,6 +142,41 @@ def test_solve_and_residual_roundtrip(tmp_path):
     assert data["metrics"]["interior_max_abs"] <= 1e-2
 
 
+def test_report_inputs_from_triple_bundle(tmp_path):
+    out = tmp_path / "triple"
+    assert run(["solve", "--method", "jet", "--case", "negative", "--nodes", "33", "--out", str(out)]) == 0
+    report = tmp_path / "res.json"
+    assert run(["residual", "--triple", str(out), "--report", str(report)]) == 0
+    # the bundle carries the grid and the triple: no fixture, size or jet option was read
+    assert json.loads(report.read_text())["inputs"] == {"triple": str(out)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--fixture", "goursat-degenerate", "--nodes", "65"],
+    ["solve", "--method", "goursat-degenerate", "--nodes", "65"],
+])
+def test_report_inputs_of_non_jet_source(tmp_path, argv):
+    report = tmp_path / "r.json"
+    assert run(argv + ["--out", str(tmp_path / "out"), "--report", str(report)]) == 0
+    inputs = json.loads(report.read_text())["inputs"]
+    assert inputs["nodes"] == 65
+    assert not {"order", "radius", "case", "seed"} & set(inputs)
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["residual", "--fixture", "jet", "--nodes", "33"], {"fixture", "nodes", "order", "radius", "case"}),
+    (["solve", "--method", "jet", "--nodes", "33", "--out", "OUT"],
+     {"method", "nodes", "order", "radius", "case", "seed", "out"}),
+])
+def test_report_inputs_of_jet_keep_jet_options(tmp_path, argv, keys):
+    report = tmp_path / "r.json"
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    assert run(argv + ["--report", str(report)]) == 0
+    inputs = json.loads(report.read_text())["inputs"]
+    assert set(inputs) == keys
+    assert inputs["case"] == "positive" and inputs["order"] == 6
+
+
 def test_analyze_cylinder(tmp_path):
     report = tmp_path / "inv.json"
     code = run(["analyze", "--fixture", "cylinder", "--nodes", "33", "--report", str(report)])

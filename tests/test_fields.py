@@ -13,6 +13,7 @@ from minksurf.fields import (
     d_dv,
     diff_values,
     ln_abs,
+    require_away_from_zero,
     resample,
     sqrt_abs,
 )
@@ -103,14 +104,14 @@ def test_ln_abs_sign_constancy_flag():
     vals = np.ones((G.Nu, G.Nv))
     vals[4:, 2:] = -1.0
     with pytest.raises(NearZeroField) as info:
-        ln_abs(ScalarField(G, vals), require_constant_sign=True)
+        require_away_from_zero(ScalarField(G, vals), constant_sign=True)
     # the first node whose sign differs from node (0, 0)
     assert info.value.node == (4, 2)
     assert info.value.uv == (G.u_nodes[4], G.v_nodes[2])
     with pytest.raises(NearZeroField) as info:
         sqrt_abs(ScalarField(G, -vals), mu_min=1.5)
     assert info.value.node == (0, 0)
-    # without the flag, |value| >= mu_min passes
+    # without the sign check, |value| >= mu_min passes
     ln_abs(ScalarField(G, vals))
 
 
