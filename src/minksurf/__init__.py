@@ -27,7 +27,7 @@ from .canonical import (
     canonicalize,
     check_separability,
 )
-from .fields import GridSpec, ScalarField, d_du, d_dudv, d_dv, ln_abs, resample, sqrt_abs
+from .fields import GridSpec, ScalarField, d_du, d_dudv, d_dv, ln_abs, sqrt_abs
 from .frames import (
     CoefficientMatrices,
     ReconstructionBundle,
@@ -38,14 +38,7 @@ from .frames import (
     reconstruct,
 )
 from .jets import JetSeed, jet_coefficients, jet_manufacture
-from .minkowski import (
-    FrameState,
-    gram_residual,
-    lorentz_inner,
-    mink_vec,
-    minkowski_cross,
-    standard_frame,
-)
+from .minkowski import gram_residual, lorentz_inner, minkowski_cross, standard_frame
 from .natural import (
     CanonicalTriple,
     Case,

@@ -68,15 +68,17 @@ class Immersion:
     def d_dv(self) -> np.ndarray:
         return diff_values(self.points, self.grid.hv, axis=1, order=FD_ORDER)
 
-    def resample(self, new_u: np.ndarray, new_v: np.ndarray) -> "Immersion":
-        """Bicubic sampling (`fields.bicubic`) at the given coordinate arrays.
+    def resample(self, grid: GridSpec, at_u: np.ndarray, at_v: np.ndarray) -> "Immersion":
+        """The immersion on `grid`, node (i, j) sampled at (at_u[i], at_v[j]).
 
-        The returned grid spans the target endpoints assuming uniform nodes;
-        callers passing non-uniform targets (the canonicalization quadrature
-        does) must relabel the grid themselves.
+        Samples by `fields.bicubic`.  The caller names the new grid, so the
+        sample coordinates need not be its nodes: canonicalization samples at
+        the inverse of its quadrature map and labels the nodes (ubar, vbar).
         """
-        new_grid = GridSpec(new_u[0], new_u[-1], new_v[0], new_v[-1], len(new_u), len(new_v))
-        return Immersion(new_grid, bicubic(self.points, self.grid, new_u, new_v))
+        if (len(at_u), len(at_v)) != (grid.Nu, grid.Nv):
+            raise ValidationError(f"{len(at_u)} x {len(at_v)} sample coordinates for a "
+                                  f"{grid.Nu} x {grid.Nv} grid")
+        return Immersion(grid, bicubic(self.points, self.grid, at_u, at_v))
 
     def transpose(self) -> "Immersion":
         """Swap the roles of u and v (used by the canonicalization role-swap)."""

@@ -160,9 +160,9 @@ def canonicalize(m: Immersion) -> CanonicalizationResult:
         vbar = cumulative_simpson(np.sqrt(psi), dx=g.hv, initial=0.0)
         src_v = _monotone_inverse(vbar, g.v_nodes, np.linspace(0.0, vbar[-1], g.Nv))
     src_u = _monotone_inverse(ubar, g.u_nodes, np.linspace(0.0, ubar[-1], g.Nu))
-    # relabel the node coordinates as (ubar, vbar)
+    # sample at (src_u, src_v), label the nodes (ubar, vbar)
     new_grid = GridSpec(0.0, ubar[-1], vbar[0], vbar[-1], g.Nu, g.Nv)
-    new_m = Immersion(new_grid, m.resample(src_u, src_v).points)
+    new_m = m.resample(new_grid, src_u, src_v)
     funcs2 = frame_functions(new_m)
 
     if degenerate:

@@ -22,10 +22,6 @@ class GridTooSmall(ValidationError):
     """Grid has fewer than 5 nodes along an axis."""
 
 
-class OutOfDomain(ValidationError):
-    """Resampling nodes fall outside the source domain."""
-
-
 class ConfigError(ValidationError):
     """Malformed job configuration (unknown keys, bad values)."""
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
-from .errors import GridTooSmall, NearZeroField, OutOfDomain, ValidationError
+from .errors import GridTooSmall, NearZeroField, ValidationError
 
 MU_MIN = 1e-8  # guards ln|mu| and 1/sqrt|mu| against blow-up
 
@@ -249,6 +249,7 @@ def sqrt_abs(s: ScalarField, mu_min: float = MU_MIN) -> ScalarField:
 def bicubic(values: np.ndarray, grid: GridSpec, new_u: np.ndarray, new_v: np.ndarray) -> np.ndarray:
     """Not-a-knot tensor cubic interpolant of node samples on a target mesh.
 
+    The package's one resampler; `Immersion.resample` calls it.
     values has shape (Nu, Nv, ...) with any trailing axes (components,
     matrices); the result has shape (len(new_u), len(new_v), ...).  Targets
     are clipped into the domain.  The tensor interpolant equals a 1-D
@@ -259,24 +260,3 @@ def bicubic(values: np.ndarray, grid: GridSpec, new_u: np.ndarray, new_v: np.nda
     cv = np.clip(new_v, grid.v0, grid.v1)
     along_u = make_interp_spline(grid.u_nodes, values, k=3, axis=0)(cu)
     return make_interp_spline(grid.v_nodes, along_u, k=3, axis=1)(cv)
-
-
-def resample(s: ScalarField, new_u: np.ndarray, new_v: np.ndarray) -> ScalarField:
-    """Bicubic resampling onto a new uniform node set inside the domain."""
-    new_u = np.asarray(new_u, dtype=float)
-    new_v = np.asarray(new_v, dtype=float)
-    g = s.grid
-    pad_u = 1e-12 * (g.u1 - g.u0)
-    pad_v = 1e-12 * (g.v1 - g.v0)
-    if new_u.min() < g.u0 - pad_u or new_u.max() > g.u1 + pad_u:
-        raise OutOfDomain("u nodes leave the source domain")
-    if new_v.min() < g.v0 - pad_v or new_v.max() > g.v1 + pad_v:
-        raise OutOfDomain("v nodes leave the source domain")
-    if np.any(np.diff(new_u) <= 0) or np.any(np.diff(new_v) <= 0):
-        raise ValidationError("new nodes must be strictly increasing")
-    hu = np.diff(new_u)
-    hv = np.diff(new_v)
-    if np.ptp(hu) > 1e-9 * (new_u[-1] - new_u[0]) or np.ptp(hv) > 1e-9 * (new_v[-1] - new_v[0]):
-        raise ValidationError("resample targets must be uniform node sets")
-    new_grid = GridSpec(new_u[0], new_u[-1], new_v[0], new_v[-1], len(new_u), len(new_v))
-    return ScalarField(new_grid, bicubic(s.values, g, new_u, new_v))

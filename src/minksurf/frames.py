@@ -30,7 +30,7 @@ from scipy.interpolate import make_interp_spline
 
 from .errors import ResidualTooLarge, StepUnstable, ValidationError
 from .fields import GridSpec, ScalarField, d_du, d_dv, diff_values, sqrt_abs
-from .minkowski import FrameState, gram_residual, standard_frame
+from .minkowski import gram_residual, standard_frame
 from .natural import CanonicalTriple, Case, residual
 
 TOL_BUILD = 1e-3      # residual gate before reconstruction
@@ -89,25 +89,24 @@ def compatibility_residual(t: CanonicalTriple, cm: CoefficientMatrices | None = 
 RK4_SUBSTEPS = 2  # per grid interval; 1 leaves ~3e-9 vs the matrix-exponential oracle
 
 
-def _rk4_line(F0: np.ndarray, mats_at, grid: GridSpec, axis: int, sweep: str,
-              substeps: int = RK4_SUBSTEPS) -> np.ndarray:
+def _rk4_line(F0: np.ndarray, mats_at, grid: GridSpec, axis: int, sweep: str) -> np.ndarray:
     """RK4 transport of stacked frames along the grid lines of one sweep.
 
     Lines run along grid axis `axis`; batch member b is line b of the other
     axis.  F0: (batch, 4, 4); mats_at(s) -> (len(s), batch, 4, 4) is a cubic
     spline along the lines; returns (nodes along axis, batch, 4, 4).  Each grid
-    interval takes `substeps` RK4 steps, whose 2*substeps + 1 stage matrices
-    come from one mats_at call (a step ends where the next starts).
+    interval takes RK4_SUBSTEPS RK4 steps, whose 2 * RK4_SUBSTEPS + 1 stage
+    matrices come from one mats_at call (a step ends where the next starts).
     """
     coords = grid.u_nodes if axis == 0 else grid.v_nodes
-    h = (coords[1] - coords[0]) / substeps
+    h = (coords[1] - coords[0]) / RK4_SUBSTEPS
     out = np.empty((len(coords),) + F0.shape)
     out[0] = F0
     F = F0
     for k in range(len(coords) - 1):
-        s = coords[k] + np.arange(substeps) * h
+        s = coords[k] + np.arange(RK4_SUBSTEPS) * h
         stages = mats_at(np.append(np.column_stack([s, s + 0.5 * h]).ravel(), s[-1] + h))
-        for m in range(substeps):
+        for m in range(RK4_SUBSTEPS):
             M0, M1, M2 = stages[2 * m], stages[2 * m + 1], stages[2 * m + 2]
             k1 = M0 @ F
             k2 = M1 @ (F + 0.5 * h * k1)
@@ -138,22 +137,23 @@ def _transport(cm: CoefficientMatrices, F0m: np.ndarray, bottom_first: bool) -> 
     return _rk4_line(edge, make_interp_spline(u, cm.A, k=3), g, 0, "rows")
 
 
-def integrate_frame(t: CanonicalTriple, F0: FrameState | np.ndarray | None = None,
+def integrate_frame(t: CanonicalTriple, F0: np.ndarray | None = None,
                     cm: CoefficientMatrices | None = None):
     """Transport the frame over the grid; returns (frames, diagnostics).
 
-    `cm` is t's prebuilt coefficient matrices, if any.  frames has shape
-    (Nu, Nv, 4, 4).  Diagnostics: gram_drift (max deviation of the transported
-    Gram products over all nodes) and path_discrepancy (max entry difference
-    against the alternate integration order).
+    F0 is the (4, 4) initial frame at (u0, v0), `standard_frame()` when None,
+    pseudo-orthonormal within F0_GRAM_TOL.  `cm` is t's prebuilt coefficient
+    matrices, if any.  frames has shape (Nu, Nv, 4, 4).  Diagnostics:
+    gram_drift (max deviation of the transported Gram products over all
+    nodes) and path_discrepancy (max entry difference against the alternate
+    integration order).
     """
-    if F0 is None:
-        F0 = standard_frame()
-    F0m = F0.mat if isinstance(F0, FrameState) else np.asarray(F0, dtype=float)
-    if gram_residual(F0m) > F0_GRAM_TOL:
-        raise ValidationError(
-            f"initial frame impure: gram residual {gram_residual(F0m):.3e} > {F0_GRAM_TOL:.0e}"
-        )
+    F0m = standard_frame() if F0 is None else np.asarray(F0, dtype=float)
+    if F0m.shape != (4, 4):
+        raise ValidationError(f"initial frame must be 4x4, got shape {F0m.shape}")
+    drift = gram_residual(F0m)
+    if not drift <= F0_GRAM_TOL:  # NaN fails too
+        raise ValidationError(f"initial frame impure: gram residual {drift:.3e} > {F0_GRAM_TOL:.0e}")
     cm = cm or coefficient_matrices(t)
     frames = _transport(cm, F0m, bottom_first=True)
     alt = _transport(cm, F0m, bottom_first=False)
@@ -203,7 +203,7 @@ class ReconstructionBundle:
 def reconstruct(
     t: CanonicalTriple,
     p0: np.ndarray | None = None,
-    F0: FrameState | None = None,
+    F0: np.ndarray | None = None,
     tol_build: float = TOL_BUILD,
     force: bool = False,
 ) -> ReconstructionBundle:

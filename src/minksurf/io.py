@@ -163,13 +163,15 @@ def read_triple_bundle(dirpath: str) -> CanonicalTriple:
         case = Case(sidecar["case"])
         grid = GridSpec.from_dict(sidecar["grid"])
         sign_mu = sidecar["sign_mu"]
-        flags = tuple(sidecar.get("flags", []))
+        flags = sidecar.get("flags", [])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{dirpath}: malformed triple.json: {exc!r}") from exc
+    if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
+        raise ConfigError(f"{dirpath}: triple.json flags must be a list of strings, got {flags!r}")
     lam = read_field_csv(os.path.join(dirpath, "lambda.csv"))
     mu = read_field_csv(os.path.join(dirpath, "mu.csv"))
     nu = read_field_csv(os.path.join(dirpath, "nu.csv"))
-    t = CanonicalTriple(lam=lam, mu=mu, nu=nu, case=case, flags=flags)
+    t = CanonicalTriple(lam=lam, mu=mu, nu=nu, case=case, flags=tuple(flags))
     if grid != t.grid:
         raise ConfigError(f"{dirpath}: triple.json grid {grid} disagrees with the CSV grid {t.grid}")
     if sign_mu != t.sign_mu:
@@ -219,10 +221,9 @@ def write_report(report: dict, path: str) -> None:
         fh.write(report_text(report))
 
 
-def invariant_report_dict(rep: InvariantReport, layers: int = 2) -> dict:
-    """Interior min/max summary of every invariant field."""
-    g = rep.K_metric.grid
-    su, sv = g.interior(layers)
+def invariant_report_dict(rep: InvariantReport) -> dict:
+    """Interior min/max summary of every invariant field (two boundary layers dropped)."""
+    su, sv = rep.K_metric.grid.interior()
 
     def mm(field: ScalarField) -> dict:
         inner = field.values[su, sv]
@@ -238,7 +239,7 @@ def invariant_report_dict(rep: InvariantReport, layers: int = 2) -> dict:
         "Delta2": mm(rep.Delta2),
         "Delta3": mm(rep.Delta3),
         "beta_max": float(
-            max(rep.functions.beta1.interior_max_abs(layers), rep.functions.beta2.interior_max_abs(layers))
+            max(rep.functions.beta1.interior_max_abs(), rep.functions.beta2.interior_max_abs())
         ),
         "nu": mm(rep.functions.nu),
         "classification": rep.overall_class().value,

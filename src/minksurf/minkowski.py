@@ -8,11 +8,7 @@ multiply from the left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import ValidationError
 
 # diag of the ambient metric: <a,b> = a1 b1 + a2 b2 + a3 b3 - a4 b4
 METRIC_DIAG = np.array([1.0, 1.0, 1.0, -1.0])
@@ -27,14 +23,6 @@ TARGET_GRAM = np.array(
         [0.0, 0.0, 0.0, 1.0],
     ]
 )
-
-
-def mink_vec(c1: float, c2: float, c3: float, c4: float) -> np.ndarray:
-    """Build a Minkowski 4-vector, checking finiteness."""
-    vec = np.array([c1, c2, c3, c4], dtype=float)
-    if not np.all(np.isfinite(vec)):
-        raise ValidationError("Minkowski vector components must be finite")
-    return vec
 
 
 def lorentz_inner(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
@@ -54,67 +42,30 @@ def gram_matrix(frames: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,k,...jk->...ij", frames, METRIC_DIAG, frames)
 
 
-def gram_residual(frame) -> float | np.ndarray:
+def gram_residual(frame: np.ndarray) -> float | np.ndarray:
     """Max absolute deviation of the 10 frame inner products from their targets.
 
-    Accepts a FrameState, a single 4x4 array, or a batch (..., 4, 4); returns
-    a scalar or the batch of per-frame residuals.
+    Accepts a single 4x4 frame or a batch (..., 4, 4); returns a scalar or the
+    batch of per-frame residuals.  A NaN entry gives NaN.
     """
-    mat = frame.mat if isinstance(frame, FrameState) else np.asarray(frame, dtype=float)
-    dev = np.abs(gram_matrix(mat) - TARGET_GRAM)
+    dev = np.abs(gram_matrix(frame) - TARGET_GRAM)
     out = dev.max(axis=(-2, -1))
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class FrameState:
-    """Pseudo-orthonormal frame snapshot; rows of mat are x, y, n1, n2."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=float)
-        if mat.shape != (4, 4):
-            raise ValidationError("frame matrix must be 4x4")
-        object.__setattr__(self, "mat", mat)
-
-    @classmethod
-    def from_vectors(cls, x, y, n1, n2) -> "FrameState":
-        return cls(np.stack([x, y, n1, n2]))
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.mat[0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.mat[1]
-
-    @property
-    def n1(self) -> np.ndarray:
-        return self.mat[2]
-
-    @property
-    def n2(self) -> np.ndarray:
-        return self.mat[3]
-
-    def gram_residual(self) -> float:
-        return gram_residual(self.mat)
-
-
-def standard_frame() -> FrameState:
+def standard_frame() -> np.ndarray:
     """Default initial frame: lightlike pair in the (1,4)-plane, normals e2, e3.
 
-    x = (1,0,0,1)/sqrt2, y = (-1,0,0,1)/sqrt2, n1 = e2, n2 = e3; the component
-    matrix has determinant +1.
+    Rows x = (1,0,0,1)/sqrt2, y = (-1,0,0,1)/sqrt2, n1 = e2, n2 = e3; the
+    4x4 array has determinant +1.
     """
     s = 1.0 / np.sqrt(2.0)
-    return FrameState.from_vectors(
-        mink_vec(s, 0.0, 0.0, s),
-        mink_vec(-s, 0.0, 0.0, s),
-        mink_vec(0.0, 1.0, 0.0, 0.0),
-        mink_vec(0.0, 0.0, 1.0, 0.0),
-    )
+    return np.array([
+        [s, 0.0, 0.0, s],
+        [-s, 0.0, 0.0, s],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0],
+    ])
 
 
 def minkowski_cross(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

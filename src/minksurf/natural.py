@@ -50,6 +50,7 @@ from .fields import MU_MIN, GridSpec, ScalarField, d_du, d_dudv, d_dv, ln_abs, r
 G_LIMIT = 50.0          # |ln mu| trust region during marching
 CLASSIFY_TOL = 1e-10    # relative zero threshold for K - H^2
 PICARD_TOL = 1e-10      # sweep-to-sweep change at which the eps = -1 sweep stops
+MAX_SWEEPS = 25         # Picard sweeps before the eps = -1 sweep raises NoConvergence
 NEWTON_TOL = 1e-8       # Newton correction at which a march front stops (see _goursat_march)
 
 
@@ -341,7 +342,6 @@ def solve_goursat_hyperbolic(
     g_left,
     grid: GridSpec,
     sign_mu: int = 1,
-    max_sweeps: int = 25,
 ) -> CanonicalTriple:
     """eps = -1 fixture generator via the characteristic reformulation.
 
@@ -351,11 +351,10 @@ def solve_goursat_hyperbolic(
     sweeps alternate the g-march with the transports dp = lam dg and
     dq = lam dg, each integrated by the trapezoid rule along the diagonal
     step from the previous row, until the max sweep-to-sweep change drops
-    below PICARD_TOL.  Residual is O(h^2).  The diagonal steps land on nodes
-    only when hu == hv, so any other grid raises ValidationError.
+    below PICARD_TOL; NoConvergence after MAX_SWEEPS sweeps.  Residual is
+    O(h^2).  The diagonal steps land on nodes only when hu == hv, so any
+    other grid raises ValidationError.
     """
-    if max_sweeps < 1:
-        raise ValidationError("max_sweeps must be at least 1")
     if not np.isclose(grid.hu, grid.hv, rtol=1e-12, atol=0.0):
         raise ValidationError(f"characteristic sweep needs hu == hv, got hu {grid.hu!r}, hv {grid.hv!r}")
     Nu, Nv = grid.Nu, grid.Nv
@@ -377,7 +376,7 @@ def solve_goursat_hyperbolic(
     g = gb[:, None] + gl[None, :] - gb[0]
 
     deltas = []
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         p_old, q_old, g_old = p, q, g
         lam = 0.5 * (p_old + q_old)
 
@@ -401,7 +400,7 @@ def solve_goursat_hyperbolic(
     else:
         last = ", ".join(f"{d:.3e}" for d in deltas[-3:])
         raise NoConvergence(
-            f"Picard sweeps did not converge in {max_sweeps} sweeps (tol {PICARD_TOL:.1e}); last changes {last}",
+            f"Picard sweeps did not converge in {MAX_SWEEPS} sweeps (tol {PICARD_TOL:.1e}); last changes {last}",
             deltas,
         )
 

@@ -41,7 +41,7 @@ def test_criterion_1_exact_constant_fixture():
 
     A = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [-1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
     B = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float)
-    F0 = standard_frame().mat
+    F0 = standard_frame()
     g = t.grid
     frame_err = 0.0
     for i in range(0, 65, 4):
@@ -249,8 +249,7 @@ def test_criterion_8_canonicalization():
     )
     # the same surface sampled with u' = u/2 must canonicalize identically
     up = np.linspace(0.0, 0.5, 65)
-    stretched = m.resample(2 * up, m.grid.v_nodes)
-    stretched = Immersion(GridSpec(0.0, 0.5, 0.0, 1.0, 65, 65), stretched.points)
+    stretched = m.resample(GridSpec(0.0, 0.5, 0.0, 1.0, 65, 65), 2 * up, m.grid.v_nodes)
     res2 = canonicalize(stretched)
     inv_err = max(
         float(np.max(np.abs(res2.triple.lam.values - res0.triple.lam.values)[su, sv])),

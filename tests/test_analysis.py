@@ -13,7 +13,7 @@ from minksurf.analysis import (
     invariants,
 )
 from minksurf.canonical import canonicalize
-from minksurf.errors import MinimalOrTotallyGeodesic, NotIsotropic
+from minksurf.errors import MinimalOrTotallyGeodesic, NotIsotropic, ValidationError
 from minksurf.fields import GridSpec
 from minksurf.fixtures import goursat_hyperbolic_triple, jet_triple
 from minksurf.frames import reconstruct
@@ -242,6 +242,16 @@ def test_christoffel_exponential_metric(degenerate_bundle):
 def test_immersion_transpose_roundtrip(cylinder):
     back = cylinder.transpose().transpose()
     assert np.array_equal(back.points, cylinder.points)
+
+
+def test_immersion_resample_onto_named_grid(cylinder):
+    g = cylinder.grid
+    half = GridSpec(g.u0, g.u1, g.v0, g.v1, (g.Nu + 1) // 2, (g.Nv + 1) // 2)
+    out = cylinder.resample(half, g.u_nodes[::2], g.v_nodes[::2])
+    assert out.grid == half
+    assert np.max(np.abs(out.points - cylinder.points[::2, ::2])) <= 1e-13
+    with pytest.raises(ValidationError, match="sample coordinates"):
+        cylinder.resample(half, g.u_nodes, g.v_nodes[::2])
 
 
 def test_round_trip_negative_mu():

@@ -124,14 +124,20 @@ def test_canonicalize_degenerate(degenerate_bundle):
     assert res.diagnostics["nu_projection_dev"] <= 1e-4
 
 
+@pytest.mark.parametrize("bundle_name", ["jet_bundle", "degenerate_bundle"])
+def test_canonicalize_immersion_lives_on_the_canonical_grid(request, bundle_name):
+    res = canonicalize(immersion_of(request.getfixturevalue(bundle_name)))
+    assert res.immersion.grid == res.repar.new_grid
+    assert res.triple.grid == res.repar.new_grid
+
+
 def test_canonicalize_reparametrization_invariance(constant_bundle):
     # sampling the same surface with u' = u/2 (so z'(u', v) = z(2u', v))
     # must canonicalize to the same triple on the shared domain
     m = immersion_of(constant_bundle)
     res0 = canonicalize(m)
     up = np.linspace(0.0, 0.5, 65)
-    stretched = m.resample(2 * up, m.grid.v_nodes)
-    stretched = Immersion(GridSpec(0.0, 0.5, 0.0, 1.0, 65, 65), stretched.points)
+    stretched = m.resample(GridSpec(0.0, 0.5, 0.0, 1.0, 65, 65), 2 * up, m.grid.v_nodes)
     res2 = canonicalize(stretched)
     g2 = res2.triple.grid
     assert abs(g2.u1 - res0.triple.grid.u1) < 1e-4

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minksurf.errors import GridTooSmall, NearZeroField, OutOfDomain
+from minksurf.errors import GridTooSmall, NearZeroField
 from minksurf.fields import (
     GridSpec,
     ScalarField,
@@ -14,7 +14,6 @@ from minksurf.fields import (
     diff_values,
     ln_abs,
     require_away_from_zero,
-    resample,
     sqrt_abs,
 )
 
@@ -124,25 +123,24 @@ def test_ln_abs_analytic_propagation():
 
 def test_resample_identity_and_quadratic():
     s = field_of(lambda U, V: U**2 + V**2)
-    same = resample(s, G.u_nodes, G.v_nodes)
-    assert np.max(np.abs(same.values - s.values)) < 1e-13
+    same = bicubic(s.values, G, G.u_nodes, G.v_nodes)
+    assert np.max(np.abs(same - s.values)) < 1e-13
     new_u = np.linspace(0.1, 0.9, 21)
     new_v = np.linspace(0.2, 0.8, 17)
-    out = resample(s, new_u, new_v)
-    U, V = out.grid.mesh()
-    assert np.max(np.abs(out.values - (U**2 + V**2))) < 1e-12
+    out = bicubic(s.values, G, new_u, new_v)
+    U, V = np.meshgrid(new_u, new_v, indexing="ij")
+    assert np.max(np.abs(out - (U**2 + V**2))) < 1e-12
 
 
 def test_resample_order4():
     errs = []
+    half = np.linspace(0.25, 0.75, 41)
+    U, V = np.meshgrid(half, half, indexing="ij")
     for n in (33, 65):
         g = GridSpec(0, 1, 0, 1, n, n)
         s = ScalarField.from_function(g, lambda U, V: np.sin(U + V))
-        half_u = np.linspace(0.25, 0.75, 41)
-        half_v = np.linspace(0.25, 0.75, 41)
-        out = resample(s, half_u, half_v)
-        U, V = out.grid.mesh()
-        errs.append(np.max(np.abs(out.values - np.sin(U + V))))
+        out = bicubic(s.values, g, half, half)
+        errs.append(np.max(np.abs(out - np.sin(U + V))))
     assert np.log2(errs[0] / errs[1]) >= 3.5, errs
 
 
@@ -179,12 +177,6 @@ def test_bicubic_clips_targets_into_domain():
     assert np.array_equal(outside, corners)
 
 
-def test_resample_out_of_domain():
-    s = field_of(lambda U, V: U)
-    with pytest.raises(OutOfDomain):
-        resample(s, np.linspace(-0.5, 0.5, 11), G.v_nodes)
-
-
 def test_diff_values_extra_axes():
     arr = np.stack([G.mesh()[0], 2 * G.mesh()[0]], axis=-1)
     out = diff_values(arr, G.hu, axis=0)
@@ -208,13 +200,13 @@ def test_resample_reproduces_random_cubics(a, b, c, d):
     s = field_of(lambda U, V: a + b * U * V + c * U**3 + d * V**2 * U)
     new_u = np.linspace(0.05, 0.95, 19)
     new_v = np.linspace(0.1, 0.9, 23)
-    out = resample(s, new_u, new_v)
-    U, V = out.grid.mesh()
+    out = bicubic(s.values, G, new_u, new_v)
+    U, V = np.meshgrid(new_u, new_v, indexing="ij")
     exact = a + b * U * V + c * U**3 + d * V**2 * U
     scale = 1.0 + np.max(np.abs(exact))
-    assert np.max(np.abs(out.values - exact)) <= 1e-11 * scale
+    assert np.max(np.abs(out - exact)) <= 1e-11 * scale
     # matrix-valued samples: each entry is the scalar interpolant
     stacked = bicubic(np.stack([s.values, -s.values], axis=-1)[..., None], G, new_u, new_v)
-    assert stacked.shape == out.values.shape + (2, 1)
-    assert np.max(np.abs(stacked[..., 0, 0] - out.values)) <= 1e-14 * scale
-    assert np.max(np.abs(stacked[..., 1, 0] + out.values)) <= 1e-14 * scale
+    assert stacked.shape == out.shape + (2, 1)
+    assert np.max(np.abs(stacked[..., 0, 0] - out)) <= 1e-14 * scale
+    assert np.max(np.abs(stacked[..., 1, 0] + out)) <= 1e-14 * scale

@@ -128,7 +128,7 @@ def test_integrate_frame_matches_matrix_exponential():
     frames, diag = integrate_frame(t)
     A = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [-1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
     B = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float)
-    F0 = standard_frame().mat
+    F0 = standard_frame()
     g = t.grid
     worst = 0.0
     for i in range(0, 65, 8):
@@ -141,9 +141,24 @@ def test_integrate_frame_matches_matrix_exponential():
 
 def test_integrate_frame_rejects_impure_frame():
     t = constant_triple(33)
-    bad = standard_frame().mat + 1e-3
+    bad = standard_frame() + 1e-3
     with pytest.raises(ValidationError):
         integrate_frame(t, bad)
+
+
+def _nan_frame():
+    F = standard_frame()
+    F[2, 1] = np.nan
+    return F
+
+
+@pytest.mark.parametrize("F0, message", [
+    (np.zeros((3, 4)), "must be 4x4"),
+    (_nan_frame(), "impure"),  # NaN compares false against any bound
+], ids=["shape-3x4", "nan-entry"])
+def test_integrate_frame_rejects_malformed_frame(F0, message):
+    with pytest.raises(ValidationError, match=message):
+        integrate_frame(constant_triple(17), F0)
 
 
 def test_integrate_frame_linear_in_initial_frame():
@@ -275,7 +290,7 @@ def _transport_reference(cm, F0m, bottom_first, mul):
 @pytest.mark.parametrize("bottom_first", [True, False])
 def test_transport_matches_einsum_reference(bottom_first):
     cm = coefficient_matrices(jet_triple(Case.POSITIVE_KH, 6, 0.1, 65))
-    F0m = standard_frame().mat
+    F0m = standard_frame()
     frames = _transport(cm, F0m, bottom_first)
     einsum = _transport_reference(cm, F0m, bottom_first, lambda M, F: np.einsum("...ij,...jk->...ik", M, F))
     assert np.max(np.abs(frames - einsum)) <= 1e-15

@@ -95,8 +95,11 @@ def test_triple_bundle_roundtrip(tmp_path):
         lambda sc: sc.update(sign_mu=-sc["sign_mu"]),
         lambda sc: sc.pop("grid"),
         lambda sc: sc.update(flags=5),
+        lambda sc: sc.update(flags="nu-constant"),  # a string is iterable, but not a list of flags
+        lambda sc: sc.update(flags=[1, None]),
     ],
-    ids=["grid-nodes", "grid-bounds", "sign-mu", "no-grid", "flags-not-a-list"],
+    ids=["grid-nodes", "grid-bounds", "sign-mu", "no-grid", "flags-not-a-list", "flags-a-string",
+         "flags-not-strings"],
 )
 def test_triple_bundle_sidecar_must_match_csvs(tmp_path, edit):
     bundle = tmp_path / "bundle"

@@ -6,12 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minksurf.minkowski import (
-    FrameState,
     TARGET_GRAM,
     boost_1_4,
     gram_residual,
     lorentz_inner,
-    mink_vec,
     minkowski_cross,
     standard_frame,
 )
@@ -21,23 +19,18 @@ vec4 = st.tuples(finite, finite, finite, finite).map(lambda t: np.array(t))
 
 
 def test_basis_signature():
-    e1 = mink_vec(1, 0, 0, 0)
-    e4 = mink_vec(0, 0, 0, 1)
+    e1 = np.array([1.0, 0, 0, 0])
+    e4 = np.array([0, 0, 0, 1.0])
     assert lorentz_inner(e1, e1) == 1.0
     assert lorentz_inner(e4, e4) == -1.0
 
 
 def test_lightlike_pair():
     s = 1 / np.sqrt(2)
-    x0 = mink_vec(s, 0, 0, s)
-    y0 = mink_vec(-s, 0, 0, s)
+    x0 = np.array([s, 0, 0, s])
+    y0 = np.array([-s, 0, 0, s])
     assert abs(lorentz_inner(x0, y0) + 1.0) < 1e-15
     assert abs(lorentz_inner(x0, x0)) < 1e-15
-
-
-def test_mink_vec_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        mink_vec(np.inf, 0, 0, 0)
 
 
 @given(vec4, vec4)
@@ -59,15 +52,17 @@ def test_inner_bilinear(a, b, c, s, t):
 def test_standard_frame_exact():
     # 1/sqrt2 squares to 0.5 only within one ulp, so "zero" means <= 1e-15
     F = standard_frame()
-    assert F.gram_residual() <= 1e-15
-    assert abs(np.linalg.det(F.mat) - 1.0) < 1e-14
+    assert F.shape == (4, 4)
+    assert gram_residual(F) <= 1e-15
+    assert abs(np.linalg.det(F) - 1.0) < 1e-14
 
 
 def test_gram_residual_examples():
-    F = standard_frame()
-    bad = F.mat.copy()
+    bad = standard_frame()
     bad[2] = 2 * bad[2]  # n1 -> 2 e2
     assert abs(gram_residual(bad) - 3.0) < 1e-14
+    bad[0, 0] = np.nan
+    assert np.isnan(gram_residual(bad))
 
 
 @given(st.lists(finite, min_size=16, max_size=16))
@@ -86,7 +81,7 @@ def test_gram_residual_matches_bruteforce(flat):
 @pytest.mark.parametrize("phi", [-1.3, 0.4, 2.0])
 def test_gram_residual_boost_invariant(phi):
     rng = np.random.default_rng(3)
-    mat = standard_frame().mat + 0.1 * rng.standard_normal((4, 4))
+    mat = standard_frame() + 0.1 * rng.standard_normal((4, 4))
     L = boost_1_4(phi)
     boosted = mat @ L.T
     assert abs(gram_residual(boosted) - gram_residual(mat)) < 1e-10
@@ -101,12 +96,12 @@ def test_minkowski_cross_orthogonal():
 
 
 def test_minkowski_cross_completes_standard_frame():
-    F = standard_frame()
-    w = minkowski_cross(F.x, F.y, F.n1)
+    x, y, n1, n2 = standard_frame()
+    w = minkowski_cross(x, y, n1)
     w = w / np.sqrt(abs(lorentz_inner(w, w)))
-    if np.linalg.det(np.stack([F.x, F.y, F.n1, w])) < 0:
+    if np.linalg.det(np.stack([x, y, n1, w])) < 0:
         w = -w
-    assert np.allclose(w, F.n2, atol=1e-14)
+    assert np.allclose(w, n2, atol=1e-14)
 
 
 def _cross_by_levi_civita(a, b, c):
@@ -125,8 +120,3 @@ def test_minkowski_cross_matches_levi_civita(shape):
     w = minkowski_cross(a, b, c)
     assert w.shape == shape + (4,)
     assert np.max(np.abs(w - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-
-def test_frame_state_shape_check():
-    with pytest.raises(ValueError):
-        FrameState(np.zeros((3, 4)))
