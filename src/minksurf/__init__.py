@@ -27,7 +27,7 @@ from .canonical import (
     canonicalize,
     check_separability,
 )
-from .fields import GridSpec, ScalarField, d_du, d_dudv, d_dv, ln_abs, sqrt_abs
+from .fields import GridSpec, ScalarField, diff_values, ln_abs, sqrt_abs
 from .frames import (
     CoefficientMatrices,
     ReconstructionBundle,

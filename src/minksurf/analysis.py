@@ -27,7 +27,7 @@ from .errors import (
     NotIsotropic,
     ValidationError,
 )
-from .fields import GridSpec, ScalarField, bicubic, d_dudv, diff_values
+from .fields import GridSpec, ScalarField, bicubic, diff_values
 from .minkowski import lorentz_inner, minkowski_cross
 
 FD_ORDER = 4
@@ -62,12 +62,6 @@ class Immersion:
             raise ValidationError("immersion samples must be finite")
         self.points = pts
 
-    def d_du(self) -> np.ndarray:
-        return diff_values(self.points, self.grid.hu, axis=0, order=FD_ORDER)
-
-    def d_dv(self) -> np.ndarray:
-        return diff_values(self.points, self.grid.hv, axis=1, order=FD_ORDER)
-
     def resample(self, grid: GridSpec, at_u: np.ndarray, at_v: np.ndarray) -> "Immersion":
         """The immersion on `grid`, node (i, j) sampled at (at_u[i], at_v[j]).
 
@@ -99,7 +93,10 @@ class FundamentalForm:
 
 
 def first_fundamental_form(m: Immersion) -> FundamentalForm:
-    return _fundamental_form(m.grid, m.d_du(), m.d_dv())
+    g = m.grid
+    zu = diff_values(m.points, g.hu, axis=0, order=FD_ORDER)
+    zv = diff_values(m.points, g.hv, axis=1, order=FD_ORDER)
+    return _fundamental_form(g, zu, zv)
 
 
 def _fundamental_form(g: GridSpec, zu: np.ndarray, zv: np.ndarray) -> FundamentalForm:
@@ -141,8 +138,8 @@ def geometric_frame(m: Immersion) -> GeometricFrame:
     MinimalOrTotallyGeodesic when |H| falls below its floor anywhere.
     """
     g = m.grid
-    zu = m.d_du()
-    zv = m.d_dv()
+    zu = diff_values(m.points, g.hu, axis=0, order=FD_ORDER)
+    zv = diff_values(m.points, g.hv, axis=1, order=FD_ORDER)
     fff = _fundamental_form(g, zu, zv)
     worst = max(fff.E.max_abs(), fff.G.max_abs())
     limit = ISO_GATE_TOL * fff.F.max_abs()
@@ -274,8 +271,8 @@ def invariants(m: Immersion) -> InvariantReport:
     g = m.grid
     f = frame.f.values
 
-    ln_f_field = ScalarField(g, np.log(f))
-    K_metric = 2.0 / (f * f) * d_dudv(ln_f_field, order=FD_ORDER).values
+    ln_f_u = diff_values(np.log(f), g.hu, axis=0, order=FD_ORDER)
+    K_metric = 2.0 / (f * f) * diff_values(ln_f_u, g.hv, axis=1, order=FD_ORDER)
 
     nu = funcs.nu.values
     K_frame = nu * nu - funcs.lambda1.values * funcs.lambda2.values - funcs.mu1.values * funcs.mu2.values

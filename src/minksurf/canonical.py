@@ -29,7 +29,7 @@ from scipy.interpolate import make_interp_spline
 
 from .analysis import FrameFunctions, Immersion, frame_functions
 from .errors import BothMuZero, NotSeparable
-from .fields import MU_MIN, GridSpec, ScalarField, d_du, d_dv, ln_abs
+from .fields import MU_MIN, GridSpec, ScalarField, diff_values, ln_abs
 from .natural import CanonicalTriple, Case, classify_from_frame
 
 # relative |mu2| (vs |mu1|) below which analysis counts as the degenerate case;
@@ -46,13 +46,16 @@ def check_separability(f: ScalarField, mu1: ScalarField, mu2: ScalarField | None
     scale is the largest |ln(f^2 |mu_i|)|.  The ln_abs guards keep every
     f^2 |mu_i|, and so phi and psi, positive.
     """
-    fsq = f * f
-    ln_phi = ln_abs(fsq * mu1.abs(), mu_min=MU_MIN**2)
-    devs = {"separability_dev_v": d_dv(ln_phi).interior_max_abs()}
+    g = f.grid
+    su, sv = g.interior(2)
+    fsq = f.values * f.values
+    ln_phi = ln_abs(ScalarField(g, fsq * np.abs(mu1.values)), mu_min=MU_MIN**2)
+    devs = {"separability_dev_v": float(np.max(np.abs(diff_values(ln_phi.values, g.hv, 1)[su, sv])))}
     scale = ln_phi.max_abs()
     if mu2 is not None:
-        ln_psi = ln_abs(fsq * mu2.abs(), mu_min=MU_MIN**2)
-        devs = {"separability_dev_u": d_du(ln_psi).interior_max_abs(), **devs}
+        ln_psi = ln_abs(ScalarField(g, fsq * np.abs(mu2.values)), mu_min=MU_MIN**2)
+        dev_u = float(np.max(np.abs(diff_values(ln_psi.values, g.hu, 0)[su, sv])))
+        devs = {"separability_dev_u": dev_u, **devs}
         scale = max(scale, ln_psi.max_abs())
     return devs, scale
 
@@ -148,14 +151,14 @@ def canonicalize(m: Immersion) -> CanonicalizationResult:
         listed = ", ".join(f"{k} {v:.3e}" for k, v in devs.items())
         raise NotSeparable(f"separability deviations ({listed}) exceed {limit:.3e}")
 
-    fsq = funcs.f * funcs.f
-    phi = np.mean((fsq * funcs.mu1.abs()).values[:, sv], axis=1)
+    fsq = funcs.f.values * funcs.f.values
+    phi = np.mean((fsq * np.abs(funcs.mu1.values))[:, sv], axis=1)
     if degenerate:
         psi = None
         ubar = cumulative_simpson(phi, dx=g.hu, initial=0.0)
         vbar = src_v = g.v_nodes
     else:
-        psi = np.mean((fsq * funcs.mu2.abs()).values[su, :], axis=0)
+        psi = np.mean((fsq * np.abs(funcs.mu2.values))[su, :], axis=0)
         ubar = cumulative_simpson(np.sqrt(phi), dx=g.hu, initial=0.0)
         vbar = cumulative_simpson(np.sqrt(psi), dx=g.hv, initial=0.0)
         src_v = _monotone_inverse(vbar, g.v_nodes, np.linspace(0.0, vbar[-1], g.Nv))

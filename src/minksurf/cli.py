@@ -24,12 +24,6 @@ from .errors import ConfigError, MinksurfError, ValidationError
 from .frames import TOL_BUILD, reconstruct
 from .natural import Case, residual
 
-CASE_BY_NAME = {
-    "positive": Case.POSITIVE_KH,
-    "negative": Case.NEGATIVE_KH,
-    "degenerate": Case.DEGENERATE,
-}
-
 # per-command option schema: dest -> (type, default); used both for argparse
 # and for validating job-config keys
 SCHEMAS = {
@@ -98,9 +92,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
             merged[dest] = _config_value(dest, typ, config[dest])
         else:
             merged[dest] = default
-    for key in ("tol_build",):
-        if key in merged and merged[key] is not None and not merged[key] > 0:  # NaN too
-            raise ConfigError(f"{key} must be positive")
+    if "tol_build" in merged and not merged["tol_build"] > 0:  # NaN too
+        raise ConfigError("tol_build must be positive")
     if merged.get("nodes") is not None and merged["nodes"] < 5:
         raise ConfigError("nodes must be at least 5")
     return merged
@@ -126,9 +119,10 @@ def _config_value(dest: str, typ: type, val):
 
 
 def _case_of(name: str) -> Case:
-    if name not in CASE_BY_NAME:
-        raise ConfigError(f"case must be one of {sorted(CASE_BY_NAME)}")
-    return CASE_BY_NAME[name]
+    try:
+        return Case(name)
+    except ValueError:
+        raise ConfigError(f"case must be one of {sorted(c.value for c in Case)}") from None
 
 
 def _load_triple(opts: dict):
@@ -138,9 +132,9 @@ def _load_triple(opts: dict):
     return fixtures.make_triple_fixture(
         name,
         nodes=opts["nodes"],
-        order=opts.get("order", 6),
-        radius=opts.get("radius", 0.1),
-        case=_case_of(opts.get("case", "positive")),
+        order=opts["order"],
+        radius=opts["radius"],
+        case=_case_of(opts["case"]),
     )
 
 

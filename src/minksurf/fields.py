@@ -1,14 +1,16 @@
 """Scalar fields of (u, v) on uniform rectangular grids.
 
-A ScalarField is a sampled Nu x Nv array.  `ScalarField.from_function`
+A ScalarField is a grid plus its Nu x Nv samples, checked for shape and
+finiteness; it has no arithmetic.  Library code computes on the sample
+arrays and wraps only the fields it returns.  `ScalarField.from_function`
 samples a callable of (u, v) and records it as `evaluator`, so callers can
 evaluate the same closed form off the grid; nothing in this module reads it.
-Every derivative, and every transform (`ln_abs`, `sqrt_abs`), works on the
-samples alone: differentiation is always the order-2 stencil (central, with
-3-point one-sided closures on the boundary rows and columns) or, on request,
-the order-4 stencil used by the analysis pipeline.
 
-All fields are immutable by convention: operations return new instances.
+`diff_values` is the one way to differentiate: it acts on a raw sample
+array (any trailing axes) with the order-2 stencil (central, with 3-point
+one-sided closures on the boundary rows and columns) or, on request, the
+order-4 stencil used by the analysis pipeline.  The transforms `ln_abs` and
+`sqrt_abs` work on the samples alone.
 """
 
 from __future__ import annotations
@@ -115,54 +117,9 @@ class ScalarField:
         su, sv = self.grid.interior(layers)
         return float(np.max(np.abs(self.values[su, sv])))
 
-    def sign_constant(self) -> bool:
-        return bool(np.all(self.values > 0) or np.all(self.values < 0))
-
-    # -- arithmetic (drops evaluators) --------------------------------------
-
-    def _binop(self, other, op) -> "ScalarField":
-        if isinstance(other, ScalarField):
-            if other.grid != self.grid:
-                raise ValidationError("fields live on different grids")
-            return ScalarField(self.grid, op(self.values, other.values))
-        return ScalarField(self.grid, op(self.values, other))
-
-    def __add__(self, other):
-        return self._binop(other, np.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, np.subtract)
-
-    def __rsub__(self, other):
-        return ScalarField(self.grid, other - self.values)
-
-    def __mul__(self, other):
-        return self._binop(other, np.multiply)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, np.divide)
-
-    def __rtruediv__(self, other):
-        return ScalarField(self.grid, other / self.values)
-
-    def __neg__(self):
-        return ScalarField(self.grid, -self.values)
-
-    def abs(self) -> "ScalarField":
-        return ScalarField(self.grid, np.abs(self.values))
-
 
 # ---------------------------------------------------------------------------
 # differentiation
-
-
-def _diff2(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
-    # order-2 central interior, 3-point one-sided order-2 closures
-    return np.gradient(vals, h, axis=axis, edge_order=2)
 
 
 def _diff4(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -181,25 +138,17 @@ def _diff4(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 
 def diff_values(vals: np.ndarray, h: float, axis: int, order: int = 2) -> np.ndarray:
-    """Finite-difference derivative of a raw sample array (any extra axes)."""
+    """Derivative along `axis` of a raw sample array (any trailing axes).
+
+    The package's one differentiation entry point.  Order 2 is central with
+    3-point one-sided closures; order 4 is `_diff4`.  A mixed partial is two
+    calls, d/du first and then d/dv.
+    """
     if order == 2:
-        return _diff2(np.asarray(vals, dtype=float), h, axis)
+        return np.gradient(np.asarray(vals, dtype=float), h, axis=axis, edge_order=2)
     if order == 4:
         return _diff4(vals, h, axis)
     raise ValidationError("order must be 2 or 4")
-
-
-def d_du(s: ScalarField, order: int = 2) -> ScalarField:
-    return ScalarField(s.grid, diff_values(s.values, s.grid.hu, 0, order))
-
-
-def d_dv(s: ScalarField, order: int = 2) -> ScalarField:
-    return ScalarField(s.grid, diff_values(s.values, s.grid.hv, 1, order))
-
-
-def d_dudv(s: ScalarField, order: int = 2) -> ScalarField:
-    """Mixed partial, declared composition order: d/du first, then d/dv."""
-    return d_dv(d_du(s, order), order)
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +161,16 @@ def require_away_from_zero(
     """Raise NearZeroField, located at a node, unless min |s| >= mu_min.
 
     The error's `node` is the first node of min |s|.  With constant_sign the
-    samples must not change sign either (a sign flip between nodes implies a
-    zero crossing of the underlying function); then `node` is the first node,
-    in row-major order, whose sign differs from node (0, 0).
+    samples must also be all positive or all negative (a sign flip between
+    nodes implies a zero crossing of the underlying function); otherwise
+    `node` is the first node, in row-major order, whose sign differs from
+    node (0, 0).
     """
     vals = s.values
     k = int(np.argmin(np.abs(vals)))
     if abs(vals.flat[k]) < mu_min:
         msg = f"min |{name}| = {abs(vals.flat[k]):.3e} < {mu_min:.3e}"
-    elif constant_sign and not s.sign_constant():
+    elif constant_sign and not (np.all(vals > 0) or np.all(vals < 0)):
         k = int(np.argmax((vals > 0) != (vals.flat[0] > 0)))
         msg = f"{name} changes sign on the grid"
     else:

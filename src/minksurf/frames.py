@@ -29,7 +29,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import make_interp_spline
 
 from .errors import ResidualTooLarge, StepUnstable, ValidationError
-from .fields import GridSpec, ScalarField, d_du, d_dv, diff_values, sqrt_abs
+from .fields import GridSpec, ScalarField, diff_values, sqrt_abs
 from .minkowski import gram_residual, standard_frame
 from .natural import CanonicalTriple, Case, residual
 
@@ -49,11 +49,11 @@ class CoefficientMatrices:
 
 def coefficient_matrices(t: CanonicalTriple) -> CoefficientMatrices:
     g = t.grid
-    root = sqrt_abs(t.mu)
-    gamma1 = -d_du(root).values
-    gamma2 = -d_dv(root).values
+    root = sqrt_abs(t.mu).values
+    gamma1 = -diff_values(root, g.hu, 0)
+    gamma2 = -diff_values(root, g.hv, 1)
     lam, mu, nu = t.lam.values, t.mu.values, t.nu.values
-    inv_root = 1.0 / root.values
+    inv_root = 1.0 / root
 
     A = np.zeros((g.Nu, g.Nv, 4, 4))
     A[..., 0, 0], A[..., 0, 2], A[..., 0, 3] = gamma1, lam, mu

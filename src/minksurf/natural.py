@@ -45,7 +45,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .errors import BlowUp, BothMuZero, NoConvergence, ValidationError
-from .fields import MU_MIN, GridSpec, ScalarField, d_du, d_dudv, d_dv, ln_abs, require_away_from_zero
+from .fields import MU_MIN, GridSpec, ScalarField, diff_values, ln_abs, require_away_from_zero
 
 G_LIMIT = 50.0          # |ln mu| trust region during marching
 CLASSIFY_TOL = 1e-10    # relative zero threshold for K - H^2
@@ -103,18 +103,6 @@ class CanonicalTriple:
     def sign_mu(self) -> int:
         return 1 if self.mu.values.flat[0] > 0 else -1
 
-    def nu_variation(self) -> float:
-        return float(self.nu.values.max() - self.nu.values.min())
-
-    def diagnostics(self) -> dict:
-        """Soft flags; constant nu means parallel H rather than PNMC."""
-        return {
-            "nu_constant": self.nu_variation() <= nu_constancy_tol(self.nu.max_abs()),
-            "nu_min": float(self.nu.values.min()),
-            "nu_nonpositive_nodes": int(np.sum(self.nu.values <= 0.0)),
-            "flags": list(self.flags),
-        }
-
 
 @dataclass
 class ResidualReport:
@@ -124,30 +112,36 @@ class ResidualReport:
     max_abs: float
     interior_max_abs: float
 
-    @classmethod
-    def from_fields(cls, r1, r2, r3) -> "ResidualReport":
-        full = max(r.max_abs() for r in (r1, r2, r3))
-        inner = max(r.interior_max_abs() for r in (r1, r2, r3))
-        return cls(r1, r2, r3, full, inner)
-
 
 def residual(t: CanonicalTriple) -> ResidualReport:
-    """Left-minus-right sides of the natural system for the triple's case."""
-    g = ln_abs(t.mu)
-    g_u, g_v, g_uv = d_du(g), d_dv(g), d_dudv(g)
-    lam_u, lam_v = d_du(t.lam), d_dv(t.lam)
-    nu_u, nu_v = d_du(t.nu), d_dv(t.nu)
-    abs_mu = t.mu.abs()
+    """Left-minus-right sides of the natural system for the triple's case.
 
-    r1 = nu_u + lam_v - t.lam * g_v
+    Works on the sample arrays with order-2 stencils, one `diff_values` pass
+    per derivative: g_uv differentiates g_u along v, and the degenerate case
+    takes no lam_u.  Only r1, r2 and r3 are wrapped as fields, so a residual
+    that overflows raises ValidationError.
+    """
+    grid = t.grid
+    lam, mu, nu = t.lam.values, t.mu.values, t.nu.values
+    g = ln_abs(t.mu).values
+    g_u, g_v = diff_values(g, grid.hu, 0), diff_values(g, grid.hv, 1)
+    g_uv = diff_values(g_u, grid.hv, 1)
+    lam_v = diff_values(lam, grid.hv, 1)
+    nu_u, nu_v = diff_values(nu, grid.hu, 0), diff_values(nu, grid.hv, 1)
+    abs_mu = np.abs(mu)
+
+    r1 = nu_u + lam_v - lam * g_v
     if t.case is Case.DEGENERATE:
         r2 = nu_v
-        r3 = abs_mu * g_uv + t.nu * t.nu
+        r3 = abs_mu * g_uv + nu * nu
     else:
         eps = t.case.epsilon
-        r2 = lam_u - eps * nu_v - t.lam * g_u
-        r3 = abs_mu * g_uv + t.nu * t.nu + eps * (t.lam * t.lam + t.mu * t.mu)
-    return ResidualReport.from_fields(r1, r2, r3)
+        r2 = diff_values(lam, grid.hu, 0) - eps * nu_v - lam * g_u
+        r3 = abs_mu * g_uv + nu * nu + eps * (lam * lam + mu * mu)
+    r1, r2, r3 = (ScalarField(grid, r) for r in (r1, r2, r3))
+    full = max(r.max_abs() for r in (r1, r2, r3))
+    inner = max(r.interior_max_abs() for r in (r1, r2, r3))
+    return ResidualReport(r1, r2, r3, full, inner)
 
 
 def classify_from_frame(lambda1: float, mu1: float, lambda2: float, mu2: float) -> tuple[Case, float]:

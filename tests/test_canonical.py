@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import immersion_of
-from minksurf.analysis import Immersion, frame_functions, invariants
-from minksurf.canonical import canonicalize, check_separability, classify_functions
+from minksurf.analysis import Immersion, frame_functions
+from minksurf.canonical import _monotone_inverse, canonicalize, check_separability, classify_functions
 from minksurf.errors import BothMuZero, NotSeparable
 from minksurf.fields import GridSpec, ScalarField
-from minksurf.fixtures import goursat_hyperbolic_triple
+from minksurf.fixtures import goursat_hyperbolic_triple, jet_triple
 from minksurf.frames import reconstruct
 from minksurf.natural import Case
 
@@ -179,6 +179,22 @@ def test_not_separable_rejected():
     mu2 = F(lambda U, V: np.exp(V))
     dev_u, dev_v = check_separability_pair(f, mu1, mu2)
     assert max(dev_u, dev_v) > 1e-3  # would be rejected by canonicalize
+
+
+def test_canonicalize_rejects_non_pnmc_surface():
+    # the order-4 jet on a radius-0.2 patch leaves a large truncation
+    # residual: forced through reconstruction it gives an isotropic surface
+    # whose f^2 |mu1| varies along v
+    bundle = reconstruct(jet_triple(Case.POSITIVE_KH, order=4, radius=0.2, nodes=33), force=True)
+    assert bundle.diagnostics["residual_max"] > 1e-3
+    with pytest.raises(NotSeparable, match="separability_dev_v"):
+        canonicalize(immersion_of(bundle))
+
+
+def test_monotone_inverse_rejects_a_decreasing_map():
+    nodes = np.linspace(0.0, 1.0, 9)
+    with pytest.raises(NotSeparable, match="not strictly increasing"):
+        _monotone_inverse(nodes[::-1].copy(), nodes, nodes)
 
 
 def test_canonicalize_role_swap_on_transposed_surface(degenerate_bundle):

@@ -5,10 +5,13 @@ import pytest
 from conftest import unstable_triple
 
 from minksurf import io
+from minksurf.analysis import Immersion
 from minksurf.cli import _emit_error, run
 from minksurf.errors import NoConvergence
 from minksurf.fields import GridSpec, ScalarField
-from minksurf.fixtures import cylinder_immersion, goursat_degenerate_triple, nonsolution_triple
+from minksurf.fixtures import cylinder_immersion, goursat_degenerate_triple, jet_triple, nonsolution_triple
+from minksurf.frames import reconstruct
+from minksurf.natural import Case
 
 
 def test_residual_constant_fixture(tmp_path, capsys):
@@ -110,6 +113,15 @@ def test_unknown_triple_fixture_exit_1(tmp_path):
     data = json.loads(report.read_text())
     assert data["status"] == "error"
     assert data["error"] == "ConfigError"
+
+
+def test_unknown_case_exit_1(tmp_path):
+    report = tmp_path / "err.json"
+    code = run(["residual", "--fixture", "jet", "--case", "sideways", "--report", str(report)])
+    assert code == 1
+    data = json.loads(report.read_text())
+    assert data["error"] == "ConfigError"
+    assert data["message"] == "case must be one of ['degenerate', 'negative', 'positive']"
 
 
 @pytest.mark.parametrize(
@@ -222,6 +234,22 @@ def test_canonicalize_command(tmp_path):
     assert data["metrics"]["metric_law_max_dev"] <= 1e-2
     # the grid comes from the CSV, so the report names no node count
     assert "nodes" not in data["inputs"]
+
+
+def test_canonicalize_non_separable_exit_2(tmp_path):
+    # an isotropic surface that is not PNMC: the forced order-4 jet at radius 0.2
+    bundle = reconstruct(jet_triple(Case.POSITIVE_KH, order=4, radius=0.2, nodes=33), force=True)
+    csv = tmp_path / "immersion.csv"
+    io.write_immersion_csv(Immersion(bundle.grid, bundle.points), str(csv))
+    report = tmp_path / "err.json"
+    code = run([
+        "canonicalize", "--immersion", str(csv),
+        "--out", str(tmp_path / "out"), "--report", str(report),
+    ])
+    assert code == 2
+    data = json.loads(report.read_text())
+    assert data["status"] == "error"
+    assert data["error"] == "NotSeparable"
 
 
 def test_canonicalize_config_rejects_nodes(tmp_path):

@@ -23,7 +23,7 @@ from minksurf.frames import (
     integrate_position,
     reconstruct,
 )
-from minksurf.minkowski import gram_residual, lorentz_inner, standard_frame
+from minksurf.minkowski import lorentz_inner, standard_frame
 from minksurf.natural import CanonicalTriple, Case
 
 A_CONST = np.array([[0, 0, 0, 1], [0, 0, -2, 0], [-2, 0, 0, 0], [0, 1, 0, 0]], dtype=float)

@@ -15,6 +15,7 @@ from minksurf.fixtures import (
     degenerate_g_exact,
     goursat_degenerate_triple,
     goursat_hyperbolic_triple,
+    jet_triple,
     nonsolution_triple,
 )
 from minksurf.natural import (
@@ -450,9 +451,17 @@ def test_characteristic_reformulation_symbolic():
     assert sp.simplify(sp.exp(g) * c3 - r3) == 0
 
 
-def test_triple_diagnostics_flags():
-    tri = constant_triple(33)
-    d = tri.diagnostics()
-    assert d["nu_constant"] is True
-    tri2 = goursat_degenerate_triple(33)
-    assert tri2.diagnostics()["nu_constant"] is False
+@pytest.mark.parametrize(
+    "case, passes",
+    [(Case.POSITIVE_KH, 7), (Case.NEGATIVE_KH, 7), (Case.DEGENERATE, 6)],
+    ids=["positive", "negative", "degenerate"],
+)
+def test_residual_stencil_passes(monkeypatch, case, passes):
+    # one order-2 pass per derivative: g_uv differentiates g_u, and the
+    # degenerate case takes no lam_u
+    t = jet_triple(case, nodes=17)
+    calls = []
+    diff = natural.diff_values
+    monkeypatch.setattr(natural, "diff_values", lambda *args: calls.append(1) or diff(*args))
+    residual(t)
+    assert len(calls) == passes
