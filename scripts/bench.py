@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Stage wall times of the Goursat solvers and the inverse direction at 65, 129 and 257 nodes.
+"""Stage wall times of the Goursat solvers, reconstruction and the inverse direction at 65, 129 and 257 nodes.
 
 Times, with `time.perf_counter` and no library timer, the median of
 REPEATS calls (after one untimed warm-up call) of:
@@ -8,6 +8,11 @@ REPEATS calls (after one untimed warm-up call) of:
   solve_goursat_hyperbolic    the Picard sweep alone, on edge data sampled beforehand
   goursat_march               one Goursat march: the first sweep's g on the same data
   goursat_degenerate_triple   the degenerate fixture: Goursat march + Simpson for lambda
+  integrate_frame             `frames.integrate_frame` (both transport paths) of the
+                              positive order-6 jet triple at radius 0.1, with its
+                              triple and coefficient matrices built beforehand
+  reconstruct                 `frames.reconstruct` of the same triple: residual gate,
+                              coefficient matrices, transport, position, compatibility
   invariants                  `analysis.invariants` of the reconstructed positive
                               order-6 jet at radius 0.1, built beforehand
   canonicalize                `canonical.canonicalize` of the same immersion
@@ -69,20 +74,20 @@ def _first_march(nodes: int):
     return lambda: natural._goursat_march(e["grid"], e["g_bottom"], e["g_left"], pq, natural._hyperbolic_rhs)
 
 
-def _jet_immersion(nodes: int) -> analysis.Immersion:
-    """The reconstructed positive order-6 jet at radius 0.1, as `roundtrip-elliptic` builds it."""
-    bundle = frames.reconstruct(fixtures.jet_triple(Case.POSITIVE_KH, order=6, radius=0.1, nodes=nodes))
-    return analysis.Immersion(bundle.grid, bundle.points)
-
-
 def _stages(nodes: int) -> dict:
     edges = _hyperbolic_edges(nodes)
-    m = _jet_immersion(nodes)
+    # the positive order-6 jet at radius 0.1 and its immersion, as `roundtrip-elliptic` builds them
+    t = fixtures.jet_triple(Case.POSITIVE_KH, order=6, radius=0.1, nodes=nodes)
+    cm = frames.coefficient_matrices(t)
+    bundle = frames.reconstruct(t)
+    m = analysis.Immersion(bundle.grid, bundle.points)
     return {
         "goursat_hyperbolic_triple": lambda: fixtures.goursat_hyperbolic_triple(nodes),
         "solve_goursat_hyperbolic": lambda: natural.solve_goursat_hyperbolic(**edges),
         "goursat_march": _first_march(nodes),
         "goursat_degenerate_triple": lambda: fixtures.goursat_degenerate_triple(nodes),
+        "integrate_frame": lambda: frames.integrate_frame(t, cm=cm),
+        "reconstruct": lambda: frames.reconstruct(t),
         "invariants": lambda: analysis.invariants(m),
         "canonicalize": lambda: canonical.canonicalize(m),
     }

@@ -196,6 +196,7 @@ class FrameFunctions:
     beta1: ScalarField
     beta2: ScalarField
     f: ScalarField
+    ln_f_u: np.ndarray       # d/du ln f, order 4: gamma1 before the 1/f, kept for invariants
 
     def sigma_scale(self) -> float:
         return max(
@@ -220,7 +221,8 @@ def frame_functions(m: Immersion, frame: GeometricFrame | None = None) -> FrameF
     n2 = frame.frames[..., 3, :]
 
     ln_f = np.log(f)
-    gamma1 = diff_values(ln_f, g.hu, axis=0, order=FD_ORDER) / f
+    ln_f_u = diff_values(ln_f, g.hu, axis=0, order=FD_ORDER)
+    gamma1 = ln_f_u / f
     gamma2 = diff_values(ln_f, g.hv, axis=1, order=FD_ORDER) / f
 
     x_u = diff_values(x, g.hu, axis=0, order=FD_ORDER)
@@ -239,7 +241,7 @@ def frame_functions(m: Immersion, frame: GeometricFrame | None = None) -> FrameF
     return FrameFunctions(
         gamma1=F(gamma1), gamma2=F(gamma2),
         lambda1=F(lam1), mu1=F(mu1), lambda2=F(lam2), mu2=F(mu2),
-        nu=frame.nu, beta1=F(beta1), beta2=F(beta2), f=frame.f,
+        nu=frame.nu, beta1=F(beta1), beta2=F(beta2), f=frame.f, ln_f_u=ln_f_u,
     )
 
 
@@ -271,8 +273,7 @@ def invariants(m: Immersion) -> InvariantReport:
     g = m.grid
     f = frame.f.values
 
-    ln_f_u = diff_values(np.log(f), g.hu, axis=0, order=FD_ORDER)
-    K_metric = 2.0 / (f * f) * diff_values(ln_f_u, g.hv, axis=1, order=FD_ORDER)
+    K_metric = 2.0 / (f * f) * diff_values(funcs.ln_f_u, g.hv, axis=1, order=FD_ORDER)
 
     nu = funcs.nu.values
     K_frame = nu * nu - funcs.lambda1.values * funcs.lambda2.values - funcs.mu1.values * funcs.mu2.values

@@ -38,22 +38,22 @@ from .natural import CanonicalTriple, Case, classify_from_frame
 DEGENERATE_REL_TOL = 1e-3
 
 
-def check_separability(f: ScalarField, mu1: ScalarField, mu2: ScalarField | None = None) -> tuple[dict, float]:
+def check_separability(phi: ScalarField, psi: ScalarField | None = None) -> tuple[dict, float]:
     """Interior max deviations from the separability laws, in report order, and their log scale.
 
-    separability_dev_u = max |d/du ln(f^2 |mu2|)| (skipped when mu2 is None,
-    the degenerate case), separability_dev_v = max |d/dv ln(f^2 |mu1|)|; the
-    scale is the largest |ln(f^2 |mu_i|)|.  The ln_abs guards keep every
-    f^2 |mu_i|, and so phi and psi, positive.
+    phi and psi are the samples of f^2 |mu1| and f^2 |mu2|.
+    separability_dev_u = max |d/du ln psi| (skipped when psi is None, the
+    degenerate case), separability_dev_v = max |d/dv ln phi|; the scale is
+    the largest |ln phi| or |ln psi|.  The ln_abs guards keep phi and psi
+    away from zero.
     """
-    g = f.grid
+    g = phi.grid
     su, sv = g.interior(2)
-    fsq = f.values * f.values
-    ln_phi = ln_abs(ScalarField(g, fsq * np.abs(mu1.values)), mu_min=MU_MIN**2)
+    ln_phi = ln_abs(phi, mu_min=MU_MIN**2)
     devs = {"separability_dev_v": float(np.max(np.abs(diff_values(ln_phi.values, g.hv, 1)[su, sv])))}
     scale = ln_phi.max_abs()
-    if mu2 is not None:
-        ln_psi = ln_abs(ScalarField(g, fsq * np.abs(mu2.values)), mu_min=MU_MIN**2)
+    if psi is not None:
+        ln_psi = ln_abs(psi, mu_min=MU_MIN**2)
         dev_u = float(np.max(np.abs(diff_values(ln_psi.values, g.hu, 0)[su, sv])))
         devs = {"separability_dev_u": dev_u, **devs}
         scale = max(scale, ln_psi.max_abs())
@@ -145,20 +145,22 @@ def canonicalize(m: Immersion) -> CanonicalizationResult:
     su, sv = g.interior(2)
 
     # phi = f^2|mu1| must not vary along v, nor (general case) psi = f^2|mu2| along u
-    devs, scale = check_separability(funcs.f, funcs.mu1, None if degenerate else funcs.mu2)
+    fsq = funcs.f.values * funcs.f.values
+    phi_uv = ScalarField(g, fsq * np.abs(funcs.mu1.values))
+    psi_uv = None if degenerate else ScalarField(g, fsq * np.abs(funcs.mu2.values))
+    devs, scale = check_separability(phi_uv, psi_uv)
     limit = 1e-3 * (1.0 + scale)
     if max(devs.values()) > limit:
         listed = ", ".join(f"{k} {v:.3e}" for k, v in devs.items())
         raise NotSeparable(f"separability deviations ({listed}) exceed {limit:.3e}")
 
-    fsq = funcs.f.values * funcs.f.values
-    phi = np.mean((fsq * np.abs(funcs.mu1.values))[:, sv], axis=1)
+    phi = np.mean(phi_uv.values[:, sv], axis=1)
     if degenerate:
         psi = None
         ubar = cumulative_simpson(phi, dx=g.hu, initial=0.0)
         vbar = src_v = g.v_nodes
     else:
-        psi = np.mean((fsq * np.abs(funcs.mu2.values))[su, :], axis=0)
+        psi = np.mean(psi_uv.values[su, :], axis=0)
         ubar = cumulative_simpson(np.sqrt(phi), dx=g.hu, initial=0.0)
         vbar = cumulative_simpson(np.sqrt(psi), dx=g.hv, initial=0.0)
         src_v = _monotone_inverse(vbar, g.v_nodes, np.linspace(0.0, vbar[-1], g.Nv))

@@ -129,12 +129,19 @@ def _diff4(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
     if n < 5:
         raise GridTooSmall("order-4 stencils need at least 5 nodes")
     out = np.empty_like(f)
-    out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / 12.0
+    # (f[:-4] - 8 f[1:-3] + 8 f[3:-1] - f[4:]) / 12, written in place in that order
+    mid = out[2:-2]
+    np.multiply(f[1:-3], 8, out=mid)
+    np.subtract(f[:-4], mid, out=mid)
+    mid += 8 * f[3:-1]
+    mid -= f[4:]
+    mid /= 12.0
     out[0] = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / 12.0
     out[1] = (-3 * f[0] - 10 * f[1] + 18 * f[2] - 6 * f[3] + f[4]) / 12.0
     out[-2] = (3 * f[-1] + 10 * f[-2] - 18 * f[-3] + 6 * f[-4] - f[-5]) / 12.0
     out[-1] = (25 * f[-1] - 48 * f[-2] + 36 * f[-3] - 16 * f[-4] + 3 * f[-5]) / 12.0
-    return np.moveaxis(out / h, 0, axis)
+    out /= h
+    return np.moveaxis(out, 0, axis)
 
 
 def diff_values(vals: np.ndarray, h: float, axis: int, order: int = 2) -> np.ndarray:

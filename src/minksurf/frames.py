@@ -15,9 +15,14 @@ re-orthonormalized: Gram drift is itself a diagnostic.
 
 Transport runs RK4 along all grid lines of a sweep at once, as batched
 `matmul` products.  On a grid line the not-a-knot tensor cubic interpolant of
-the node matrices is the 1-D not-a-knot cubic spline along that line, so each
-sweep builds that spline once and evaluates it once per grid interval, at the
-vector of that interval's RK4 stage coordinates.
+the node matrices is the 1-D not-a-knot cubic spline along that line.  Each
+sweep solves one tridiagonal system for that spline's second derivatives at
+the nodes; an RK4 stage matrix inside a grid interval is then a fixed
+four-weight combination of the node matrices and second derivatives at the
+interval's ends, and a stage at a node is the node matrix itself.  Three
+sweeps give both integration paths: the bottom edge, then the columns (path
+1), then the rows from the columns sweep's first column, which is path 2's
+left edge.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
-from scipy.interpolate import make_interp_spline
+from scipy.linalg import solve_banded
 
 from .errors import ResidualTooLarge, StepUnstable, ValidationError
 from .fields import GridSpec, ScalarField, diff_values, sqrt_abs
@@ -89,23 +94,57 @@ def compatibility_residual(t: CanonicalTriple, cm: CoefficientMatrices | None = 
 RK4_SUBSTEPS = 2  # per grid interval; 1 leaves ~3e-9 vs the matrix-exponential oracle
 
 
-def _rk4_line(F0: np.ndarray, mats_at, grid: GridSpec, axis: int, sweep: str) -> np.ndarray:
+def _stage_matrices(mats: np.ndarray):
+    """Yield, per grid interval, the 2 * RK4_SUBSTEPS + 1 RK4 stage matrices of a sweep.
+
+    mats: (n, batch, 4, 4) node matrices on n >= 5 uniform nodes along the
+    lines.  The interpolant is the not-a-knot cubic spline S along each line;
+    with y the node matrices and d = h^2 / 6 S'' at the nodes, its value at
+    fraction tau of an interval is
+    (1 - tau) y_k + ((1 - tau)^3 - (1 - tau)) d_k + tau y_k+1 + (tau^3 - tau) d_k+1.
+    The stages sit at the interval's ends and at fractions
+    1 / (2 RK4_SUBSTEPS), ..., 1 - 1 / (2 RK4_SUBSTEPS); the end stages are the
+    node matrices themselves.
+    """
+    n, shape = mats.shape[0], mats.shape[1:]
+    table = np.empty((n, 2) + shape)  # per node: y, then d; contiguous, unlike a strided `mats`
+    table[:, 0] = mats
+    flat = table.reshape(n, 2, -1)
+    y, d = flat[:, 0], flat[:, 1]
+    # d_k-1 + 4 d_k + d_k+1 = r_k = y_k-1 - 2 y_k + y_k+1 at the inner nodes; not-a-knot
+    # sets d_0 = 2 d_1 - d_2 (and its mirror), which folds rows 1 and n-2 to 6 d = r
+    bands = np.zeros((3, n - 2))
+    bands[0, 2:] = bands[2, :-2] = 1.0
+    bands[1] = 4.0
+    bands[1, [0, -1]] = 6.0
+    r = np.multiply(y[1:-1], -2.0)  # r summed in one buffer, bit for bit as y_k-1 - 2 y_k + y_k+1
+    r += y[:-2]
+    r += y[2:]
+    d[1:-1] = solve_banded((1, 1), bands, r, check_finite=False)
+    d[0] = 2 * d[1] - d[2]
+    d[-1] = 2 * d[-2] - d[-3]
+    tau = np.arange(1, 2 * RK4_SUBSTEPS) / (2 * RK4_SUBSTEPS)
+    weights = np.column_stack([1 - tau, (1 - tau) ** 3 - (1 - tau), tau, tau ** 3 - tau])
+    for k in range(n - 1):
+        inner = (weights @ flat[k:k + 2].reshape(4, -1)).reshape((-1,) + shape)
+        yield [table[k, 0], *inner, table[k + 1, 0]]
+
+
+def _rk4_line(F0: np.ndarray, mats: np.ndarray, grid: GridSpec, axis: int, sweep: str) -> np.ndarray:
     """RK4 transport of stacked frames along the grid lines of one sweep.
 
     Lines run along grid axis `axis`; batch member b is line b of the other
-    axis.  F0: (batch, 4, 4); mats_at(s) -> (len(s), batch, 4, 4) is a cubic
-    spline along the lines; returns (nodes along axis, batch, 4, 4).  Each grid
-    interval takes RK4_SUBSTEPS RK4 steps, whose 2 * RK4_SUBSTEPS + 1 stage
-    matrices come from one mats_at call (a step ends where the next starts).
+    axis.  F0: (batch, 4, 4); mats: (nodes along axis, batch, 4, 4), the
+    node matrices along the lines; returns (nodes along axis, batch, 4, 4).
+    Each grid interval takes RK4_SUBSTEPS RK4 steps on the stage matrices of
+    `_stage_matrices` (a step ends where the next starts).
     """
     coords = grid.u_nodes if axis == 0 else grid.v_nodes
     h = (coords[1] - coords[0]) / RK4_SUBSTEPS
     out = np.empty((len(coords),) + F0.shape)
     out[0] = F0
     F = F0
-    for k in range(len(coords) - 1):
-        s = coords[k] + np.arange(RK4_SUBSTEPS) * h
-        stages = mats_at(np.append(np.column_stack([s, s + 0.5 * h]).ravel(), s[-1] + h))
+    for k, stages in enumerate(_stage_matrices(mats)):
         for m in range(RK4_SUBSTEPS):
             M0, M1, M2 = stages[2 * m], stages[2 * m + 1], stages[2 * m + 2]
             k1 = M0 @ F
@@ -118,23 +157,23 @@ def _rk4_line(F0: np.ndarray, mats_at, grid: GridSpec, axis: int, sweep: str) ->
                 node = (k + 1, b) if axis == 0 else (b, k + 1)
                 uv = grid.uv(node)
                 raise StepUnstable(f"frame entries exceeded {STEP_LIMIT:.0e} in the {sweep} sweep before "
-                                   f"node {node} at (u, v) = {uv}", sweep, float(s[m] + h), node, uv)
+                                   f"node {node} at (u, v) = {uv}", sweep, float(coords[k] + m * h + h), node, uv)
         out[k + 1] = F
     return out
 
 
-def _transport(cm: CoefficientMatrices, F0m: np.ndarray, bottom_first: bool) -> np.ndarray:
+def _transport(cm: CoefficientMatrices, F0m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both integration paths from F0m at (u0, v0), each as (Nu, Nv, 4, 4) frames.
+
+    Path 1 runs along the bottom edge v = v0, then up every column at once;
+    path 2 up the left edge u = u0, then across every row at once.  Path 2's
+    left edge is column u0 of path 1's columns sweep, so it is not integrated
+    a second time.
+    """
     g = cm.grid
-    u, v = g.u_nodes, g.v_nodes
-    B_by_v = np.swapaxes(cm.B, 0, 1)  # line axis first: a spline call gives (stages, batch, 4, 4)
-    if bottom_first:
-        # along the bottom edge v = v0, then up every column at once
-        edge = _rk4_line(F0m[None], make_interp_spline(u, cm.A[:, :1], k=3), g, 0, "bottom edge")[:, 0]
-        field = _rk4_line(edge, make_interp_spline(v, B_by_v, k=3), g, 1, "columns")
-        return np.moveaxis(field, 0, 1)  # -> (Nu, Nv, 4, 4)
-    # up the left edge u = u0, then across every row at once
-    edge = _rk4_line(F0m[None], make_interp_spline(v, B_by_v[:, :1], k=3), g, 1, "left edge")[:, 0]
-    return _rk4_line(edge, make_interp_spline(u, cm.A, k=3), g, 0, "rows")
+    edge = _rk4_line(F0m[None], cm.A[:, :1], g, 0, "bottom edge")[:, 0]
+    columns = np.moveaxis(_rk4_line(edge, np.swapaxes(cm.B, 0, 1), g, 1, "columns"), 0, 1)
+    return columns, _rk4_line(columns[0], cm.A, g, 0, "rows")
 
 
 def integrate_frame(t: CanonicalTriple, F0: np.ndarray | None = None,
@@ -155,8 +194,7 @@ def integrate_frame(t: CanonicalTriple, F0: np.ndarray | None = None,
     if not drift <= F0_GRAM_TOL:  # NaN fails too
         raise ValidationError(f"initial frame impure: gram residual {drift:.3e} > {F0_GRAM_TOL:.0e}")
     cm = cm or coefficient_matrices(t)
-    frames = _transport(cm, F0m, bottom_first=True)
-    alt = _transport(cm, F0m, bottom_first=False)
+    frames, alt = _transport(cm, F0m)
     diagnostics = {
         "gram_drift": float(np.max(gram_residual(frames))),
         "path_discrepancy": float(np.max(np.abs(frames - alt))),

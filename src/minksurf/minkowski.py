@@ -32,7 +32,9 @@ def lorentz_inner(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.sum(a * b * METRIC_DIAG, axis=-1)
+    # summed in order from 0.0, as np.sum(a * b * METRIC_DIAG, axis=-1) sums,
+    # so the bits match that form's, signed zeros included
+    out = 0.0 + a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3]
     return float(out) if out.ndim == 0 else out
 
 

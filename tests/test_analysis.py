@@ -112,7 +112,7 @@ def test_order4_stencil_passes(monkeypatch, jet_bundle):
         return len(calls)
 
     assert passes(geometric_frame) == 3
-    assert passes(invariants) <= 13
+    assert passes(invariants) <= 12
     assert passes(canonicalize) <= 18
 
 

@@ -19,7 +19,8 @@ def F(fn):
 
 
 def check_separability_pair(f, mu1, mu2):
-    devs, _ = check_separability(f, mu1, mu2)
+    fsq = f.values * f.values
+    devs, _ = check_separability(ScalarField(G, fsq * np.abs(mu1.values)), ScalarField(G, fsq * np.abs(mu2.values)))
     assert list(devs) == ["separability_dev_u", "separability_dev_v"]  # report order
     return devs["separability_dev_u"], devs["separability_dev_v"]
 
@@ -151,9 +152,8 @@ def test_canonicalize_reparametrization_invariance(constant_bundle):
 
 
 def test_separability_degenerate_measures_phi_only():
-    # without mu2 only f^2|mu1| is checked; the scale is its largest |ln|
-    f = F(lambda U, V: np.ones_like(U))
-    devs, scale = check_separability(f, F(lambda U, V: np.exp(U)))
+    # without psi = f^2|mu2| only phi = f^2|mu1| is checked; the scale is its largest |ln|
+    devs, scale = check_separability(F(lambda U, V: np.exp(U)))
     assert list(devs) == ["separability_dev_v"]
     assert devs["separability_dev_v"] <= 1e-10
     assert abs(scale - 1.0) <= 1e-12
@@ -169,16 +169,6 @@ def test_canonicalize_goursat_hyperbolic_round_trip():
     su, sv = t.grid.interior(4)
     for a, b in ((res.triple.lam, t.lam), (res.triple.mu, t.mu), (res.triple.nu, t.nu)):
         assert np.max(np.abs(a.values - b.values)[su, sv]) < 2e-5
-
-
-def test_not_separable_rejected():
-    # build a fake immersion whose f^2|mu1| genuinely mixes u and v: a graph
-    # over a non-canonical parametrization will do, via direct separability
-    f = F(lambda U, V: np.ones_like(U))
-    mu1 = F(lambda U, V: np.exp(U * V))
-    mu2 = F(lambda U, V: np.exp(V))
-    dev_u, dev_v = check_separability_pair(f, mu1, mu2)
-    assert max(dev_u, dev_v) > 1e-3  # would be rejected by canonicalize
 
 
 def test_canonicalize_rejects_non_pnmc_surface():

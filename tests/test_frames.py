@@ -16,6 +16,7 @@ from minksurf.fixtures import (
 )
 from minksurf.frames import (
     RK4_SUBSTEPS,
+    _stage_matrices,
     _transport,
     coefficient_matrices,
     compatibility_residual,
@@ -169,9 +170,9 @@ def test_integrate_frame_linear_in_initial_frame():
     Fa = rng.standard_normal((4, 4))
     Fb = rng.standard_normal((4, 4))
     a, b = 0.7, -1.3
-    out_a = _transport(cm, Fa, bottom_first=True)
-    out_b = _transport(cm, Fb, bottom_first=True)
-    out_ab = _transport(cm, a * Fa + b * Fb, bottom_first=True)
+    out_a = np.stack(_transport(cm, Fa))  # both paths
+    out_b = np.stack(_transport(cm, Fb))
+    out_ab = np.stack(_transport(cm, a * Fa + b * Fb))
     assert np.max(np.abs(out_ab - (a * out_a + b * out_b))) <= 1e-10
 
 
@@ -291,11 +292,31 @@ def _transport_reference(cm, F0m, bottom_first, mul):
 def test_transport_matches_einsum_reference(bottom_first):
     cm = coefficient_matrices(jet_triple(Case.POSITIVE_KH, 6, 0.1, 65))
     F0m = standard_frame()
-    frames = _transport(cm, F0m, bottom_first)
+    frames = _transport(cm, F0m)[0 if bottom_first else 1]
     einsum = _transport_reference(cm, F0m, bottom_first, lambda M, F: np.einsum("...ij,...jk->...ik", M, F))
     assert np.max(np.abs(frames - einsum)) <= 1e-15
-    # one spline call per interval gives the very matrices of the separate calls
-    assert np.array_equal(frames, _transport_reference(cm, F0m, bottom_first, np.matmul))
+    # the stage matrices are make_interp_spline's to round-off, not to the bit
+    assert np.max(np.abs(frames - _transport_reference(cm, F0m, bottom_first, np.matmul))) <= 2e-15
+
+
+@pytest.mark.parametrize("nodes", [5, 6, 33])
+def test_stage_matrices_are_the_not_a_knot_spline(nodes):
+    # smooth entries (rough data would measure the B-spline reference's own
+    # round-off), passed as a strided (lines, batch, 4, 4) view, as the columns
+    # sweep passes B
+    rng = np.random.default_rng(nodes)
+    s = np.linspace(0.2, 0.7, nodes)
+    amp, phase = rng.standard_normal((2, 3, 1, 4, 4))
+    mats = np.swapaxes(amp * np.sin(3 * s[:, None, None] + phase), 0, 1)
+    spline = make_interp_spline(s, mats, k=3)
+    frac = np.arange(2 * RK4_SUBSTEPS + 1) / (2 * RK4_SUBSTEPS)
+    intervals = list(_stage_matrices(mats))
+    assert len(intervals) == nodes - 1
+    for k, stages in enumerate(intervals):
+        assert len(stages) == 2 * RK4_SUBSTEPS + 1
+        # a stage at a node is the node matrix itself
+        assert np.array_equal(stages[0], mats[k]) and np.array_equal(stages[-1], mats[k + 1])
+        assert np.max(np.abs(np.stack(stages) - spline(s[k] + frac * (s[1] - s[0])))) <= 4e-15
 
 
 def test_reconstruct_builds_coefficient_matrices_once(monkeypatch):

@@ -33,6 +33,21 @@ def test_lightlike_pair():
     assert abs(lorentz_inner(x0, x0)) < 1e-15
 
 
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (129, 4), (17, 33, 4), (5, 1, 4)])
+def test_inner_matches_metric_weighted_sum(shape):
+    # the four-term sum has the bits of the weighted np.sum, signed zeros included
+    rng = np.random.default_rng(3)
+    old_form = lambda a, b: np.sum(a * b * np.array([1.0, 1.0, 1.0, -1.0]), axis=-1)  # noqa: E731
+    cases = [(rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape),
+              rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)) for _ in range(20)]
+    cases += [(rng.choice([-0.0, 0.0, 1.0, -2.0], shape), rng.choice([-0.0, 0.0, 3.0, -1.0], shape))
+              for _ in range(20)]
+    for a, b in cases:
+        new, old = np.asarray(lorentz_inner(a, b)), old_form(a, b)
+        assert np.array_equal(new, old) and np.array_equal(np.signbit(new), np.signbit(old))
+    assert isinstance(lorentz_inner(*cases[0]), float) == (shape == (4,))
+
+
 @given(vec4, vec4)
 def test_inner_symmetric(a, b):
     assert abs(lorentz_inner(a, b) - lorentz_inner(b, a)) <= 1e-12 * (1 + abs(lorentz_inner(a, b)))
