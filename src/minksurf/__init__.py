@@ -15,8 +15,6 @@ from .analysis import (
     Immersion,
     InvariantReport,
     SurfaceClass,
-    christoffel_isotropic,
-    first_fundamental_form,
     frame_functions,
     geometric_frame,
     invariants,

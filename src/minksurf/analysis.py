@@ -1,17 +1,17 @@
 """Inverse direction: invariants of a sampled isotropic immersion.
 
-From z(u, v) in Minkowski 4-space the pipeline recovers the first fundamental
-form, the geometric frame {x, y, n1, n2} (x = z_u/f, y = z_v/f, n1 = H/|H|,
-n2 oriented by construction so that det[x; y; n1; n2] = +1), the frame
-functions (gamma1, gamma2, lambda1, mu1, lambda2, mu2, nu, beta1, beta2),
-curvature invariants through two independent formulas, the inflection
-determinants, and the parallel / PNMC classification.
+From z(u, v) in Minkowski 4-space the pipeline recovers the metric function f
+(F = -f^2 in isotropic parameters, where E = G = 0), the geometric frame
+{x, y, n1, n2} (x = z_u/f, y = z_v/f, n1 = H/|H|, n2 oriented by construction
+so that det[x; y; n1; n2] = +1), the frame functions (gamma1, gamma2, lambda1,
+mu1, lambda2, mu2, nu, beta1, beta2), curvature invariants through two
+independent formulas, the inflection determinants, and the parallel / PNMC
+classification.
 
-Derivatives here use order-4 stencils: the isotropy check |E|, |G| <= 1e-6|F|
-and the beta tolerances sit below what order-2 differencing of an oscillatory
-immersion can deliver on production grids.  Each derivative of z is taken
-once per frame: `geometric_frame` keeps z_u, z_v and z_uv, and `invariants`
-and `christoffel_isotropic` reuse them.
+Derivatives here use order-4 stencils: the beta tolerances sit below what
+order-2 differencing of an oscillatory immersion can deliver on production
+grids.  Each derivative of z is taken once per frame: `geometric_frame` keeps
+z_u, z_v and z_uv, and `invariants` reuses them.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .fields import GridSpec, ScalarField, bicubic, diff_values
 from .minkowski import lorentz_inner, minkowski_cross
 
 FD_ORDER = 4
-ISO_FLAG_TOL = 1e-6      # strict isotropy flag: max(|E|,|G|) <= tol * max|F|
-ISO_GATE_TOL = 1e-3      # looser gate for running the frame pipeline
+ISO_GATE_TOL = 1e-3      # isotropy gate: max(|E|,|G|) <= tol * max|F|
 NU_FLOOR = 1e-8          # below this (relative) the surface counts as minimal
 C_ZERO_TOL = 1e-8        # relative zero for the c_ij^k coefficients
 TOL_BETA_REL = 1e-4      # parallel-normal threshold, scaled by |sigma|
@@ -84,45 +83,10 @@ class Immersion:
 
 
 @dataclass
-class FundamentalForm:
-    E: ScalarField
-    F: ScalarField
-    G: ScalarField
-    is_timelike: bool
-    is_isotropic: bool
-
-
-def first_fundamental_form(m: Immersion) -> FundamentalForm:
-    g = m.grid
-    zu = diff_values(m.points, g.hu, axis=0, order=FD_ORDER)
-    zv = diff_values(m.points, g.hv, axis=1, order=FD_ORDER)
-    return _fundamental_form(g, zu, zv)
-
-
-def _fundamental_form(g: GridSpec, zu: np.ndarray, zv: np.ndarray) -> FundamentalForm:
-    E = lorentz_inner(zu, zu)
-    F = lorentz_inner(zu, zv)
-    G = lorentz_inner(zv, zv)
-    disc = E * G - F * F
-    scale = max(np.max(np.abs(E)), np.max(np.abs(F)), np.max(np.abs(G)))
-    if np.min(np.abs(disc)) < 1e-14 * scale**2:
-        raise DegenerateMetric("EG - F^2 is numerically zero somewhere")
-    return FundamentalForm(
-        E=ScalarField(g, E),
-        F=ScalarField(g, F),
-        G=ScalarField(g, G),
-        is_timelike=bool(np.all(disc < 0)),
-        is_isotropic=bool(max(np.max(np.abs(E)), np.max(np.abs(G))) <= ISO_FLAG_TOL * np.max(np.abs(F))),
-    )
-
-
-@dataclass
 class GeometricFrame:
     frames: np.ndarray       # (Nu, Nv, 4, 4), rows x, y, n1, n2
     f: ScalarField           # metric function, F = -f^2
     nu: ScalarField          # |H|
-    H: np.ndarray            # (Nu, Nv, 4)
-    fundamental: FundamentalForm
     zu: np.ndarray           # (Nu, Nv, 4) order-4 derivatives of z the frame is built from
     zv: np.ndarray
     zuv: np.ndarray
@@ -134,24 +98,35 @@ def geometric_frame(m: Immersion) -> GeometricFrame:
     n2 is the unit normal orthogonal to n1 with det[x; y; n1; n2] = +1.  For
     w = minkowski_cross(x, y, n1), det[x; y; n1; w] = -<w, w> (an odd index
     cycle), and w is spacelike, normal to the timelike tangent plane; so
-    n2 = -w / |w| is oriented by construction.  Raises
-    MinimalOrTotallyGeodesic when |H| falls below its floor anywhere.
+    n2 = -w / |w| is oriented by construction.
+
+    Gates, in order: DegenerateMetric where EG - F^2 is numerically zero;
+    ValidationError where E, F or G is not finite; NotIsotropic unless
+    max(|E|, |G|) <= ISO_GATE_TOL max|F| and F < 0 at every node;
+    MinimalOrTotallyGeodesic where |H| falls below its floor.
     """
     g = m.grid
     zu = diff_values(m.points, g.hu, axis=0, order=FD_ORDER)
     zv = diff_values(m.points, g.hv, axis=1, order=FD_ORDER)
-    fff = _fundamental_form(g, zu, zv)
-    worst = max(fff.E.max_abs(), fff.G.max_abs())
-    limit = ISO_GATE_TOL * fff.F.max_abs()
+    E = lorentz_inner(zu, zu)
+    F = lorentz_inner(zu, zv)
+    G = lorentz_inner(zv, zv)
+    E_max, F_max, G_max = (np.max(np.abs(a)) for a in (E, F, G))
+    if np.min(np.abs(E * G - F * F)) < 1e-14 * max(E_max, F_max, G_max) ** 2:
+        raise DegenerateMetric("EG - F^2 is numerically zero somewhere")
+    if not all(np.all(np.isfinite(a)) for a in (E, F, G)):
+        raise ValidationError("field samples must be finite")
+    worst = max(E_max, G_max)
+    limit = ISO_GATE_TOL * F_max
     if worst > limit:
         raise NotIsotropic(
             f"max(|E|,|G|) = {worst:.3e} exceeds {limit:.3e}; analysis needs isotropic "
             "(null) parameters - construct them before calling"
         )
-    if np.any(fff.F.values >= 0):
+    if np.any(F >= 0):
         raise NotIsotropic("requires <z_u, z_v> < 0 at every node")
 
-    f = np.sqrt(-fff.F.values)
+    f = np.sqrt(-F)
     x = zu / f[..., None]
     y = zv / f[..., None]
 
@@ -178,8 +153,6 @@ def geometric_frame(m: Immersion) -> GeometricFrame:
         frames=np.stack([x, y, n1, n2], axis=-2),
         f=ScalarField(g, f),
         nu=ScalarField(g, nu),
-        H=H,
-        fundamental=fff,
         zu=zu, zv=zv, zuv=zuv,
     )
 
@@ -326,39 +299,3 @@ def invariants(m: Immersion) -> InvariantReport:
         classification=cls, functions=funcs,
     )
 
-
-@dataclass
-class ChristoffelReport:
-    """Nonzero symbols of an isotropic parametrization plus a cross-check.
-
-    In null coordinates only G111 = 2 f_u / f and G222 = 2 f_v / f survive.
-    The check fields measure how far the tangential part of z_uu strays from
-    +G111 z_u (inner products against x and y; O(h^2) for honest input).
-    """
-
-    G111: ScalarField
-    G222: ScalarField
-    check_x: ScalarField
-    check_y: ScalarField
-
-
-def christoffel_isotropic(m: Immersion) -> ChristoffelReport:
-    frame = geometric_frame(m)
-    g = m.grid
-    f = frame.f.values
-    f_u = diff_values(f, g.hu, axis=0, order=FD_ORDER)
-    f_v = diff_values(f, g.hv, axis=1, order=FD_ORDER)
-    G111 = 2.0 * f_u / f
-    G222 = 2.0 * f_v / f
-
-    zu = frame.zu
-    zuu = diff_values(zu, g.hu, axis=0, order=FD_ORDER)
-    x = frame.frames[..., 0, :]
-    y = frame.frames[..., 1, :]
-    tang = -(lorentz_inner(zuu, y)[..., None] * x) - (lorentz_inner(zuu, x)[..., None] * y)
-    d = tang - G111[..., None] * zu
-    F = lambda a: ScalarField(g, a)
-    return ChristoffelReport(
-        G111=F(G111), G222=F(G222),
-        check_x=F(lorentz_inner(d, x)), check_y=F(lorentz_inner(d, y)),
-    )

@@ -213,17 +213,11 @@ def integrate_position(frames: np.ndarray, mu: ScalarField, p0: np.ndarray):
     zu = w[..., None] * frames[..., 0, :]   # x rows
     zv = w[..., None] * frames[..., 1, :]   # y rows
     p0 = np.asarray(p0, dtype=float)
-    z = _position_path(zu, zv, g, p0, bottom_first=True)
-    alt = _position_path(zu, zv, g, p0, bottom_first=False)
-    return z, float(np.max(np.abs(z - alt)))
-
-
-def _position_path(zu, zv, g: GridSpec, p0, bottom_first: bool) -> np.ndarray:
-    if bottom_first:
-        bottom = p0 + cumulative_simpson(zu[:, 0, :], dx=g.hu, axis=0, initial=0.0)
-        return bottom[:, None, :] + cumulative_simpson(zv, dx=g.hv, axis=1, initial=0.0)
+    bottom = p0 + cumulative_simpson(zu[:, 0, :], dx=g.hu, axis=0, initial=0.0)
+    z = bottom[:, None, :] + cumulative_simpson(zv, dx=g.hv, axis=1, initial=0.0)
     left = p0 + cumulative_simpson(zv[0, :, :], dx=g.hv, axis=0, initial=0.0)
-    return left[None, :, :] + cumulative_simpson(zu, dx=g.hu, axis=0, initial=0.0)
+    alt = left[None, :, :] + cumulative_simpson(zu, dx=g.hu, axis=0, initial=0.0)
+    return z, float(np.max(np.abs(z - alt)))
 
 
 @dataclass

@@ -38,6 +38,21 @@ def cylinder():
     return cylinder_immersion(65)
 
 
+def graph_surface(nodes: int = 33) -> Immersion:
+    """z = (u, v, 0, 2u): E = -3, F = 0, G = 1, timelike but not in null parameters."""
+    g = GridSpec(0, 1, 0, 1, nodes, nodes)
+    U, V = g.mesh()
+    return Immersion(g, np.stack([U, V, np.zeros_like(U), 2 * U], axis=-1))
+
+
+def degenerate_metric_immersion(nodes: int = 33) -> Immersion:
+    """z = (u + v, 0, 0, 0): z_u = z_v, so E = F = G = 1 and EG - F^2 = 0."""
+    g = GridSpec(0, 1, 0, 1, nodes, nodes)
+    U, V = g.mesh()
+    zero = np.zeros_like(U)
+    return Immersion(g, np.stack([U + V, zero, zero, zero], axis=-1))
+
+
 def immersion_of(bundle) -> Immersion:
     return Immersion(bundle.grid, bundle.points)
 

@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import immersion_of
+from conftest import degenerate_metric_immersion, graph_surface, immersion_of
 from minksurf import fields
 from minksurf.analysis import (
     Immersion,
     SurfaceClass,
-    christoffel_isotropic,
-    first_fundamental_form,
     frame_functions,
     geometric_frame,
     invariants,
 )
 from minksurf.canonical import canonicalize
-from minksurf.errors import MinimalOrTotallyGeodesic, NotIsotropic, ValidationError
-from minksurf.fields import GridSpec
+from minksurf.errors import DegenerateMetric, MinimalOrTotallyGeodesic, NotIsotropic, ValidationError
+from minksurf.fields import GridSpec, diff_values, ln_abs
 from minksurf.fixtures import goursat_hyperbolic_triple, jet_triple
 from minksurf.frames import reconstruct
 from minksurf.natural import Case
@@ -28,35 +26,28 @@ def null_plane(nodes=33) -> Immersion:
     return Immersion(g, pts)
 
 
-def graph_surface(nodes=33) -> Immersion:
-    g = GridSpec(0, 1, 0, 1, nodes, nodes)
-    U, V = g.mesh()
-    pts = np.stack([U, V, np.zeros_like(U), 2 * U], axis=-1)
-    return Immersion(g, pts)
-
-
-def test_null_plane_form():
-    fff = first_fundamental_form(null_plane())
-    assert fff.E.max_abs() < 1e-12
-    assert fff.G.max_abs() < 1e-12
-    assert np.max(np.abs(fff.F.values + 1)) < 1e-12
-    assert fff.is_isotropic and fff.is_timelike
-
-
 def test_cylinder_form(cylinder):
-    fff = first_fundamental_form(cylinder)
-    assert fff.E.max_abs() <= 1e-6
-    assert fff.G.max_abs() <= 1e-6
-    assert np.max(np.abs(fff.F.values + 1)) < 1e-7
-    assert fff.is_isotropic
+    # F = -1 on the cylinder, so f = sqrt(-F) = 1
+    assert np.max(np.abs(geometric_frame(cylinder).f.values - 1)) <= 5e-8
 
 
 def test_graph_not_isotropic():
-    fff = first_fundamental_form(graph_surface())
-    assert not fff.is_isotropic
-    assert fff.is_timelike  # EG - F^2 = -3 < 0
-    with pytest.raises(NotIsotropic):
+    # timelike (EG - F^2 = -3 < 0), but E = -3 is not small against F = 0
+    with pytest.raises(NotIsotropic, match="exceeds"):
         geometric_frame(graph_surface())
+
+
+def test_degenerate_metric():
+    with pytest.raises(DegenerateMetric, match="EG - F\\^2 is numerically zero"):
+        geometric_frame(degenerate_metric_immersion())
+
+
+def test_metric_overflow_is_not_finite(cylinder):
+    # the samples are finite but E, F and G overflow; no gate may pass them on
+    big = Immersion(cylinder.grid, cylinder.points * 1e160)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError, match="field samples must be finite"):
+            geometric_frame(big)
 
 
 def test_null_plane_minimal():
@@ -217,26 +208,22 @@ def test_integrability_mu1_lam2_relation(jet_bundle):
     assert np.max(np.abs(resid[su, sv])) <= 1e-4
 
 
+# In null parameters the only Christoffel symbols are G111 = 2 (ln f)_u and
+# G222 = 2 (ln f)_v, which frame_functions carries as ln_f_u and f gamma2.
+
 def test_christoffel_cylinder(cylinder):
-    rep = christoffel_isotropic(cylinder)
-    assert rep.G111.max_abs() <= 1e-6   # f = 1
-    assert rep.G222.max_abs() <= 1e-6
-    su, sv = cylinder.grid.interior(2)
-    assert np.max(np.abs(rep.check_x.values[su, sv])) <= 1e-6
-    assert np.max(np.abs(rep.check_y.values[su, sv])) <= 1e-6
+    funcs = frame_functions(cylinder)   # f = 1
+    assert np.max(np.abs(2 * funcs.ln_f_u)) <= 1e-6
+    assert np.max(np.abs(2 * funcs.f.values * funcs.gamma2.values)) <= 1e-6
 
 
 def test_christoffel_exponential_metric(degenerate_bundle):
-    # f = 1/sqrt|mu| gives G111 = 2 f_u / f = -(ln|mu|)_u
+    # f = 1/sqrt|mu| gives G111 = 2 (ln f)_u = -(ln|mu|)_u
     m = immersion_of(degenerate_bundle)
     t = degenerate_bundle.triple
-    rep = christoffel_isotropic(m)
-    from minksurf.fields import diff_values, ln_abs
-
     expected = -diff_values(ln_abs(t.mu).values, t.grid.hu, 0)
     su, sv = m.grid.interior(2)
-    assert np.max(np.abs(rep.G111.values - expected)[su, sv]) <= 5e-3
-    assert np.max(np.abs(rep.check_x.values[su, sv])) <= 1e-3
+    assert np.max(np.abs(2 * frame_functions(m).ln_f_u - expected)[su, sv]) <= 5e-3
 
 
 def test_immersion_transpose_roundtrip(cylinder):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import unstable_triple
+from conftest import degenerate_metric_immersion, graph_surface, unstable_triple
 
 from minksurf import io
 from minksurf.analysis import Immersion
@@ -216,6 +216,28 @@ def test_analyze_immersion_takes_no_nodes(tmp_path):
         data = json.loads(err.read_text())
         assert data["error"] == "ConfigError"
         assert "nodes" in data["message"]
+
+
+@pytest.mark.parametrize("surface, code, error", [
+    ("degenerate", 2, "DegenerateMetric"),
+    ("overflow", 1, "ValidationError"),
+    ("graph", 1, "NotIsotropic"),
+])
+def test_analyze_metric_gates(tmp_path, surface, code, error):
+    cyl = cylinder_immersion(33)
+    m = {
+        "degenerate": degenerate_metric_immersion,
+        "overflow": lambda: Immersion(cyl.grid, cyl.points * 1e160),
+        "graph": graph_surface,
+    }[surface]()
+    csv = tmp_path / "m.csv"
+    io.write_immersion_csv(m, str(csv))
+    report = tmp_path / "err.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["analyze", "--immersion", str(csv), "--report", str(report)]) == code
+    data = json.loads(report.read_text())
+    assert data["status"] == "error"
+    assert data["error"] == error
 
 
 def test_canonicalize_command(tmp_path):
