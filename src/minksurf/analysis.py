@@ -32,7 +32,7 @@ from .minkowski import lorentz_inner, minkowski_cross
 
 FD_ORDER = 4
 ISO_GATE_TOL = 1e-3      # isotropy gate: max(|E|,|G|) <= tol * max|F|
-NU_FLOOR = 1e-8          # below this (relative) the surface counts as minimal
+NU_FLOOR = 1e-8          # |H| below this (relative) raises MinimalOrTotallyGeodesic
 C_ZERO_TOL = 1e-8        # relative zero for the c_ij^k coefficients
 TOL_BETA_REL = 1e-4      # parallel-normal threshold, scaled by |sigma|
 NU_VAR_REL = 1e-4        # nu-variation threshold separating parallel-H from PNMC
@@ -40,7 +40,6 @@ NU_VAR_REL = 1e-4        # nu-variation threshold separating parallel-H from PNM
 
 class SurfaceClass(enum.Enum):
     TOTALLY_GEODESIC = "totally-geodesic"
-    MINIMAL = "minimal"
     PARALLEL_H = "parallel-H"
     PNMC = "pnmc"
     GENERIC = "generic"
@@ -101,21 +100,24 @@ def geometric_frame(m: Immersion) -> GeometricFrame:
     n2 = -w / |w| is oriented by construction.
 
     Gates, in order: DegenerateMetric where EG - F^2 is numerically zero;
-    ValidationError where E, F or G is not finite; NotIsotropic unless
-    max(|E|, |G|) <= ISO_GATE_TOL max|F| and F < 0 at every node;
+    ValidationError, naming them, where finite samples overflow E, F or G;
+    NotIsotropic unless max(|E|, |G|) <= ISO_GATE_TOL max|F| and F < 0 at
+    every node;
     MinimalOrTotallyGeodesic where |H| falls below its floor.
     """
     g = m.grid
     zu = diff_values(m.points, g.hu, axis=0, order=FD_ORDER)
     zv = diff_values(m.points, g.hv, axis=1, order=FD_ORDER)
-    E = lorentz_inner(zu, zu)
-    F = lorentz_inner(zu, zv)
-    G = lorentz_inner(zv, zv)
-    E_max, F_max, G_max = (np.max(np.abs(a)) for a in (E, F, G))
-    if np.min(np.abs(E * G - F * F)) < 1e-14 * max(E_max, F_max, G_max) ** 2:
-        raise DegenerateMetric("EG - F^2 is numerically zero somewhere")
-    if not all(np.all(np.isfinite(a)) for a in (E, F, G)):
-        raise ValidationError("field samples must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = lorentz_inner(zu, zu)
+        F = lorentz_inner(zu, zv)
+        G = lorentz_inner(zv, zv)
+        E_max, F_max, G_max = (np.max(np.abs(a)) for a in (E, F, G))
+        if np.min(np.abs(E * G - F * F)) < 1e-14 * max(E_max, F_max, G_max) ** 2:
+            raise DegenerateMetric("EG - F^2 is numerically zero somewhere")
+        overflow = [name for name, a in (("E", E), ("F", F), ("G", G)) if not np.all(np.isfinite(a))]
+        if overflow:
+            raise ValidationError(f"metric overflow: {', '.join(overflow)} not finite (the samples are finite)")
     worst = max(E_max, G_max)
     limit = ISO_GATE_TOL * F_max
     if worst > limit:
@@ -280,7 +282,6 @@ def invariants(m: Immersion) -> InvariantReport:
     for k in c:
         c_small &= np.abs(c[k]) <= C_ZERO_TOL * c_scale
 
-    nu_small = nu <= NU_FLOOR * (1.0 + float(np.max(nu)))
     beta_max = max(funcs.beta1.max_abs(), funcs.beta2.max_abs())
     betas_small = beta_max <= TOL_BETA_REL * (1.0 + sigma_scale)
     nu_varies = (float(np.max(nu)) - float(np.min(nu))) > NU_VAR_REL * (1.0 + float(np.max(nu)))
@@ -288,7 +289,6 @@ def invariants(m: Immersion) -> InvariantReport:
     cls = np.full(nu.shape, SurfaceClass.GENERIC, dtype=object)
     if betas_small:
         cls[:] = SurfaceClass.PNMC if nu_varies else SurfaceClass.PARALLEL_H
-    cls[nu_small] = SurfaceClass.MINIMAL
     cls[c_small] = SurfaceClass.TOTALLY_GEODESIC
 
     F = lambda a: ScalarField(g, a)

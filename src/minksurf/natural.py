@@ -27,9 +27,10 @@ p = lam + nu, q = lam - nu, g = ln|mu| the eps = -1 system is equivalent to
 symbolically in the test suite).  Along its characteristic each transport is
 dp = lam dg (dq = lam dg): the trapezoid rule from node to node, O(h^2), on
 grids with hu == hv.  Both cases march g with the implicit trapezoidal corner
-rule, one anti-diagonal at a time, by Newton steps that stop once the front's
-largest correction is at or below NEWTON_TOL (one step per front from 65
-nodes up on the built-in fixtures; the next correction reads 1e-16 or less).
+rule, one anti-diagonal at a time, by Newton steps from a predictor read off
+the stored corner values, stopping once the front's largest correction is at
+or below NEWTON_TOL (one step per front from 129 nodes up on the built-in
+fixtures; the next correction reads 1e-16 or less).
 In the degenerate case lam_v = lam g_v - nu_u is integrated exactly as
 (lam e^{-g})_v = -nu_u e^{-g}, by Simpson's rule.
 """
@@ -205,27 +206,28 @@ def _goursat_march(
 ) -> np.ndarray:
     """March g_uv = rhs(coef[i, j], g[i, j]) over the grid from two characteristic edges.
 
-    Contract of `rhs(c, g, with_derivative=False)`: c and g are equal-shape
-    arrays of the pointwise coefficient and of g at a batch of nodes; it
-    returns the right-hand side there, and with `with_derivative` the pair
-    (value, d value / d g).  It must act elementwise, so the value at a node
-    does not depend on the batch it is evaluated in.
+    Contract of `rhs(c, g)`: c and g are equal-shape arrays of the pointwise
+    coefficient and of g at a batch of nodes; it returns the pair
+    (value, d value / d g) of the right-hand side there.  It must act
+    elementwise, so the value at a node does not depend on the batch it is
+    evaluated in.
 
     Cell update is the trapezoidal corner rule, implicit in the new corner;
     second order overall.  The part of it fixed by the three known corners is
-    formed once per anti-diagonal, which is then solved from an explicit
-    predictor by Newton steps that stop once the front's largest correction
-    |dx| is at or below NEWTON_TOL, or after 3 steps.  Newton converges
-    quadratically: a correction e leaves a next one of about
-    cell |d^2 rhs / dg^2| e^2 / 2, below round-off for e <= NEWTON_TOL.  Measured
-    on the built-in fixtures, the first correction is at most 2.3e-8 / 1.5e-9
-    / 5.8e-12 on goursat-hyperbolic (33 / 65 / 257 nodes) and 1.3e-7 / 8.5e-9
-    / 3.4e-11 on goursat-degenerate, and the second is 1.1e-16 or less; so
-    from 65 nodes up a front takes one Newton step.  Each node's right-hand
-    side is evaluated once, when the node is final, and reused by the three
-    cells it is a known corner of.  Raises BlowUp, with the node and (u, v)
-    of the first node whose |g| exceeds G_LIMIT, when the march leaves
-    the trust region.
+    formed once per anti-diagonal.  The predictor extrapolates the new
+    corner's right-hand side from the stored ones, r(i-1, j) + r(i, j-1) -
+    r(i-1, j-1), and Newton steps follow until the front's largest
+    correction |dx| is at or below NEWTON_TOL, or after 3 steps.  Newton
+    converges quadratically: a correction e leaves a next one of about
+    cell |d^2 rhs / dg^2| e^2 / 2, below round-off for e <= NEWTON_TOL.
+    Measured on the built-in fixtures, the first correction is at most
+    1.5e-8 / 9.3e-10 / 3.6e-12 on goursat-hyperbolic (33 / 65 / 257 nodes)
+    and 2.4e-7 / 1.5e-8 / 6.1e-11 on goursat-degenerate, and the second is
+    1.1e-16 or less.  So from 129 nodes up a front costs two rhs calls: one
+    Newton step, and the final value, which the three cells that have the
+    node as a known corner reuse.  Raises BlowUp, with the node and (u, v)
+    of the first node whose |g| exceeds G_LIMIT, when the march leaves the
+    trust region.
     """
     Nu, Nv = grid.Nu, grid.Nv
     hu, hv = grid.hu, grid.hv
@@ -236,17 +238,17 @@ def _goursat_march(
     g[:, 0] = g_bottom
     g[0, :] = g_left
     r = np.empty((Nu, Nv))
-    r[:, 0] = rhs(coef[:, 0], g[:, 0])
-    r[0, :] = rhs(coef[0, :], g[0, :])
+    r[:, 0] = rhs(coef[:, 0], g[:, 0])[0]
+    r[0, :] = rhs(coef[0, :], g[0, :])[0]
     gf, rf, cf = g.reshape(-1), r.reshape(-1), coef.reshape(-1)
     cell = hu * hv / 4.0
     for node, du, dv, duv in _wavefronts(Nu, Nv):
         c = cf[node]
         base = gf[du] + gf[dv] - gf[duv]
         fixed = base + cell * (rf[duv] + rf[du] + rf[dv])
-        x = fixed + cell * rhs(c, base)  # predictor
+        x = fixed + cell * (rf[du] + rf[dv] - rf[duv])  # predictor: rhs extrapolated from the corners
         for _ in range(3):
-            val, dval = rhs(c, x, with_derivative=True)
+            val, dval = rhs(c, x)
             dx = (x - fixed - cell * val) / (1.0 - cell * dval)
             x = x - dx
             if np.abs(dx).max() <= NEWTON_TOL:
@@ -258,18 +260,15 @@ def _goursat_march(
             uv = grid.uv(first)
             raise BlowUp(f"|ln mu| exceeded {G_LIMIT} during marching: node {first} at (u, v) = {uv}",
                          node=first, uv=uv)
-        rf[node] = rhs(c, x)
+        rf[node] = rhs(c, x)[0]
     return g
 
 
-def _degenerate_rhs(nusq, g, with_derivative=False):
+def _degenerate_rhs(nusq, g):
     """g_uv = -nu^2 e^{-g}, the degenerate curvature equation, and its g-derivative."""
     # clip to +-700, overflow-safe (the guard trips first); two ufuncs cost less than np.clip
     e = np.exp(-np.minimum(np.maximum(g, -700.0), 700.0))
-    val = -nusq * e
-    if with_derivative:
-        return val, nusq * e
-    return val
+    return -nusq * e, nusq * e
 
 
 def solve_goursat_degenerate(
@@ -306,7 +305,7 @@ def solve_goursat_degenerate(
     nusq = nu * nu
     g = _goursat_march(grid, gb, gl, np.broadcast_to(nusq[:, None], (grid.Nu, grid.Nv)), _degenerate_rhs)
 
-    nu_u = np.gradient(nu, grid.hu, edge_order=2)
+    nu_u = diff_values(nu, grid.hu, 0)
     e_minus = np.exp(-g)
     integral = cumulative_simpson(e_minus, dx=grid.hv, axis=1, initial=0.0)
     lam = np.exp(g) * ((lb * e_minus[:, 0])[:, None] - nu_u[:, None] * integral)
@@ -318,13 +317,11 @@ def solve_goursat_degenerate(
     )
 
 
-def _hyperbolic_rhs(pq, g, with_derivative=False):
+def _hyperbolic_rhs(pq, g):
     """g_uv = p q e^{-g} + e^{g}, the eps = -1 curvature equation, and its g-derivative."""
     gc = np.minimum(np.maximum(g, -700.0), 700.0)  # clip, as in _degenerate_rhs
     a, b = pq * np.exp(-gc), np.exp(gc)
-    if with_derivative:
-        return a + b, b - a
-    return a + b
+    return a + b, b - a
 
 
 def solve_goursat_hyperbolic(
@@ -349,6 +346,8 @@ def solve_goursat_hyperbolic(
     O(h^2).  The diagonal steps land on nodes only when hu == hv, so any
     other grid raises ValidationError.
     """
+    if sign_mu not in (1, -1):
+        raise ValidationError("sign_mu must be +1 or -1")
     if not np.isclose(grid.hu, grid.hv, rtol=1e-12, atol=0.0):
         raise ValidationError(f"characteristic sweep needs hu == hv, got hu {grid.hu!r}, hv {grid.hv!r}")
     Nu, Nv = grid.Nu, grid.Nv
@@ -360,7 +359,7 @@ def solve_goursat_hyperbolic(
     qt = _samples_1d(q_top, u, "q_top")
     gb = _samples_1d(g_bottom, u, "g_bottom")
     gl = _samples_1d(g_left, v, "g_left")
-    for a, b, what in ((pb[0], pl[0], "p"), (ql[-1], qt[0], "q"), (gb[0], gl[0], "g")):
+    for a, b, what in ((pb[0], pl[0], "p"), (ql[-1], qt[0], "q")):  # _goursat_march checks g's corner
         if abs(a - b) > 1e-10 * (1.0 + abs(a)):
             raise ValidationError(f"incompatible corner data for {what}")
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,11 +237,25 @@ def test_analyze_metric_gates(tmp_path, surface, code, error):
     csv = tmp_path / "m.csv"
     io.write_immersion_csv(m, str(csv))
     report = tmp_path / "err.json"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run(["analyze", "--immersion", str(csv), "--report", str(report)]) == code
+    assert run(["analyze", "--immersion", str(csv), "--report", str(report)]) == code
     data = json.loads(report.read_text())
     assert data["status"] == "error"
     assert data["error"] == error
+
+
+def test_metric_overflow_stderr_is_one_json_document(tmp_path):
+    # numpy's overflow warnings must not reach stderr ahead of the error report
+    cyl = cylinder_immersion(33)
+    csv = tmp_path / "m.csv"
+    io.write_immersion_csv(Immersion(cyl.grid, cyl.points * 1e160), str(csv))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "minksurf.cli", "analyze", "--immersion", str(csv)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    data = json.loads(proc.stderr)
+    assert (data["error"], data["message"]) == (
+        "ValidationError", "metric overflow: E, F, G not finite (the samples are finite)")
 
 
 def test_canonicalize_command(tmp_path):

@@ -287,6 +287,35 @@ def test_goursat_hyperbolic_rejects_unequal_spacing():
         solve_goursat_hyperbolic(grid=g, **_hyperbolic_edges(g))
 
 
+@pytest.mark.parametrize(
+    "solver, change, message",
+    [
+        ("hyperbolic", dict(p_left=1.0), "corner data for p"),
+        ("hyperbolic", dict(q_top=1.0), "corner data for q"),
+        ("hyperbolic", dict(g_left=1.0), "corner data: g_bottom"),
+        ("hyperbolic", dict(sign_mu=0), "sign_mu"),
+        ("hyperbolic", dict(sign_mu=2), "sign_mu"),
+        ("degenerate", dict(sign_mu=0), "sign_mu"),
+        ("degenerate", dict(sign_mu=2), "sign_mu"),
+    ],
+    ids=["hyperbolic-p-corner", "hyperbolic-q-corner", "hyperbolic-g-corner", "hyperbolic-sign0",
+         "hyperbolic-sign2", "degenerate-sign0", "degenerate-sign2"],
+)
+def test_goursat_solvers_reject_bad_data(solver, change, message):
+    # an edge shifted by 1 breaks its corner match; mu = sign_mu e^g needs sign_mu = +-1
+    g = GridSpec(0, 0.5, 0, 0.5, 33, 33)
+    if solver == "hyperbolic":
+        kwargs = dict(_hyperbolic_edges(g), grid=g)
+    else:
+        kwargs = dict(nu_of_u=lambda u: 1 + u, g_bottom=lambda u: 0 * u, g_left=lambda v: 0 * v,
+                      lambda_bottom=lambda u: 0 * u, sign_mu=1, grid=g)
+    for name, value in change.items():
+        kwargs[name] = value if name == "sign_mu" else (lambda x, e=kwargs[name]: e(x) + value)
+    solve = solve_goursat_hyperbolic if solver == "hyperbolic" else solve_goursat_degenerate
+    with pytest.raises(ValidationError, match=message):
+        solve(**kwargs)
+
+
 def _hyperbolic_edges(grid: GridSpec) -> dict:
     """solve_goursat_hyperbolic's edge data of the goursat-hyperbolic fixture."""
     P, Q, G = _hyperbolic_edge_functions()
@@ -312,7 +341,8 @@ def test_goursat_hyperbolic_no_convergence_reports_sweeps(monkeypatch):
 def _reference_march(grid, g_bottom, g_left, coef, rhs):
     """Reference Goursat march: rhs evaluated afresh at the three known corners of every cell.
 
-    Same stopping rule as the march: Newton steps until the front's largest
+    Same predictor as the march, extrapolated from those three corner values,
+    and the same stopping rule: Newton steps until the front's largest
     correction is at or below NEWTON_TOL, at most 3.
     """
     Nu, Nv = grid.Nu, grid.Nv
@@ -321,18 +351,20 @@ def _reference_march(grid, g_bottom, g_left, coef, rhs):
     g[0, :] = g_left
     cell = grid.hu * grid.hv / 4.0
 
-    def f(i, j, x, with_derivative=False):
-        return rhs(coef[i, j], x, with_derivative=with_derivative)
+    def f(i, j, x):
+        return rhs(coef[i, j], x)
 
     for s in range(2, Nu + Nv - 1):
         i = np.arange(max(1, s - (Nv - 1)), min(Nu - 1, s - 1) + 1)
         j = s - i
         base = g[i - 1, j] + g[i, j - 1] - g[i - 1, j - 1]
-        known = f(i - 1, j - 1, g[i - 1, j - 1]) + f(i - 1, j, g[i - 1, j]) + f(i, j - 1, g[i, j - 1])
-        fixed = base + cell * known
-        x = fixed + cell * f(i, j, base)
+        r_duv = f(i - 1, j - 1, g[i - 1, j - 1])[0]
+        r_du = f(i - 1, j, g[i - 1, j])[0]
+        r_dv = f(i, j - 1, g[i, j - 1])[0]
+        fixed = base + cell * (r_duv + r_du + r_dv)
+        x = fixed + cell * (r_du + r_dv - r_duv)
         for _ in range(3):
-            val, dval = f(i, j, x, with_derivative=True)
+            val, dval = f(i, j, x)
             dx = (x - fixed - cell * val) / (1.0 - cell * dval)
             x = x - dx
             if np.max(np.abs(dx)) <= NEWTON_TOL:
@@ -349,8 +381,8 @@ def _three_step_reference_march(grid, g_bottom, g_left, coef, rhs):
     g[0, :] = g_left
     cell = grid.hu * grid.hv / 4.0
 
-    def f(i, j, x, with_derivative=False):
-        return rhs(coef[i, j], x, with_derivative=with_derivative)
+    def f(i, j, x):
+        return rhs(coef[i, j], x)[0]
 
     for s in range(2, Nu + Nv - 1):
         i = np.arange(max(1, s - (Nv - 1)), min(Nu - 1, s - 1) + 1)
@@ -359,7 +391,7 @@ def _three_step_reference_march(grid, g_bottom, g_left, coef, rhs):
         known = f(i - 1, j - 1, g[i - 1, j - 1]) + f(i - 1, j, g[i - 1, j]) + f(i, j - 1, g[i, j - 1])
         x = base + cell * (known + f(i, j, base))
         for _ in range(3):
-            val, dval = f(i, j, x, with_derivative=True)
+            val, dval = rhs(coef[i, j], x)
             phi = x - base - cell * (known + val)
             x = x - phi / (1.0 - cell * dval)
         g[i, j] = x
@@ -408,27 +440,52 @@ def test_goursat_march_matches_three_step_newton():
         assert err <= 1e-13 * (1.0 + np.max(np.abs(g))), err
 
 
-def _newton_steps_per_front(case) -> list:
-    """Marches the case with a counting rhs; returns the Newton steps of each front."""
+def _rhs_calls(case) -> list:
+    """Marches the case with a counting rhs; returns the coefficient array of each call."""
     grid, gb, gl, coef, rhs = case
     calls = []
 
-    def counted(c, g, with_derivative=False):
-        calls.append(with_derivative)
-        return rhs(c, g, with_derivative=with_derivative)
+    def counted(c, g):
+        calls.append(c)
+        return rhs(c, g)
 
     _goursat_march(grid, gb, gl, coef, counted)
-    # each front: one predictor call, its Newton steps (with derivative), one final call
-    return [len(list(run)) for flag, run in groupby(calls) if flag]
+    return calls
+
+
+def _newton_steps_per_front(case) -> list:
+    """The Newton steps of each front of the case's march."""
+    # after the two edges, each front calls rhs for its Newton steps and once more
+    # for the final value, all on the one view of the front's coefficients; the
+    # calls keep every view alive, so no two fronts share an id
+    return [len(list(run)) - 1 for _, run in groupby(_rhs_calls(case)[2:], key=id)]
 
 
 def test_goursat_march_newton_steps():
-    g = GridSpec(0, 0.5, 0, 0.5, 129, 129)
-    steps = _newton_steps_per_front((g, *_hyperbolic_march_data(g), _hyperbolic_rhs))
+    steps = _newton_steps_per_front(_fixture_march_case("goursat-hyperbolic", 129))
     assert steps == [1] * len(_wavefronts(129, 129))
     for case in _march_cases()[2:]:
         steps = _newton_steps_per_front(case)
         assert len(steps) == len(_wavefronts(33, 33)) and max(steps) <= 3
+
+
+def _fixture_march_case(fixture: str, nodes: int):
+    """(grid, g_bottom, g_left, coef, rhs) of the fixture's (first) march."""
+    if fixture == "goursat-hyperbolic":
+        g = GridSpec(0, 0.5, 0, 0.5, nodes, nodes)
+        return (g, *_hyperbolic_march_data(g), _hyperbolic_rhs)
+    g = GridSpec(0, 1, 0, 1, nodes, nodes)
+    edge = np.full(nodes, DEGENERATE_EDGE_LEVEL)
+    nusq = np.broadcast_to(((1.0 + g.u_nodes) ** 2)[:, None], (nodes, nodes))
+    return (g, edge, edge, nusq, _degenerate_rhs)
+
+
+@pytest.mark.parametrize("nodes, calls", [(129, 512), (257, 1024)])
+@pytest.mark.parametrize("fixture", ["goursat-hyperbolic", "goursat-degenerate"])
+def test_goursat_march_rhs_calls(fixture, nodes, calls):
+    # 2 + 2 x (2 nodes - 3 fronts): one call per edge, then per front one Newton
+    # step and the final value; the predictor reads the stored corner values
+    assert len(_rhs_calls(_fixture_march_case(fixture, nodes))) == calls
 
 
 def test_characteristic_reformulation_symbolic():
