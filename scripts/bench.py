@@ -13,8 +13,11 @@ REPEATS calls (after one untimed warm-up call) of:
                               triple and coefficient matrices built beforehand
   reconstruct                 `frames.reconstruct` of the same triple: residual gate,
                               coefficient matrices, transport, position, compatibility
-  invariants                  `analysis.invariants` of the reconstructed positive
+  geometric_frame             `analysis.geometric_frame` of the reconstructed positive
                               order-6 jet at radius 0.1, built beforehand
+  frame_functions             `analysis.frame_functions` of that geometric frame,
+                              built beforehand
+  invariants                  `analysis.invariants` of the same immersion
   canonicalize                `canonical.canonicalize` of the same immersion
 
 The result is stored under `--label` in the JSON file `--out`, next to the
@@ -81,13 +84,16 @@ def _stages(nodes: int) -> dict:
     cm = frames.coefficient_matrices(t)
     bundle = frames.reconstruct(t)
     m = analysis.Immersion(bundle.grid, bundle.points)
+    frame = analysis.geometric_frame(m)
     return {
         "goursat_hyperbolic_triple": lambda: fixtures.goursat_hyperbolic_triple(nodes),
         "solve_goursat_hyperbolic": lambda: natural.solve_goursat_hyperbolic(**edges),
         "goursat_march": _first_march(nodes),
         "goursat_degenerate_triple": lambda: fixtures.goursat_degenerate_triple(nodes),
-        "integrate_frame": lambda: frames.integrate_frame(t, cm=cm),
+        "integrate_frame": lambda: frames.integrate_frame(cm),
         "reconstruct": lambda: frames.reconstruct(t),
+        "geometric_frame": lambda: analysis.geometric_frame(m),
+        "frame_functions": lambda: analysis.frame_functions(frame),
         "invariants": lambda: analysis.invariants(m),
         "canonicalize": lambda: canonical.canonicalize(m),
     }

@@ -22,7 +22,7 @@ from minksurf.fixtures import (
     goursat_degenerate_triple,
     goursat_hyperbolic_triple,
 )
-from minksurf.frames import compatibility_residual, reconstruct
+from minksurf.frames import coefficient_matrices, compatibility_residual, reconstruct
 from minksurf.natural import residual
 
 
@@ -36,7 +36,7 @@ def study(name, make_triple, grids, with_roundtrip=False):
     for n in grids:
         t = make_triple(n)
         r = residual(t).interior_max_abs
-        c = compatibility_residual(t).interior_max_abs()
+        c = compatibility_residual(coefficient_matrices(t)).interior_max_abs()
         line = f"  n={n:4d}  residual {r:.4e}  compat {c:.4e}"
         if with_roundtrip:
             bundle = reconstruct(t, force=True)

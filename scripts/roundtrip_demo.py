@@ -49,7 +49,7 @@ def main():
         float(np.max(np.abs(funcs.nu.values - t.nu.values)[su, sv])),
     )
     print(f"  triple recovery error: {rec:.3e}")
-    print(f"  classification: {inv.overall_class().value}")
+    print(f"  classification: {inv.classification.value}")
 
     canon = canonicalize(m)
     print("  canonicalization:")

@@ -3,15 +3,17 @@
 From z(u, v) in Minkowski 4-space the pipeline recovers the metric function f
 (F = -f^2 in isotropic parameters, where E = G = 0), the geometric frame
 {x, y, n1, n2} (x = z_u/f, y = z_v/f, n1 = H/|H|, n2 oriented by construction
-so that det[x; y; n1; n2] = +1), the frame functions (gamma1, gamma2, lambda1,
-mu1, lambda2, mu2, nu, beta1, beta2), curvature invariants through two
-independent formulas, the inflection determinants, and the parallel / PNMC
-classification.
+so that det[x; y; n1; n2] = +1), the frame functions (lambda1, mu1, lambda2,
+mu2, nu, beta1, beta2), curvature invariants through two independent
+formulas, the inflection determinants, and one class for the surface
+(totally geodesic, parallel-H, PNMC or generic).
 
-Derivatives here use order-4 stencils: the beta tolerances sit below what
-order-2 differencing of an oscillatory immersion can deliver on production
-grids.  Each derivative of z is taken once per frame: `geometric_frame` keeps
-z_u, z_v and z_uv, and `invariants` reuses them.
+The stages run in one chain: `geometric_frame(m)`, then
+`frame_functions(frame)`, which reads only that frame.  Derivatives here use
+order-4 stencils: the beta tolerances sit below what order-2 differencing of
+an oscillatory immersion can deliver on production grids.  Each derivative
+of z is taken once per frame: `geometric_frame` keeps z_u, z_v and z_uv, and
+`invariants` reuses them.
 """
 
 from __future__ import annotations
@@ -161,8 +163,6 @@ def geometric_frame(m: Immersion) -> GeometricFrame:
 
 @dataclass
 class FrameFunctions:
-    gamma1: ScalarField
-    gamma2: ScalarField
     lambda1: ScalarField
     mu1: ScalarField
     lambda2: ScalarField
@@ -171,7 +171,6 @@ class FrameFunctions:
     beta1: ScalarField
     beta2: ScalarField
     f: ScalarField
-    ln_f_u: np.ndarray       # d/du ln f, order 4: gamma1 before the 1/f, kept for invariants
 
     def sigma_scale(self) -> float:
         return max(
@@ -180,25 +179,18 @@ class FrameFunctions:
         )
 
 
-def frame_functions(m: Immersion, frame: GeometricFrame | None = None) -> FrameFunctions:
-    """Connection coefficients of the geometric frame.
+def frame_functions(frame: GeometricFrame) -> FrameFunctions:
+    """Second fundamental form and normal connection of the geometric frame.
 
     With the frame normalized as x = z_u/f, y = z_v/f the directional
     derivatives are (1/f) d/du and (1/f) d/dv applied to the frame fields.
     """
-    if frame is None:
-        frame = geometric_frame(m)
-    g = m.grid
+    g = frame.f.grid
     f = frame.f.values
     x = frame.frames[..., 0, :]
     y = frame.frames[..., 1, :]
     n1 = frame.frames[..., 2, :]
     n2 = frame.frames[..., 3, :]
-
-    ln_f = np.log(f)
-    ln_f_u = diff_values(ln_f, g.hu, axis=0, order=FD_ORDER)
-    gamma1 = ln_f_u / f
-    gamma2 = diff_values(ln_f, g.hv, axis=1, order=FD_ORDER) / f
 
     x_u = diff_values(x, g.hu, axis=0, order=FD_ORDER)
     y_v = diff_values(y, g.hv, axis=1, order=FD_ORDER)
@@ -214,9 +206,8 @@ def frame_functions(m: Immersion, frame: GeometricFrame | None = None) -> FrameF
 
     F = lambda a: ScalarField(g, a)
     return FrameFunctions(
-        gamma1=F(gamma1), gamma2=F(gamma2),
         lambda1=F(lam1), mu1=F(mu1), lambda2=F(lam2), mu2=F(mu2),
-        nu=frame.nu, beta1=F(beta1), beta2=F(beta2), f=frame.f, ln_f_u=ln_f_u,
+        nu=frame.nu, beta1=F(beta1), beta2=F(beta2), f=frame.f,
     )
 
 
@@ -231,24 +222,24 @@ class InvariantReport:
     Delta1: ScalarField
     Delta2: ScalarField
     Delta3: ScalarField
-    classification: np.ndarray   # per-node SurfaceClass
+    classification: SurfaceClass
     functions: FrameFunctions
-
-    def overall_class(self) -> SurfaceClass:
-        from collections import Counter
-
-        su, sv = self.K_metric.grid.interior(2)
-        counts = Counter(self.classification[su, sv].ravel().tolist())
-        return counts.most_common(1)[0][0]
 
 
 def invariants(m: Immersion) -> InvariantReport:
+    """Curvature invariants, inflection determinants and the surface's class.
+
+    The class is TOTALLY_GEODESIC when every c_ij^k vanishes at more than half
+    of the nodes two layers in (an exact half does not count).  Otherwise it is
+    PNMC or PARALLEL_H when both betas are small (PNMC when nu varies), else GENERIC.
+    """
     frame = geometric_frame(m)
-    funcs = frame_functions(m, frame)
+    funcs = frame_functions(frame)
     g = m.grid
     f = frame.f.values
 
-    K_metric = 2.0 / (f * f) * diff_values(funcs.ln_f_u, g.hv, axis=1, order=FD_ORDER)
+    ln_f_u = diff_values(np.log(f), g.hu, axis=0, order=FD_ORDER)
+    K_metric = 2.0 / (f * f) * diff_values(ln_f_u, g.hv, axis=1, order=FD_ORDER)
 
     nu = funcs.nu.values
     K_frame = nu * nu - funcs.lambda1.values * funcs.lambda2.values - funcs.mu1.values * funcs.mu2.values
@@ -278,18 +269,18 @@ def invariants(m: Immersion) -> InvariantReport:
     D3 = c[(1, 2, 1)] * c[(2, 2, 2)] - c[(1, 2, 2)] * c[(2, 2, 1)]
 
     c_scale = max(np.max(np.abs(v)) for v in c.values()) + 1e-300
-    c_small = np.ones(c[(1, 1, 1)].shape, dtype=bool)
-    for k in c:
-        c_small &= np.abs(c[k]) <= C_ZERO_TOL * c_scale
+    c_zero = np.all([np.abs(v[g.interior(2)]) <= C_ZERO_TOL * c_scale for v in c.values()], axis=0)
 
     beta_max = max(funcs.beta1.max_abs(), funcs.beta2.max_abs())
     betas_small = beta_max <= TOL_BETA_REL * (1.0 + sigma_scale)
     nu_varies = (float(np.max(nu)) - float(np.min(nu))) > NU_VAR_REL * (1.0 + float(np.max(nu)))
 
-    cls = np.full(nu.shape, SurfaceClass.GENERIC, dtype=object)
-    if betas_small:
-        cls[:] = SurfaceClass.PNMC if nu_varies else SurfaceClass.PARALLEL_H
-    cls[c_small] = SurfaceClass.TOTALLY_GEODESIC
+    if 2 * np.count_nonzero(c_zero) > c_zero.size:
+        cls = SurfaceClass.TOTALLY_GEODESIC
+    elif betas_small:
+        cls = SurfaceClass.PNMC if nu_varies else SurfaceClass.PARALLEL_H
+    else:
+        cls = SurfaceClass.GENERIC
 
     F = lambda a: ScalarField(g, a)
     return InvariantReport(

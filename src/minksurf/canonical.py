@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import make_interp_spline
 
-from .analysis import FrameFunctions, Immersion, frame_functions
+from .analysis import FrameFunctions, Immersion, frame_functions, geometric_frame
 from .errors import BothMuZero, NotSeparable
 from .fields import MU_MIN, GridSpec, ScalarField, diff_values, ln_abs
 from .natural import CanonicalTriple, Case, classify_from_frame
@@ -126,8 +126,6 @@ def _monotone_inverse(svals: np.ndarray, nodes: np.ndarray, targets: np.ndarray)
     return np.clip(out, nodes[0], nodes[-1])
 
 
-
-
 def canonicalize(m: Immersion) -> CanonicalizationResult:
     """Resample an isotropic immersion onto canonical parameters.
 
@@ -136,7 +134,7 @@ def canonicalize(m: Immersion) -> CanonicalizationResult:
     and the canonical metric law max |f sqrt|mu| - 1|.  Raises NotSeparable
     when f^2 |mu_i| depends on the wrong parameter.
     """
-    funcs = frame_functions(m)
+    funcs = frame_functions(geometric_frame(m))
     case, _, swapped = classify_functions(funcs)
     if swapped:
         return canonicalize(m.transpose())
@@ -168,7 +166,7 @@ def canonicalize(m: Immersion) -> CanonicalizationResult:
     # sample at (src_u, src_v), label the nodes (ubar, vbar)
     new_grid = GridSpec(0.0, ubar[-1], vbar[0], vbar[-1], g.Nu, g.Nv)
     new_m = m.resample(new_grid, src_u, src_v)
-    funcs2 = frame_functions(new_m)
+    funcs2 = frame_functions(geometric_frame(new_m))
 
     if degenerate:
         # nu depends on u only: project out the v-noise of the recovered samples

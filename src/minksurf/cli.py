@@ -272,7 +272,7 @@ def _cmd_roundtrip(opts: dict) -> int:
         "path_discrepancy": bundle.diagnostics["path_discrepancy"],
         "compat_max": bundle.diagnostics["compat_max"],
         "triple_recovery_error": err,
-        "classification": inv.overall_class().value,
+        "classification": inv.classification.value,
     }
     report = _report("roundtrip", opts, {"tol_build": opts["tol_build"]}, metrics)
     return _finish(report, opts, [f"triple recovery error: {err:.6e}"])

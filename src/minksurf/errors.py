@@ -57,13 +57,12 @@ class BothMuZero(NumericalError):
     """mu1 and mu2 both vanish: inflection configuration, surface lies in a 3-space."""
 
 
-class ResidualTooLarge(NumericalError):
-    """Natural-system residual exceeds the build tolerance for reconstruction."""
+class ResidualTooLarge(LocatedError):
+    """Natural-system residual `measured` exceeds the build tolerance `tol`, worst at `node`, `uv`."""
 
-    def __init__(self, measured: float, tol: float):
-        self.measured = measured
-        self.tol = tol
-        super().__init__(f"natural-system residual {measured:.3e} exceeds tol_build {tol:.3e}")
+    def __init__(self, message: str, measured: float, tol: float, node=None, uv=None):
+        self.measured, self.tol = measured, tol
+        super().__init__(message, node, uv)
 
 
 class StepUnstable(LocatedError):

@@ -6,7 +6,10 @@ The frame F (rows x, y, n1, n2) solves the linear transport system
 
 with coefficient matrices assembled from (lambda, mu, nu) and
 gamma1 = -(sqrt|mu|)_u, gamma2 = -(sqrt|mu|)_v; the position then integrates
-z_u = x / sqrt|mu|, z_v = y / sqrt|mu|.  Compatibility A_v - B_u + AB - BA
+z_u = x / sqrt|mu|, z_v = y / sqrt|mu|.  `coefficient_matrices` is the only
+stage that reads the triple's fields: `integrate_frame` and
+`compatibility_residual` take its `CoefficientMatrices`, and `reconstruct`
+builds them once for both.  Compatibility A_v - B_u + AB - BA
 vanishes exactly when the triple solves its natural system, so its max-norm
 field is the practical detector for bad input; path independence of the
 integration holds only then, and the cross-path discrepancy is reported as a
@@ -81,9 +84,8 @@ def coefficient_matrices(t: CanonicalTriple) -> CoefficientMatrices:
     return CoefficientMatrices(A=A, B=B, grid=g)
 
 
-def compatibility_residual(t: CanonicalTriple, cm: CoefficientMatrices | None = None) -> ScalarField:
-    """Per-node max-norm of A_v - B_u + AB - BA; `cm` is t's prebuilt matrices, if any."""
-    cm = cm or coefficient_matrices(t)
+def compatibility_residual(cm: CoefficientMatrices) -> ScalarField:
+    """Per-node max-norm of A_v - B_u + AB - BA."""
     g = cm.grid
     A_v = diff_values(cm.A, g.hv, axis=1)
     B_u = diff_values(cm.B, g.hu, axis=0)
@@ -176,16 +178,14 @@ def _transport(cm: CoefficientMatrices, F0m: np.ndarray) -> tuple[np.ndarray, np
     return columns, _rk4_line(columns[0], cm.A, g, 0, "rows")
 
 
-def integrate_frame(t: CanonicalTriple, F0: np.ndarray | None = None,
-                    cm: CoefficientMatrices | None = None):
+def integrate_frame(cm: CoefficientMatrices, F0: np.ndarray | None = None):
     """Transport the frame over the grid; returns (frames, diagnostics).
 
     F0 is the (4, 4) initial frame at (u0, v0), `standard_frame()` when None,
-    pseudo-orthonormal within F0_GRAM_TOL.  `cm` is t's prebuilt coefficient
-    matrices, if any.  frames has shape (Nu, Nv, 4, 4).  Diagnostics:
-    gram_drift (max deviation of the transported Gram products over all
-    nodes) and path_discrepancy (max entry difference against the alternate
-    integration order).
+    pseudo-orthonormal within F0_GRAM_TOL.  frames has shape (Nu, Nv, 4, 4).
+    Diagnostics: gram_drift (max deviation of the transported Gram products
+    over all nodes) and path_discrepancy (max entry difference against the
+    alternate integration order).
     """
     F0m = standard_frame() if F0 is None else np.asarray(F0, dtype=float)
     if F0m.shape != (4, 4):
@@ -193,7 +193,6 @@ def integrate_frame(t: CanonicalTriple, F0: np.ndarray | None = None,
     drift = gram_residual(F0m)
     if not drift <= F0_GRAM_TOL:  # NaN fails too
         raise ValidationError(f"initial frame impure: gram residual {drift:.3e} > {F0_GRAM_TOL:.0e}")
-    cm = cm or coefficient_matrices(t)
     frames, alt = _transport(cm, F0m)
     diagnostics = {
         "gram_drift": float(np.max(gram_residual(frames))),
@@ -206,13 +205,18 @@ def integrate_position(frames: np.ndarray, mu: ScalarField, p0: np.ndarray):
     """Cumulative Simpson quadrature of z_u = x/sqrt|mu|, z_v = y/sqrt|mu|.
 
     Follows the bottom-edge-then-columns path; the alternate order gives the
-    reported cross-path discrepancy.  z(u0, v0) = p0 exactly.
+    reported cross-path discrepancy.  z(u0, v0) = p0 exactly; p0 must be 4
+    finite numbers.
     """
+    p0 = np.asarray(p0, dtype=float)
+    if p0.shape != (4,):
+        raise ValidationError(f"p0 must be 4 numbers, got shape {p0.shape}")
+    if not np.all(np.isfinite(p0)):
+        raise ValidationError(f"p0 must be finite, got {p0.tolist()}")
     g = mu.grid
     w = 1.0 / np.sqrt(np.abs(mu.values))
     zu = w[..., None] * frames[..., 0, :]   # x rows
     zv = w[..., None] * frames[..., 1, :]   # y rows
-    p0 = np.asarray(p0, dtype=float)
     bottom = p0 + cumulative_simpson(zu[:, 0, :], dx=g.hu, axis=0, initial=0.0)
     z = bottom[:, None, :] + cumulative_simpson(zv, dx=g.hv, axis=1, initial=0.0)
     left = p0 + cumulative_simpson(zv[0, :, :], dx=g.hv, axis=0, initial=0.0)
@@ -240,16 +244,25 @@ def reconstruct(
     force: bool = False,
 ) -> ReconstructionBundle:
     """Full reconstruction: residual gate, frame transport (one coefficient-matrix
-    build serves it and the compatibility check), position quadrature."""
+    build serves it and the compatibility check), position quadrature.
+
+    p0 = z(u0, v0) is the origin when None.  The gate's ResidualTooLarge
+    names the worst of r1, r2 and r3 and its worst interior node.
+    """
     rep = residual(t)
     if rep.interior_max_abs > tol_build and not force:
-        raise ResidualTooLarge(rep.interior_max_abs, tol_build)
+        name, r = max(zip(("r1", "r2", "r3"), (rep.r1, rep.r2, rep.r3)), key=lambda p: p[1].interior_max_abs())
+        worst = np.abs(r.values[t.grid.interior(2)])  # two layers in, as interior_max_abs
+        node = tuple(int(k) + 2 for k in np.unravel_index(np.argmax(worst), worst.shape))
+        uv = t.grid.uv(node)
+        raise ResidualTooLarge(f"natural-system residual {name} = {rep.interior_max_abs:.3e} exceeds tol_build "
+                               f"{tol_build:.3e} at node {node}, (u, v) = {uv}", rep.interior_max_abs, tol_build, node, uv)
     if p0 is None:
         p0 = np.zeros(4)
     cm = coefficient_matrices(t)
-    frames, diag = integrate_frame(t, F0, cm)
+    frames, diag = integrate_frame(cm, F0)
     points, pos_disc = integrate_position(frames, t.mu, p0)
-    compat = compatibility_residual(t, cm)
+    compat = compatibility_residual(cm)
     diagnostics = {
         "residual_max": rep.interior_max_abs,
         "compat_max": compat.interior_max_abs(),

@@ -242,7 +242,7 @@ def invariant_report_dict(rep: InvariantReport) -> dict:
             max(rep.functions.beta1.interior_max_abs(), rep.functions.beta2.interior_max_abs())
         ),
         "nu": mm(rep.functions.nu),
-        "classification": rep.overall_class().value,
+        "classification": rep.classification.value,
     }
 
 

@@ -193,12 +193,9 @@ def _exps(g, case: Case, n: int):
     return p_exp(g, n), p_exp(g, n, factor=2.0)
 
 
-def _residual_coeffs(lam, nu, g, case: Case, n: int, exps=None):
-    """Taylor coefficient arrays of the three residual polynomials.
-
-    `exps` is `_exps(g, case, n)`, built here when not given.
-    """
-    exp_g, exp_2g = _exps(g, case, n) if exps is None else exps
+def _residual_coeffs(lam, nu, g, case: Case, n: int, exps):
+    """Taylor coefficient arrays of the three residual polynomials; `exps` is `_exps(g, case, n)`."""
+    exp_g, exp_2g = exps
     g_u, g_v = p_diff_u(g), p_diff_v(g)
     g_uv = p_diff_v(g_u)
     r1 = p_diff_u(nu) + p_diff_v(lam) - p_mul(lam, g_v, n)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import immersion_of
-from minksurf.analysis import Immersion, frame_functions
+from minksurf.analysis import Immersion, frame_functions, geometric_frame
 from minksurf.canonical import _monotone_inverse, canonicalize, check_separability, classify_functions
 from minksurf.errors import BothMuZero, NotSeparable
 from minksurf.fields import GridSpec, ScalarField
@@ -53,16 +53,16 @@ def test_separability_mixed_rejected():
 
 
 def test_classify_functions_cases(jet_bundle, degenerate_bundle):
-    funcs = frame_functions(immersion_of(jet_bundle))
+    funcs = frame_functions(geometric_frame(immersion_of(jet_bundle)))
     case, km, swapped = classify_functions(funcs)
     assert case is Case.POSITIVE_KH and km > 0 and not swapped
-    funcs = frame_functions(immersion_of(degenerate_bundle))
+    funcs = frame_functions(geometric_frame(immersion_of(degenerate_bundle)))
     case, _, _ = classify_functions(funcs)
     assert case is Case.DEGENERATE
 
 
 def test_classify_functions_both_mu_zero(cylinder):
-    funcs = frame_functions(cylinder)
+    funcs = frame_functions(geometric_frame(cylinder))
     with pytest.raises(BothMuZero):
         classify_functions(funcs)
 
@@ -99,7 +99,7 @@ def test_canonicalize_jet_recovers_triple(request, bundle_name, case):
     assert np.max(np.abs(res.triple.nu.values - t.nu.values)[su, sv]) <= 1e-3
     assert res.triple.case is case
     # ratio law lambda/mu = lambda1/mu1
-    funcs = frame_functions(res.immersion)
+    funcs = frame_functions(geometric_frame(res.immersion))
     ratio_new = res.triple.lam.values[su, sv] / res.triple.mu.values[su, sv]
     ratio_orig = funcs.lambda1.values[su, sv] / funcs.mu1.values[su, sv]
     assert np.max(np.abs(ratio_new - ratio_orig)) <= 1e-3
@@ -107,7 +107,7 @@ def test_canonicalize_jet_recovers_triple(request, bundle_name, case):
 
 def test_canonicalize_case_preserved(jet_bundle):
     res = canonicalize(immersion_of(jet_bundle))
-    funcs2 = frame_functions(res.immersion)
+    funcs2 = frame_functions(geometric_frame(res.immersion))
     case2, _, _ = classify_functions(funcs2)
     assert case2 is res.triple.case
 
@@ -192,7 +192,7 @@ def test_canonicalize_role_swap_on_transposed_surface(degenerate_bundle):
     # data; canonicalize must swap back internally and agree with the direct
     # result exactly (double transpose is bit-identical)
     m = immersion_of(degenerate_bundle)
-    funcs_t = frame_functions(m.transpose())
+    funcs_t = frame_functions(geometric_frame(m.transpose()))
     case, _, swapped = classify_functions(funcs_t)
     assert case is Case.DEGENERATE and swapped
     res_t = canonicalize(m.transpose())

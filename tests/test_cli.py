@@ -15,7 +15,7 @@ from minksurf.errors import NoConvergence
 from minksurf.fields import GridSpec, ScalarField
 from minksurf.fixtures import cylinder_immersion, goursat_degenerate_triple, jet_triple, nonsolution_triple
 from minksurf.frames import reconstruct
-from minksurf.natural import Case
+from minksurf.natural import Case, residual
 
 
 def test_residual_constant_fixture(tmp_path, capsys):
@@ -74,6 +74,21 @@ def test_step_unstable_report_locates_failure(tmp_path):
     i, j = data["node"]
     assert data["uv"] == [g.u_nodes[i], g.v_nodes[j]]
     assert g.v_nodes[j - 1] < data["s"] <= g.v_nodes[j]
+
+
+def test_residual_too_large_report_locates_failure(tmp_path):
+    # goursat-degenerate fails its own build gate at 33 nodes; r3 is the worst equation
+    report = tmp_path / "err.json"
+    code = run(["roundtrip", "--fixture", "goursat-degenerate", "--nodes", "33", "--report", str(report)])
+    assert code == 2
+    data = json.loads(report.read_text())
+    assert data["error"] == "ResidualTooLarge"
+    assert data["node"] == [30, 30]
+    t = goursat_degenerate_triple(33)
+    assert data["uv"] == [t.grid.u_nodes[30], t.grid.v_nodes[30]]
+    rep = residual(t)
+    assert abs(rep.r3.values[30, 30]) == rep.interior_max_abs > 1e-3
+    assert "residual r3 = 2.611e-03" in data["message"] and "node (30, 30)" in data["message"]
 
 
 def test_near_zero_mu_report_locates_failure(tmp_path):

@@ -10,6 +10,7 @@ from minksurf.fields import GridSpec, ScalarField
 from minksurf.fixtures import (
     constant_triple,
     goursat_degenerate_triple,
+    goursat_hyperbolic_triple,
     jet_triple,
     nonsolution_triple,
     perturbed_constant_triple,
@@ -24,7 +25,7 @@ from minksurf.frames import (
     integrate_position,
     reconstruct,
 )
-from minksurf.minkowski import lorentz_inner, standard_frame
+from minksurf.minkowski import METRIC_DIAG, lorentz_inner, standard_frame
 from minksurf.natural import CanonicalTriple, Case
 
 A_CONST = np.array([[0, 0, 0, 1], [0, 0, -2, 0], [-2, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
@@ -111,14 +112,14 @@ def test_sqrt_mu_prefactor_structure():
 
 
 def test_compatibility_constant_solutions():
-    assert compatibility_residual(constant_triple(33)).max_abs() <= 1e-12
-    c = compatibility_residual(triple_const(0, 1, 2, Case.NEGATIVE_KH))
+    assert compatibility_residual(coefficient_matrices(constant_triple(33))).max_abs() <= 1e-12
+    c = compatibility_residual(coefficient_matrices(triple_const(0, 1, 2, Case.NEGATIVE_KH)))
     assert np.max(np.abs(c.values - 3.0)) <= 1e-12
 
 
 def test_compatibility_jet_scaling():
-    c1 = compatibility_residual(jet_triple(Case.POSITIVE_KH, 6, 0.1, 65)).interior_max_abs()
-    c2 = compatibility_residual(jet_triple(Case.POSITIVE_KH, 6, 0.05, 65)).interior_max_abs()
+    c1 = compatibility_residual(coefficient_matrices(jet_triple(Case.POSITIVE_KH, 6, 0.1, 65))).interior_max_abs()
+    c2 = compatibility_residual(coefficient_matrices(jet_triple(Case.POSITIVE_KH, 6, 0.05, 65))).interior_max_abs()
     assert c1 <= 1e-3
     assert c1 / c2 >= 2 ** 3.5, (c1, c2)
 
@@ -126,7 +127,7 @@ def test_compatibility_jet_scaling():
 def test_integrate_frame_matches_matrix_exponential():
     # constant (0, 1, 1): A and B commute, so F = expm(A u + B v) F0 exactly
     t = constant_triple(65)
-    frames, diag = integrate_frame(t)
+    frames, diag = integrate_frame(coefficient_matrices(t))
     A = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [-1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
     B = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float)
     F0 = standard_frame()
@@ -144,7 +145,7 @@ def test_integrate_frame_rejects_impure_frame():
     t = constant_triple(33)
     bad = standard_frame() + 1e-3
     with pytest.raises(ValidationError):
-        integrate_frame(t, bad)
+        integrate_frame(coefficient_matrices(t), bad)
 
 
 def _nan_frame():
@@ -159,7 +160,7 @@ def _nan_frame():
 ], ids=["shape-3x4", "nan-entry"])
 def test_integrate_frame_rejects_malformed_frame(F0, message):
     with pytest.raises(ValidationError, match=message):
-        integrate_frame(constant_triple(17), F0)
+        integrate_frame(coefficient_matrices(constant_triple(17)), F0)
 
 
 def test_integrate_frame_linear_in_initial_frame():
@@ -177,14 +178,14 @@ def test_integrate_frame_linear_in_initial_frame():
 
 
 def test_path_discrepancy_detects_perturbation():
-    _, diag0 = integrate_frame(constant_triple(65))
-    _, diag1 = integrate_frame(perturbed_constant_triple(65))
+    _, diag0 = integrate_frame(coefficient_matrices(constant_triple(65)))
+    _, diag1 = integrate_frame(coefficient_matrices(perturbed_constant_triple(65)))
     assert diag1["path_discrepancy"] >= 10 * max(diag0["path_discrepancy"], 1e-12)
 
 
 def test_integrate_position_initial_point_and_metric():
     t = constant_triple(65)
-    frames, _ = integrate_frame(t)
+    frames, _ = integrate_frame(coefficient_matrices(t))
     p0 = np.array([1.0, 2.0, 3.0, 4.0])
     z, disc = integrate_position(frames, t.mu, p0)
     assert np.all(z[0, 0] == p0)
@@ -202,7 +203,7 @@ def test_integrate_position_initial_point_and_metric():
 
 def test_integrate_position_isotropy_degenerate():
     t = goursat_degenerate_triple(65)
-    frames, _ = integrate_frame(t)
+    frames, _ = integrate_frame(coefficient_matrices(t))
     z, _ = integrate_position(frames, t.mu, np.zeros(4))
     from minksurf.fields import diff_values
 
@@ -229,6 +230,35 @@ def test_reconstruct_gates_on_residual():
     assert bundle.diagnostics["residual_max"] > 1.0
 
 
+@pytest.mark.parametrize("p0, message", [
+    ([np.nan, 0.0, 0.0, 0.0], "must be finite"),
+    (np.zeros(3), "must be 4 numbers"),
+    (np.zeros((17, 17, 4)), "must be 4 numbers"),
+], ids=["nan-entry", "shape-3", "shape-17x17x4"])
+def test_reconstruct_rejects_malformed_p0(p0, message):
+    with pytest.raises(ValidationError, match=message):
+        reconstruct(constant_triple(17), p0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: jet_triple(Case.POSITIVE_KH, 6, 0.1, 65),
+    lambda: goursat_hyperbolic_triple(65),
+], ids=["jet-positive", "goursat-hyperbolic"])
+def test_reconstruct_covariant_under_lorentz_motion(make):
+    # the transport is linear in F0 and z_u, z_v are rows of F, so moving the
+    # initial frame by a Lorentz transformation L = expm(eta S) (S antisymmetric)
+    # and the initial point by p0 moves the whole surface the same way
+    t = make()
+    rng = np.random.default_rng(5)
+    S = np.triu(0.3 * rng.standard_normal((4, 4)), 1)
+    L = expm(np.diag(METRIC_DIAG) @ (S - S.T))
+    p0 = rng.standard_normal(4)
+    base = reconstruct(t)
+    moved = reconstruct(t, p0, F0=standard_frame() @ L.T)
+    assert np.max(np.abs(moved.frames - base.frames @ L.T)) <= 1e-13
+    assert np.max(np.abs(moved.points - (base.points @ L.T + p0))) <= 1e-13
+
+
 def test_reconstruct_diagnostics_constant():
     bundle = reconstruct(constant_triple(65))
     d = bundle.diagnostics
@@ -241,7 +271,7 @@ def test_gram_drift_decreases_under_refinement():
     drifts = []
     for n in (33, 65):
         t = goursat_degenerate_triple(n)
-        _, diag = integrate_frame(t)
+        _, diag = integrate_frame(coefficient_matrices(t))
         drifts.append(diag["gram_drift"])
     assert drifts[1] < drifts[0]
 
@@ -250,7 +280,7 @@ def test_step_unstable_guard():
     t = unstable_triple()
     g = t.grid
     with pytest.raises(StepUnstable) as info:
-        integrate_frame(t)
+        integrate_frame(coefficient_matrices(t))
     exc = info.value
     # the bottom edge survives; the columns sweep fails first on the last column,
     # where the edge left the largest frame
