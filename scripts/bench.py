@@ -74,7 +74,7 @@ def _first_march(nodes: int):
     e = _hyperbolic_edges(nodes)
     pb, pl, ql, qt = e["p_bottom"], e["p_left"], e["q_left"], e["q_top"]
     pq = (pb[:, None] + pl[None, :] - pb[0]) * (ql[None, :] + qt[:, None] - ql[-1])
-    return lambda: natural._goursat_march(e["grid"], e["g_bottom"], e["g_left"], pq, natural._hyperbolic_rhs)
+    return lambda: natural._goursat_march(e["grid"], e["g_bottom"], e["g_left"], pq, -1)
 
 
 def _stages(nodes: int) -> dict:

@@ -6,7 +6,8 @@ From z(u, v) in Minkowski 4-space the pipeline recovers the metric function f
 so that det[x; y; n1; n2] = +1), the frame functions (lambda1, mu1, lambda2,
 mu2, nu, beta1, beta2), curvature invariants through two independent
 formulas, the inflection determinants, and one class for the surface
-(totally geodesic, parallel-H, PNMC or generic).
+(parallel-H, PNMC or generic).  A totally geodesic patch has H = 0, so
+`geometric_frame` rejects it before any class is given.
 
 The stages run in one chain: `geometric_frame(m)`, then
 `frame_functions(frame)`, which reads only that frame.  Derivatives here use
@@ -35,13 +36,12 @@ from .minkowski import lorentz_inner, minkowski_cross
 FD_ORDER = 4
 ISO_GATE_TOL = 1e-3      # isotropy gate: max(|E|,|G|) <= tol * max|F|
 NU_FLOOR = 1e-8          # |H| below this (relative) raises MinimalOrTotallyGeodesic
-C_ZERO_TOL = 1e-8        # relative zero for the c_ij^k coefficients
+C_ZERO_TOL = 1e-8        # relative zero for mu1 in the K - H^2 formula
 TOL_BETA_REL = 1e-4      # parallel-normal threshold, scaled by |sigma|
 NU_VAR_REL = 1e-4        # nu-variation threshold separating parallel-H from PNMC
 
 
 class SurfaceClass(enum.Enum):
-    TOTALLY_GEODESIC = "totally-geodesic"
     PARALLEL_H = "parallel-H"
     PNMC = "pnmc"
     GENERIC = "generic"
@@ -229,9 +229,8 @@ class InvariantReport:
 def invariants(m: Immersion) -> InvariantReport:
     """Curvature invariants, inflection determinants and the surface's class.
 
-    The class is TOTALLY_GEODESIC when every c_ij^k vanishes at more than half
-    of the nodes two layers in (an exact half does not count).  Otherwise it is
-    PNMC or PARALLEL_H when both betas are small (PNMC when nu varies), else GENERIC.
+    The class is PNMC or PARALLEL_H when both betas are small (PNMC when nu
+    varies), else GENERIC.
     """
     frame = geometric_frame(m)
     funcs = frame_functions(frame)
@@ -268,16 +267,11 @@ def invariants(m: Immersion) -> InvariantReport:
     D2 = c[(1, 1, 1)] * c[(2, 2, 2)] - c[(1, 1, 2)] * c[(2, 2, 1)]
     D3 = c[(1, 2, 1)] * c[(2, 2, 2)] - c[(1, 2, 2)] * c[(2, 2, 1)]
 
-    c_scale = max(np.max(np.abs(v)) for v in c.values()) + 1e-300
-    c_zero = np.all([np.abs(v[g.interior(2)]) <= C_ZERO_TOL * c_scale for v in c.values()], axis=0)
-
     beta_max = max(funcs.beta1.max_abs(), funcs.beta2.max_abs())
     betas_small = beta_max <= TOL_BETA_REL * (1.0 + sigma_scale)
     nu_varies = (float(np.max(nu)) - float(np.min(nu))) > NU_VAR_REL * (1.0 + float(np.max(nu)))
 
-    if 2 * np.count_nonzero(c_zero) > c_zero.size:
-        cls = SurfaceClass.TOTALLY_GEODESIC
-    elif betas_small:
+    if betas_small:
         cls = SurfaceClass.PNMC if nu_varies else SurfaceClass.PARALLEL_H
     else:
         cls = SurfaceClass.GENERIC

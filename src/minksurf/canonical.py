@@ -68,25 +68,20 @@ def classify_functions(funcs: FrameFunctions):
     K - H^2 (interior median of the closed formula) picks the case.
     """
     su, sv = funcs.mu1.grid.interior(2)
-    m1 = np.abs(funcs.mu1.values[su, sv])
-    m2 = np.abs(funcs.mu2.values[su, sv])
-    scale1, scale2 = float(np.max(m1)), float(np.max(m2))
+    scale1 = float(np.max(np.abs(funcs.mu1.values[su, sv])))
+    scale2 = float(np.max(np.abs(funcs.mu2.values[su, sv])))
     if max(scale1, scale2) <= DEGENERATE_REL_TOL:
         raise BothMuZero("mu1 and mu2 both vanish on the patch")
-    swapped = False
     if scale1 < DEGENERATE_REL_TOL * (1.0 + scale2) <= scale2:
-        swapped = True  # mu1 ~ 0, mu2 carries the data
-        m1, m2, scale1, scale2 = m2, m1, scale2, scale1
+        return Case.DEGENERATE, 0.0, True  # mu1 ~ 0, mu2 carries the data
     if scale2 <= DEGENERATE_REL_TOL * (1.0 + scale1):
-        return Case.DEGENERATE, 0.0, swapped
+        return Case.DEGENERATE, 0.0, False
     lam1 = float(np.median(funcs.lambda1.values[su, sv]))
     mu1 = float(np.median(funcs.mu1.values[su, sv]))
     lam2 = float(np.median(funcs.lambda2.values[su, sv]))
     mu2 = float(np.median(funcs.mu2.values[su, sv]))
-    if swapped:
-        lam1, mu1, lam2, mu2 = lam2, mu2, lam1, mu1
     case, km = classify_from_frame(lam1, mu1, lam2, mu2)
-    return case, km, swapped
+    return case, km, False
 
 
 @dataclass

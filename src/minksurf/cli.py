@@ -255,7 +255,6 @@ def _cmd_roundtrip(opts: dict) -> int:
         opts["fixture"], nodes=opts["nodes"], order=opts["order"],
         radius=opts["radius"], case=_case_of(opts["case"]),
     )
-    rep = residual(t)
     bundle = reconstruct(t, tol_build=opts["tol_build"])
     m = Immersion(bundle.grid, bundle.points)
     inv = invariants(m)
@@ -267,7 +266,7 @@ def _cmd_roundtrip(opts: dict) -> int:
         float(np.max(np.abs(funcs.nu.values[su, sv] - t.nu.values[su, sv]))),
     )
     metrics = {
-        "residual_interior_max": rep.interior_max_abs,
+        "residual_interior_max": bundle.diagnostics["residual_max"],
         "gram_drift": bundle.diagnostics["gram_drift"],
         "path_discrepancy": bundle.diagnostics["path_discrepancy"],
         "compat_max": bundle.diagnostics["compat_max"],
@@ -344,7 +343,8 @@ def _emit_error(command: str, report_path: str | None, exc: Exception) -> None:
         "error": type(exc).__name__,
         "message": str(exc),
     }
-    for key in ("sweep", "s", "node", "uv", "deltas"):  # where a numerical failure happened
+    # where a numerical failure happened, and what it measured against which tolerance
+    for key in ("sweep", "s", "node", "uv", "deltas", "measured", "tol"):
         if getattr(exc, key, None) is not None:
             report[key] = getattr(exc, key)
     if report_path:

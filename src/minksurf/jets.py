@@ -11,7 +11,8 @@ r^{N-1}.
 them on a grid and keeps each polynomial as the field's `evaluator`.  Like
 any other field, the samples are differentiated with the order-2 or order-4
 stencils; the exact truncation is read from the coefficients through
-`_residual_coeffs`.
+`_residual_coeffs`: `natural.system_residuals`, the one statement of the
+system, with `p_diff_u`, `p_diff_v` and `p_mul` cut at the degree in hand.
 
 Free data per total degree d (the seed): the pure powers g_{d,0}, g_{0,d}
 of g, and the edge-jet coefficients lam_{d,0}, nu_{d,0} of lambda and nu
@@ -47,7 +48,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fields import GridSpec, ScalarField
-from .natural import CanonicalTriple, Case
+from .natural import CanonicalTriple, Case, system_residuals
 
 # `p_mul`'s cached index at total degree n holds (n+1)^4 entries, 3 MB at
 # n = 24; the bound keeps the indices one jet builds in memory small
@@ -195,22 +196,7 @@ def _exps(g, case: Case, n: int):
 
 def _residual_coeffs(lam, nu, g, case: Case, n: int, exps):
     """Taylor coefficient arrays of the three residual polynomials; `exps` is `_exps(g, case, n)`."""
-    exp_g, exp_2g = exps
-    g_u, g_v = p_diff_u(g), p_diff_v(g)
-    g_uv = p_diff_v(g_u)
-    r1 = p_diff_u(nu) + p_diff_v(lam) - p_mul(lam, g_v, n)
-    if case is Case.DEGENERATE:
-        r2 = p_diff_v(nu)
-        r3 = p_mul(exp_g, g_uv, n) + p_mul(nu, nu, n)
-    else:
-        eps = case.epsilon
-        r2 = p_diff_u(lam) - eps * p_diff_v(nu) - p_mul(lam, g_u, n)
-        r3 = (
-            p_mul(exp_g, g_uv, n)
-            + p_mul(nu, nu, n)
-            + eps * (p_mul(lam, lam, n) + exp_2g)
-        )
-    return r1, r2, r3
+    return system_residuals(case, lam, nu, g, *exps, p_diff_u, p_diff_v, lambda a, b: p_mul(a, b, n))
 
 
 def jet_coefficients(case: Case, order: int, seed: JetSeed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

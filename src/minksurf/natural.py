@@ -14,14 +14,21 @@ Three cases, tagged by the sign of K - H^2:
                         nu_u + lam_v = lam (ln|mu|)_v
                         |mu| (ln|mu|)_uv = -nu^2
 
+`system_residuals` states r1, r2 and r3 (left minus right) once, for
+samples and for Taylor coefficients alike.  With g = ln|mu| and eps = 0 in the
+degenerate case, the third equation divided by |mu| = e^{g} is the curvature
+equation of every case,
+
+    g_uv = coef e^{-g} - eps e^{g},   coef = -(nu^2 + eps lam^2).
+
 This module evaluates residuals of sampled triples, classifies the case from
 frame functions, and manufactures solution fixtures: a causal Goursat march
 for the degenerate case and a characteristic Picard sweep for eps = -1.  With
-p = lam + nu, q = lam - nu, g = ln|mu| the eps = -1 system is equivalent to
+p = lam + nu, q = lam - nu the eps = -1 system is the curvature equation with
+coef = p q and the two transports
 
     p_u + p_v = lam (g_u + g_v)
     q_u - q_v = lam (g_u - g_v)
-    g_uv      = p q e^{-g} + e^{g}
 
 (p transports along (1,1), q along (1,-1); the equivalence is checked
 symbolically in the test suite).  Along its characteristic each transport is
@@ -40,7 +47,6 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -114,31 +120,41 @@ class ResidualReport:
     interior_max_abs: float
 
 
+def system_residuals(case: Case, lam, nu, g, abs_mu, mu_sq, d_u, d_v, mul):
+    """r1, r2 and r3 of the module docstring's system, for any algebra.
+
+    The arguments are lam, nu, g = ln|mu|, |mu| and mu^2 in that algebra,
+    its derivatives d_u and d_v and its product mul: sample arrays with
+    stencils and np.multiply in `residual`, Taylor coefficients with the
+    truncated product in `jets`.  One d_u or d_v call per derivative (g_uv
+    differentiates g_u along v; the degenerate case takes no lam_u), and mu_sq
+    is read only when eps is nonzero.
+    """
+    g_u, g_v = d_u(g), d_v(g)
+    g_uv = d_v(g_u)
+    nu_v = d_v(nu)
+    r1 = d_u(nu) + d_v(lam) - mul(lam, g_v)
+    if case is Case.DEGENERATE:
+        return r1, nu_v, mul(abs_mu, g_uv) + mul(nu, nu)
+    eps = case.epsilon
+    r2 = d_u(lam) - eps * nu_v - mul(lam, g_u)
+    r3 = mul(abs_mu, g_uv) + mul(nu, nu) + eps * (mul(lam, lam) + mu_sq)
+    return r1, r2, r3
+
+
 def residual(t: CanonicalTriple) -> ResidualReport:
     """Left-minus-right sides of the natural system for the triple's case.
 
-    Works on the sample arrays with order-2 stencils, one `diff_values` pass
-    per derivative: g_uv differentiates g_u along v, and the degenerate case
-    takes no lam_u.  Only r1, r2 and r3 are wrapped as fields, so a residual
-    that overflows raises ValidationError.
+    `system_residuals` on the sample arrays, with one order-2 `diff_values`
+    pass per derivative.  Only r1, r2 and r3 are wrapped as fields, so a
+    residual that overflows raises ValidationError.
     """
-    grid = t.grid
-    lam, mu, nu = t.lam.values, t.mu.values, t.nu.values
-    g = ln_abs(t.mu).values
-    g_u, g_v = diff_values(g, grid.hu, 0), diff_values(g, grid.hv, 1)
-    g_uv = diff_values(g_u, grid.hv, 1)
-    lam_v = diff_values(lam, grid.hv, 1)
-    nu_u, nu_v = diff_values(nu, grid.hu, 0), diff_values(nu, grid.hv, 1)
-    abs_mu = np.abs(mu)
-
-    r1 = nu_u + lam_v - lam * g_v
-    if t.case is Case.DEGENERATE:
-        r2 = nu_v
-        r3 = abs_mu * g_uv + nu * nu
-    else:
-        eps = t.case.epsilon
-        r2 = diff_values(lam, grid.hu, 0) - eps * nu_v - lam * g_u
-        r3 = abs_mu * g_uv + nu * nu + eps * (lam * lam + mu * mu)
+    grid, mu = t.grid, t.mu.values
+    r1, r2, r3 = system_residuals(
+        t.case, t.lam.values, t.nu.values, ln_abs(t.mu).values, np.abs(mu),
+        None if t.case is Case.DEGENERATE else mu * mu,
+        lambda a: diff_values(a, grid.hu, 0), lambda a: diff_values(a, grid.hv, 1), np.multiply,
+    )
     r1, r2, r3 = (ScalarField(grid, r) for r in (r1, r2, r3))
     full = max(r.max_abs() for r in (r1, r2, r3))
     inner = max(r.interior_max_abs() for r in (r1, r2, r3))
@@ -202,15 +218,13 @@ def _wavefronts(Nu: int, Nv: int) -> tuple:
 
 
 def _goursat_march(
-    grid: GridSpec, g_bottom: np.ndarray, g_left: np.ndarray, coef: np.ndarray, rhs: Callable
+    grid: GridSpec, g_bottom: np.ndarray, g_left: np.ndarray, coef: np.ndarray, eps: int
 ) -> np.ndarray:
-    """March g_uv = rhs(coef[i, j], g[i, j]) over the grid from two characteristic edges.
+    """March g_uv = coef e^{-g} - eps e^{g} over the grid from two characteristic edges.
 
-    Contract of `rhs(c, g)`: c and g are equal-shape arrays of the pointwise
-    coefficient and of g at a batch of nodes; it returns the pair
-    (value, d value / d g) of the right-hand side there.  It must act
-    elementwise, so the value at a node does not depend on the batch it is
-    evaluated in.
+    coef is the pointwise coefficient on the grid; the right-hand side and its
+    g-derivative come from `_curvature_rhs`, which acts elementwise, so a
+    node's value does not depend on the batch it is evaluated in.
 
     Cell update is the trapezoidal corner rule, implicit in the new corner;
     second order overall.  The part of it fixed by the three known corners is
@@ -238,8 +252,8 @@ def _goursat_march(
     g[:, 0] = g_bottom
     g[0, :] = g_left
     r = np.empty((Nu, Nv))
-    r[:, 0] = rhs(coef[:, 0], g[:, 0])[0]
-    r[0, :] = rhs(coef[0, :], g[0, :])[0]
+    r[:, 0] = _curvature_rhs(coef[:, 0], g[:, 0], eps)[0]
+    r[0, :] = _curvature_rhs(coef[0, :], g[0, :], eps)[0]
     gf, rf, cf = g.reshape(-1), r.reshape(-1), coef.reshape(-1)
     cell = hu * hv / 4.0
     for node, du, dv, duv in _wavefronts(Nu, Nv):
@@ -248,7 +262,7 @@ def _goursat_march(
         fixed = base + cell * (rf[duv] + rf[du] + rf[dv])
         x = fixed + cell * (rf[du] + rf[dv] - rf[duv])  # predictor: rhs extrapolated from the corners
         for _ in range(3):
-            val, dval = rhs(c, x)
+            val, dval = _curvature_rhs(c, x, eps)
             dx = (x - fixed - cell * val) / (1.0 - cell * dval)
             x = x - dx
             if np.abs(dx).max() <= NEWTON_TOL:
@@ -260,15 +274,23 @@ def _goursat_march(
             uv = grid.uv(first)
             raise BlowUp(f"|ln mu| exceeded {G_LIMIT} during marching: node {first} at (u, v) = {uv}",
                          node=first, uv=uv)
-        rf[node] = rhs(c, x)[0]
+        rf[node] = _curvature_rhs(c, x, eps)[0]
     return g
 
 
-def _degenerate_rhs(nusq, g):
-    """g_uv = -nu^2 e^{-g}, the degenerate curvature equation, and its g-derivative."""
+def _curvature_rhs(coef, g, eps: int):
+    """g_uv = coef e^{-g} - eps e^{g}, the curvature equation, and its g-derivative.
+
+    eps is 0 (the degenerate march, coef = -nu^2) or -1 (the eps = -1 sweep,
+    coef = p q); the eps = +1 form is not written, as nothing marches it yet.
+    """
     # clip to +-700, overflow-safe (the guard trips first); two ufuncs cost less than np.clip
-    e = np.exp(-np.minimum(np.maximum(g, -700.0), 700.0))
-    return -nusq * e, nusq * e
+    gc = np.minimum(np.maximum(g, -700.0), 700.0)
+    a = coef * np.exp(-gc)
+    if not eps:
+        return a, -a
+    b = np.exp(gc)  # eps = -1
+    return a + b, b - a
 
 
 def solve_goursat_degenerate(
@@ -281,7 +303,7 @@ def solve_goursat_degenerate(
 ) -> CanonicalTriple:
     """Degenerate-case fixture generator.
 
-    With g = ln|mu| the curvature equation becomes g_uv = -nu(u)^2 e^{-g},
+    g = ln|mu| solves the curvature equation with coef = -nu(u)^2 and eps = 0,
     marched causally from data on the bottom (v = v0) and left (u = u0)
     edges.  lambda then solves lam_v = lam g_v - nu_u along each u = const
     line through the integrating factor e^{-g}:
@@ -302,8 +324,7 @@ def solve_goursat_degenerate(
     gl = _samples_1d(g_left, v, "g_left")
     lb = _samples_1d(lambda_bottom, u, "lambda_bottom")
 
-    nusq = nu * nu
-    g = _goursat_march(grid, gb, gl, np.broadcast_to(nusq[:, None], (grid.Nu, grid.Nv)), _degenerate_rhs)
+    g = _goursat_march(grid, gb, gl, np.broadcast_to(-(nu * nu)[:, None], (grid.Nu, grid.Nv)), 0)
 
     nu_u = diff_values(nu, grid.hu, 0)
     e_minus = np.exp(-g)
@@ -315,13 +336,6 @@ def solve_goursat_degenerate(
         nu=ScalarField(grid, np.repeat(nu[:, None], grid.Nv, axis=1)),
         case=Case.DEGENERATE,
     )
-
-
-def _hyperbolic_rhs(pq, g):
-    """g_uv = p q e^{-g} + e^{g}, the eps = -1 curvature equation, and its g-derivative."""
-    gc = np.minimum(np.maximum(g, -700.0), 700.0)  # clip, as in _degenerate_rhs
-    a, b = pq * np.exp(-gc), np.exp(gc)
-    return a + b, b - a
 
 
 def solve_goursat_hyperbolic(
@@ -338,7 +352,7 @@ def solve_goursat_hyperbolic(
 
     p = lam + nu rides the (1,1) characteristics (data on bottom + left),
     q = lam - nu rides (1,-1) (data on left + top), g = ln|mu| solves the
-    Goursat problem g_uv = p q e^{-g} + e^g from bottom + left data.  Picard
+    curvature equation with coef = p q from bottom + left data.  Picard
     sweeps alternate the g-march with the transports dp = lam dg and
     dq = lam dg, each integrated by the trapezoid rule along the diagonal
     step from the previous row, until the max sweep-to-sweep change drops
@@ -373,7 +387,7 @@ def solve_goursat_hyperbolic(
         p_old, q_old, g_old = p, q, g
         lam = 0.5 * (p_old + q_old)
 
-        g = _goursat_march(grid, gb, gl, p_old * q_old, _hyperbolic_rhs)
+        g = _goursat_march(grid, gb, gl, p_old * q_old, -1)
 
         p = np.empty((Nu, Nv))
         p[:, 0] = pb

@@ -89,6 +89,9 @@ def test_residual_too_large_report_locates_failure(tmp_path):
     rep = residual(t)
     assert abs(rep.r3.values[30, 30]) == rep.interior_max_abs > 1e-3
     assert "residual r3 = 2.611e-03" in data["message"] and "node (30, 30)" in data["message"]
+    # the numbers are keys of their own, not only text in the message
+    assert data["measured"] == rep.interior_max_abs and f"{data['measured']:.3e}" == "2.611e-03"
+    assert data["tol"] == 1e-3
 
 
 def test_near_zero_mu_report_locates_failure(tmp_path):

@@ -1,3 +1,4 @@
+import operator
 from itertools import groupby
 
 import numpy as np
@@ -22,14 +23,14 @@ from minksurf.natural import (
     NEWTON_TOL,
     CanonicalTriple,
     Case,
-    _degenerate_rhs,
+    _curvature_rhs,
     _goursat_march,
-    _hyperbolic_rhs,
     _wavefronts,
     classify_from_frame,
     residual,
     solve_goursat_degenerate,
     solve_goursat_hyperbolic,
+    system_residuals,
 )
 
 G65 = GridSpec(0, 1, 0, 1, 65, 65)
@@ -338,8 +339,8 @@ def test_goursat_hyperbolic_no_convergence_reports_sweeps(monkeypatch):
     assert "in 2 sweeps" in str(info.value)
 
 
-def _reference_march(grid, g_bottom, g_left, coef, rhs):
-    """Reference Goursat march: rhs evaluated afresh at the three known corners of every cell.
+def _reference_march(grid, g_bottom, g_left, coef, eps):
+    """Reference Goursat march: the right-hand side evaluated afresh at the three known corners of every cell.
 
     Same predictor as the march, extrapolated from those three corner values,
     and the same stopping rule: Newton steps until the front's largest
@@ -352,7 +353,7 @@ def _reference_march(grid, g_bottom, g_left, coef, rhs):
     cell = grid.hu * grid.hv / 4.0
 
     def f(i, j, x):
-        return rhs(coef[i, j], x)
+        return _curvature_rhs(coef[i, j], x, eps)
 
     for s in range(2, Nu + Nv - 1):
         i = np.arange(max(1, s - (Nv - 1)), min(Nu - 1, s - 1) + 1)
@@ -373,7 +374,7 @@ def _reference_march(grid, g_bottom, g_left, coef, rhs):
     return g
 
 
-def _three_step_reference_march(grid, g_bottom, g_left, coef, rhs):
+def _three_step_reference_march(grid, g_bottom, g_left, coef, eps):
     """Reference Goursat march with a fixed three Newton steps per front and no stopping test."""
     Nu, Nv = grid.Nu, grid.Nv
     g = np.empty((Nu, Nv))
@@ -382,7 +383,7 @@ def _three_step_reference_march(grid, g_bottom, g_left, coef, rhs):
     cell = grid.hu * grid.hv / 4.0
 
     def f(i, j, x):
-        return rhs(coef[i, j], x)[0]
+        return _curvature_rhs(coef[i, j], x, eps)[0]
 
     for s in range(2, Nu + Nv - 1):
         i = np.arange(max(1, s - (Nv - 1)), min(Nu - 1, s - 1) + 1)
@@ -391,7 +392,7 @@ def _three_step_reference_march(grid, g_bottom, g_left, coef, rhs):
         known = f(i - 1, j - 1, g[i - 1, j - 1]) + f(i - 1, j, g[i - 1, j]) + f(i, j - 1, g[i, j - 1])
         x = base + cell * (known + f(i, j, base))
         for _ in range(3):
-            val, dval = rhs(coef[i, j], x)
+            val, dval = _curvature_rhs(coef[i, j], x, eps)
             phi = x - base - cell * (known + val)
             x = x - phi / (1.0 - cell * dval)
         g[i, j] = x
@@ -399,19 +400,19 @@ def _three_step_reference_march(grid, g_bottom, g_left, coef, rhs):
 
 
 def _march_cases():
-    """(grid, g_bottom, g_left, coef, rhs) of four marches: fixture-like data, then zero edges
+    """(grid, g_bottom, g_left, coef, eps) of four marches: fixture-like data, then zero edges
     and a rough coefficient, for which the marched values are mostly cell * known, so a change
     in how the corners are summed shows in the bits."""
     g = GridSpec(0, 0.5, 0, 0.5, 33, 33)
-    cases = [(g, *_hyperbolic_march_data(g), _hyperbolic_rhs)]
+    cases = [(g, *_hyperbolic_march_data(g), -1)]
     g = GridSpec(0, 1, 0, 1, 33, 33)
     u, v = g.u_nodes, g.v_nodes
     nusq = np.broadcast_to(((1.0 + u) ** 2)[:, None], (33, 33))
-    cases.append((g, 2.0 + 0.3 * np.sin(3 * u), 2.0 - 0.2 * v, nusq, _degenerate_rhs))
+    cases.append((g, 2.0 + 0.3 * np.sin(3 * u), 2.0 - 0.2 * v, -nusq, 0))
     rng = np.random.default_rng(0)
     zero = np.zeros(33)
-    cases.append((g, zero, zero, rng.standard_normal((33, 33)), _hyperbolic_rhs))
-    cases.append((g, zero, zero, rng.uniform(0.5, 2.0, (33, 33)), _degenerate_rhs))
+    cases.append((g, zero, zero, rng.standard_normal((33, 33)), -1))
+    cases.append((g, zero, zero, -rng.uniform(0.5, 2.0, (33, 33)), 0))
     return cases
 
 
@@ -441,15 +442,16 @@ def test_goursat_march_matches_three_step_newton():
 
 
 def _rhs_calls(case) -> list:
-    """Marches the case with a counting rhs; returns the coefficient array of each call."""
-    grid, gb, gl, coef, rhs = case
+    """Marches the case with a counting `_curvature_rhs`; returns the coefficient array of each call."""
     calls = []
 
-    def counted(c, g):
+    def counted(c, g, eps):
         calls.append(c)
-        return rhs(c, g)
+        return _curvature_rhs(c, g, eps)
 
-    _goursat_march(grid, gb, gl, coef, counted)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(natural, "_curvature_rhs", counted)
+        _goursat_march(*case)
     return calls
 
 
@@ -470,14 +472,14 @@ def test_goursat_march_newton_steps():
 
 
 def _fixture_march_case(fixture: str, nodes: int):
-    """(grid, g_bottom, g_left, coef, rhs) of the fixture's (first) march."""
+    """(grid, g_bottom, g_left, coef, eps) of the fixture's (first) march."""
     if fixture == "goursat-hyperbolic":
         g = GridSpec(0, 0.5, 0, 0.5, nodes, nodes)
-        return (g, *_hyperbolic_march_data(g), _hyperbolic_rhs)
+        return (g, *_hyperbolic_march_data(g), -1)
     g = GridSpec(0, 1, 0, 1, nodes, nodes)
     edge = np.full(nodes, DEGENERATE_EDGE_LEVEL)
     nusq = np.broadcast_to(((1.0 + g.u_nodes) ** 2)[:, None], (nodes, nodes))
-    return (g, edge, edge, nusq, _degenerate_rhs)
+    return (g, edge, edge, -nusq, 0)
 
 
 @pytest.mark.parametrize("nodes, calls", [(129, 512), (257, 1024)])
@@ -506,6 +508,44 @@ def test_characteristic_reformulation_symbolic():
     assert sp.simplify(c1 - (r1 + r2)) == 0
     assert sp.simplify(c2 - (r2 - r1)) == 0
     assert sp.simplify(sp.exp(g) * c3 - r3) == 0
+
+
+@pytest.mark.parametrize("case", list(Case), ids=lambda c: c.value)
+def test_system_residuals_symbolic(case):
+    # system_residuals, fed sympy's derivatives, is the system of the natural
+    # module docstring, written out here case by case, with |mu| = e^g
+    sp = pytest.importorskip("sympy")
+    u, v = sp.symbols("u v")
+    lam, nu, g = (sp.Function(name)(u, v) for name in ("lam", "nu", "g"))
+    mu = sp.exp(g)
+    lam_u, lam_v, nu_u, nu_v = sp.diff(lam, u), sp.diff(lam, v), sp.diff(nu, u), sp.diff(nu, v)
+    g_u, g_v, g_uv = sp.diff(g, u), sp.diff(g, v), sp.diff(g, u, v)
+    docstring = {
+        Case.POSITIVE_KH: (nu_u + lam_v - lam * g_v, lam_u - nu_v - lam * g_u,
+                           mu * g_uv - (-nu**2 - (lam**2 + mu**2))),
+        Case.NEGATIVE_KH: (nu_u + lam_v - lam * g_v, lam_u + nu_v - lam * g_u,
+                           mu * g_uv - (-nu**2 + (lam**2 + mu**2))),
+        # nu = nu(u) is the equation nu_v = 0
+        Case.DEGENERATE: (nu_u + lam_v - lam * g_v, nu_v, mu * g_uv - (-nu**2)),
+    }[case]
+    stated = system_residuals(case, lam, nu, g, mu, mu**2, lambda a: sp.diff(a, u), lambda a: sp.diff(a, v),
+                              operator.mul)
+    assert all(sp.simplify(x - y) == 0 for x, y in zip(stated, docstring))
+
+
+@pytest.mark.parametrize("eps", [0, -1])
+def test_curvature_rhs_solves_r3(eps):
+    # with coef = -(nu^2 + eps lam^2) the right-hand side is the g_uv that makes
+    # r3 = e^g g_uv + nu^2 + eps (lam^2 + e^{2g}) vanish, and the slope is its g-derivative
+    rng = np.random.default_rng(3)
+    lam, nu, g = rng.normal(size=(3, 200))
+    coef = -(nu * nu + eps * lam * lam)
+    val, slope = _curvature_rhs(coef, g, eps)
+    r3 = np.exp(g) * val + nu * nu + eps * (lam * lam + np.exp(2 * g))
+    assert np.max(np.abs(r3)) <= 1e-13 * (1.0 + np.max(nu * nu + lam * lam + np.exp(2 * g)))
+    h = 1e-6
+    fd = (_curvature_rhs(coef, g + h, eps)[0] - _curvature_rhs(coef, g - h, eps)[0]) / (2 * h)
+    assert np.allclose(slope, fd, rtol=1e-7, atol=1e-8)
 
 
 @pytest.mark.parametrize(
