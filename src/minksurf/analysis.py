@@ -101,11 +101,13 @@ def geometric_frame(m: Immersion) -> GeometricFrame:
     cycle), and w is spacelike, normal to the timelike tangent plane; so
     n2 = -w / |w| is oriented by construction.
 
-    Gates, in order: DegenerateMetric where EG - F^2 is numerically zero;
+    Gates, in order: DegenerateMetric where EG - F^2 is numerically zero,
+    located at the first node of min |EG - F^2|;
     ValidationError, naming them, where finite samples overflow E, F or G;
     NotIsotropic unless max(|E|, |G|) <= ISO_GATE_TOL max|F| and F < 0 at
     every node;
-    MinimalOrTotallyGeodesic where |H| falls below its floor.
+    MinimalOrTotallyGeodesic where |H| falls below its floor, located at the
+    first node of min H^2.
     """
     g = m.grid
     zu = diff_values(m.points, g.hu, axis=0, order=FD_ORDER)
@@ -115,8 +117,12 @@ def geometric_frame(m: Immersion) -> GeometricFrame:
         F = lorentz_inner(zu, zv)
         G = lorentz_inner(zv, zv)
         E_max, F_max, G_max = (np.max(np.abs(a)) for a in (E, F, G))
-        if np.min(np.abs(E * G - F * F)) < 1e-14 * max(E_max, F_max, G_max) ** 2:
-            raise DegenerateMetric("EG - F^2 is numerically zero somewhere")
+        det = np.abs(E * G - F * F)
+        k = int(np.argmin(det))
+        if det.flat[k] < 1e-14 * max(E_max, F_max, G_max) ** 2:
+            node = divmod(k, g.Nv)
+            uv = g.uv(node)
+            raise DegenerateMetric(f"EG - F^2 is numerically zero: node {node} at (u, v) = {uv}", node, uv)
         overflow = [name for name, a in (("E", E), ("F", F), ("G", G)) if not np.all(np.isfinite(a))]
         if overflow:
             raise ValidationError(f"metric overflow: {', '.join(overflow)} not finite (the samples are finite)")
@@ -143,9 +149,13 @@ def geometric_frame(m: Immersion) -> GeometricFrame:
 
     H2 = lorentz_inner(H, H)
     scale = 1.0 + float(np.max(np.sqrt(np.abs(H2))))
-    if np.any(H2 <= (NU_FLOOR * scale) ** 2):
+    k = int(np.argmin(H2))
+    if H2.flat[k] <= (NU_FLOOR * scale) ** 2:
+        node = divmod(k, g.Nv)
+        uv = g.uv(node)
         raise MinimalOrTotallyGeodesic(
-            f"|H| falls below {NU_FLOOR * scale:.3e}: minimal or totally geodesic patch"
+            f"|H| falls below {NU_FLOOR * scale:.3e}: minimal or totally geodesic patch, "
+            f"node {node} at (u, v) = {uv}", node, uv
         )
     nu = np.sqrt(H2)
     n1 = H / nu[..., None]

@@ -5,18 +5,23 @@ f^2 |mu1| to depend on u only and f^2 |mu2| on v only.  Writing
 phi(u) = f^2 |mu1| and psi(v) = f^2 |mu2|, the substitution
 
     ubar = int sqrt(phi) du,   vbar = int sqrt(psi) dv        (general case)
-    ubar = int phi du,         vbar = v                       (degenerate)
+    ubar = int sqrt(phi) du,   vbar = v                       (degenerate)
 
 produces parameters in which the metric function collapses to
 f = 1 / sqrt|mu| and the surface is described by the triple
-(lambda, mu, nu) alone.  The quadratures start at the lower domain corner
-with zero offsets (the additive constants are free).
+(lambda, mu, nu) alone.  Under u = chi(u') both f^2 and mu1 gain a factor
+chi', so phi gains chi'^2 and only int sqrt(phi) du is invariant.  The
+quadratures start at the lower domain corner with zero offsets (the
+additive constants are free).
 
 `canonicalize` runs one flow for every case: classify, check separability,
 integrate the map, resample, re-analyze, build the triple.  The degenerate
 case (mu2 = 0) checks f^2 |mu1| only, keeps v, takes (lambda1, mu1, nu) as
 the triple with nu projected onto u, and reports that projection where the
-general case reports the relation between the two null directions.
+general case reports the relation between the two null directions.  The
+degenerate system is invariant under v -> psi(v) with
+(lambda, mu, nu) -> (lambda / psi', mu / psi', nu), so keeping v leaves the
+degenerate triple unique only up to that gauge.
 """
 
 from __future__ import annotations
@@ -148,13 +153,12 @@ def canonicalize(m: Immersion) -> CanonicalizationResult:
         raise NotSeparable(f"separability deviations ({listed}) exceed {limit:.3e}")
 
     phi = np.mean(phi_uv.values[:, sv], axis=1)
+    ubar = cumulative_simpson(np.sqrt(phi), dx=g.hu, initial=0.0)
     if degenerate:
         psi = None
-        ubar = cumulative_simpson(phi, dx=g.hu, initial=0.0)
         vbar = src_v = g.v_nodes
     else:
         psi = np.mean(psi_uv.values[su, :], axis=0)
-        ubar = cumulative_simpson(np.sqrt(phi), dx=g.hu, initial=0.0)
         vbar = cumulative_simpson(np.sqrt(psi), dx=g.hv, initial=0.0)
         src_v = _monotone_inverse(vbar, g.v_nodes, np.linspace(0.0, vbar[-1], g.Nv))
     src_u = _monotone_inverse(ubar, g.u_nodes, np.linspace(0.0, ubar[-1], g.Nu))

@@ -170,17 +170,12 @@ def _cmd_solve(opts: dict) -> int:
     if not opts.get("out"):
         raise ConfigError("solve needs --out for the triple bundle")
     method = opts["method"]
-    if method == "jet":
-        t = fixtures.jet_triple(
-            case=_case_of(opts["case"]), order=opts["order"],
-            radius=opts["radius"], nodes=opts["nodes"], seed=opts["seed"],
-        )
-    elif method == "goursat-degenerate":
-        t = fixtures.goursat_degenerate_triple(opts["nodes"])
-    elif method == "goursat-hyperbolic":
-        t = fixtures.goursat_hyperbolic_triple(opts["nodes"])
-    else:
+    if method not in ("jet", "goursat-degenerate", "goursat-hyperbolic"):
         raise ConfigError(f"unknown solve method {method!r}")
+    t = fixtures.make_triple_fixture(
+        method, nodes=opts["nodes"], order=opts["order"], radius=opts["radius"],
+        case=_case_of(opts["case"]), seed=opts["seed"],
+    )
     rep = residual(t)
     io.write_triple_bundle(t, opts["out"])
     metrics = {"residual_max": rep.max_abs, "residual_interior_max": rep.interior_max_abs}

@@ -73,12 +73,12 @@ class StepUnstable(LocatedError):
         super().__init__(message, node, uv)
 
 
-class DegenerateMetric(NumericalError):
-    """|EG - F^2| is numerically zero: the induced metric is degenerate."""
+class DegenerateMetric(LocatedError):
+    """|EG - F^2| is numerically zero: the induced metric is degenerate (at `node`, `uv`)."""
 
 
-class MinimalOrTotallyGeodesic(NumericalError):
-    """Mean curvature vector numerically vanishes; geometric frame undefined."""
+class MinimalOrTotallyGeodesic(LocatedError):
+    """Mean curvature vector numerically vanishes (at `node`, `uv`); geometric frame undefined."""
 
 
 class NotIsotropic(ValidationError):

@@ -7,11 +7,18 @@ The frame F (rows x, y, n1, n2) solves the linear transport system
 with coefficient matrices assembled from (lambda, mu, nu) and
 gamma1 = -(sqrt|mu|)_u, gamma2 = -(sqrt|mu|)_v; the position then integrates
 z_u = x / sqrt|mu|, z_v = y / sqrt|mu|.  `coefficient_matrices` is the only
-stage that reads the triple's fields: `integrate_frame` and
-`compatibility_residual` take its `CoefficientMatrices`, and `reconstruct`
-builds them once for both.  Compatibility A_v - B_u + AB - BA
-vanishes exactly when the triple solves its natural system, so its max-norm
-field is the practical detector for bad input; path independence of the
+stage that reads the triple's fields for the transport; `integrate_frame`
+takes its `CoefficientMatrices`.  Compatibility M = A_v - B_u + AB - BA is
+exactly a reweighting of the natural system's residuals r1, r2, r3:
+
+    M[0,0] = -M[1,1] = -r3 / |mu|,   M[0,2] = M[2,1] = r1 / sqrt|mu|,
+    M[1,2] = M[2,0] = s r2 / sqrt|mu|,
+
+with s = +1 for eps = +1 and s = -1 otherwise (degenerate included), every
+other entry 0 (checked symbolically in the test suite).  So the frame system
+is compatible exactly when the triple solves its natural system, and
+`compatibility_residual` reads M's per-node max-norm off the residual gate's
+report instead of differencing A and B again.  Path independence of the
 integration holds only then, and the cross-path discrepancy is reported as a
 diagnostic rather than silently averaged away.  The frame is never
 re-orthonormalized: Gram drift is itself a diagnostic.
@@ -39,7 +46,7 @@ from scipy.linalg import solve_banded
 from .errors import ResidualTooLarge, StepUnstable, ValidationError
 from .fields import GridSpec, ScalarField, diff_values, sqrt_abs
 from .minkowski import gram_residual, standard_frame
-from .natural import CanonicalTriple, Case, residual
+from .natural import CanonicalTriple, Case, ResidualReport, residual
 
 TOL_BUILD = 1e-3      # residual gate before reconstruction
 STEP_LIMIT = 1e8      # frame entries beyond this abort the transport
@@ -84,13 +91,14 @@ def coefficient_matrices(t: CanonicalTriple) -> CoefficientMatrices:
     return CoefficientMatrices(A=A, B=B, grid=g)
 
 
-def compatibility_residual(cm: CoefficientMatrices) -> ScalarField:
-    """Per-node max-norm of A_v - B_u + AB - BA."""
-    g = cm.grid
-    A_v = diff_values(cm.A, g.hv, axis=1)
-    B_u = diff_values(cm.B, g.hu, axis=0)
-    M = A_v - B_u + (cm.A @ cm.B - cm.B @ cm.A)
-    return ScalarField(g, np.max(np.abs(M), axis=(-2, -1)))
+def compatibility_residual(rep: ResidualReport, mu: ScalarField) -> ScalarField:
+    """Per-node max-norm of A_v - B_u + AB - BA, max(|r3| / |mu|, |r1| / sqrt|mu|, |r2| / sqrt|mu|).
+
+    rep is `residual` of the triple whose mu is given (see the module docstring).
+    """
+    abs_mu = np.abs(mu.values)
+    r12 = np.maximum(np.abs(rep.r1.values), np.abs(rep.r2.values)) / np.sqrt(abs_mu)
+    return ScalarField(mu.grid, np.maximum(np.abs(rep.r3.values) / abs_mu, r12))
 
 
 RK4_SUBSTEPS = 2  # per grid interval; 1 leaves ~3e-9 vs the matrix-exponential oracle
@@ -243,8 +251,8 @@ def reconstruct(
     tol_build: float = TOL_BUILD,
     force: bool = False,
 ) -> ReconstructionBundle:
-    """Full reconstruction: residual gate, frame transport (one coefficient-matrix
-    build serves it and the compatibility check), position quadrature.
+    """Full reconstruction: residual gate, frame transport, position quadrature,
+    and the compatibility field read off the gate's residual report.
 
     p0 = z(u0, v0) is the origin when None.  The gate's ResidualTooLarge
     names the worst of r1, r2 and r3 and its worst interior node.
@@ -262,7 +270,7 @@ def reconstruct(
     cm = coefficient_matrices(t)
     frames, diag = integrate_frame(cm, F0)
     points, pos_disc = integrate_position(frames, t.mu, p0)
-    compat = compatibility_residual(cm)
+    compat = compatibility_residual(rep, t.mu)
     diagnostics = {
         "residual_max": rep.interior_max_abs,
         "compat_max": compat.interior_max_abs(),

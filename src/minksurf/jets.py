@@ -163,17 +163,6 @@ class JetSeed:
             raise ValidationError("sign_mu must be +1 or -1")
 
     @classmethod
-    def constants(cls, order: int, lam0: float, mu0: float, nu0: float) -> "JetSeed":
-        z = np.zeros(order + 1)
-        g_u = z.copy()
-        g_u[0] = np.log(abs(mu0))
-        lam_u = z.copy()
-        lam_u[0] = lam0
-        nu_u = z.copy()
-        nu_u[0] = nu0
-        return cls(g_u, z.copy(), lam_u, nu_u, sign_mu=1 if mu0 > 0 else -1)
-
-    @classmethod
     def random(cls, order: int, rng: np.random.Generator, amplitude: float = 0.4) -> "JetSeed":
         decay = amplitude / np.array([max(1.0, float(math.factorial(d))) for d in range(order + 1)])
         g_u = rng.standard_normal(order + 1) * decay

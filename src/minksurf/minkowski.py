@@ -88,11 +88,3 @@ def minkowski_cross(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         -p12 * c0 + p02 * c1 - p01 * c2,
     ], axis=-1)
     return w_low * METRIC_DIAG  # raise the index (eta is diagonal, own inverse)
-
-
-def boost_1_4(phi: float) -> np.ndarray:
-    """Lorentz boost of rapidity phi in the (1,4)-plane; L^T eta L = eta."""
-    L = np.eye(4)
-    L[0, 0] = L[3, 3] = np.cosh(phi)
-    L[0, 3] = L[3, 0] = np.sinh(phi)
-    return L

@@ -34,7 +34,7 @@ def test_criterion_1_exact_constant_fixture():
     t0 = time.perf_counter()
     t = constant_triple(65)
     rep = residual(t)
-    compat = compatibility_residual(coefficient_matrices(t))
+    compat = compatibility_residual(rep, t.mu)
     bundle = reconstruct(t)
     elapsed = time.perf_counter() - t0
 
@@ -194,8 +194,8 @@ def test_criterion_5_sign_law():
 def test_criterion_6_perturbation_detection():
     base = constant_triple(65)
     pert = perturbed_constant_triple(65)
-    c0 = compatibility_residual(coefficient_matrices(base)).max_abs()
-    c1 = compatibility_residual(coefficient_matrices(pert)).max_abs()
+    c0 = compatibility_residual(residual(base), base.mu).max_abs()
+    c1 = compatibility_residual(residual(pert), pert.mu).max_abs()
     _, d0 = integrate_frame(coefficient_matrices(base))
     _, d1 = integrate_frame(coefficient_matrices(pert))
     refused = False

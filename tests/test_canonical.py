@@ -5,10 +5,10 @@ from conftest import immersion_of
 from minksurf.analysis import Immersion, frame_functions, geometric_frame
 from minksurf.canonical import _monotone_inverse, canonicalize, check_separability, classify_functions
 from minksurf.errors import BothMuZero, NotSeparable
-from minksurf.fields import GridSpec, ScalarField
-from minksurf.fixtures import goursat_hyperbolic_triple, jet_triple
+from minksurf.fields import GridSpec, ScalarField, bicubic
+from minksurf.fixtures import goursat_degenerate_triple, goursat_hyperbolic_triple, jet_triple
 from minksurf.frames import reconstruct
-from minksurf.natural import Case
+from minksurf.natural import CanonicalTriple, Case
 
 
 G = GridSpec(0, 1, 0, 1, 33, 33)
@@ -228,3 +228,52 @@ def test_canonicalize_nonlinear_reparametrization(constant_bundle):
         (res2.triple.nu, res0.triple.nu),
     ):
         assert np.max(np.abs(a_f.values - b_f.values)[su, sv]) <= 1e-3
+
+
+def _triple_gap(a, b, layers):
+    su, sv = a.grid.interior(layers)
+    return max(float(np.max(np.abs(x.values - y.values)[su, sv])) for x, y in ((a.lam, b.lam), (a.mu, b.mu), (a.nu, b.nu)))
+
+
+@pytest.mark.parametrize("make, triple_bound, law_bound", [
+    (lambda: jet_triple(Case.POSITIVE_KH, 6, 0.1, 65), 1.5e-5, 1.5e-4),
+    (lambda: jet_triple(Case.NEGATIVE_KH, 6, 0.1, 65), 1.5e-5, 1.5e-4),
+    (lambda: goursat_hyperbolic_triple(65), 1.5e-5, 1.5e-4),
+    (lambda: goursat_degenerate_triple(65), 3e-4, 5e-4),
+], ids=["jet-positive", "jet-negative", "goursat-hyperbolic", "goursat-degenerate"])
+def test_canonicalize_undoes_a_u_warp(make, triple_bound, law_bound):
+    # the surface resampled at u = u0 + L (e^{1.2 s} - 1) / (e^{1.2} - 1), s the
+    # scaled grid node, is still isotropic and must canonicalize to the triple of
+    # the unwarped surface, n/8 layers in.  Measured at 65 nodes: triple 5.6e-6
+    # (jets), 6.3e-6 (goursat-hyperbolic), 1.3e-4 (goursat-degenerate); metric
+    # law 5.4e-5 or less, and 2.4e-4 (goursat-degenerate).  A degenerate map
+    # integrating phi instead of sqrt(phi) reads 2.7 and 0.69 there.
+    m = immersion_of(reconstruct(make()))
+    g = m.grid
+    s = (g.u_nodes - g.u0) / (g.u1 - g.u0)
+    warped = m.resample(g, g.u0 + (g.u1 - g.u0) * np.expm1(1.2 * s) / np.expm1(1.2), g.v_nodes)
+    res, ref = canonicalize(warped), canonicalize(m)
+    assert _triple_gap(res.triple, ref.triple, g.Nu // 8) <= triple_bound
+    assert res.diagnostics["metric_law_max_dev"] <= law_bound
+
+
+def test_canonicalize_degenerate_v_gauge(degenerate_bundle):
+    # the degenerate map keeps v, and the degenerate system is invariant under
+    # v -> psi(v), (lambda, mu, nu) -> (lambda / psi', mu / psi', nu) (checked
+    # symbolically in test_natural), so the triple is unique only up to that
+    # gauge: the surface resampled at v = psi(s) = s + 0.15 sin(pi s)
+    # canonicalizes to the transform of the unwarped triple (measured 1.9e-6 at
+    # 65 nodes, n/8 layers in), not to the triple itself
+    m = immersion_of(degenerate_bundle)
+    g = m.grid
+    s = g.v_nodes  # the fixture's v runs over [0, 1]
+    psi, dpsi = s + 0.15 * np.sin(np.pi * s), 1 + 0.15 * np.pi * np.cos(np.pi * s)
+    res, ref = canonicalize(m.resample(g, g.u_nodes, psi)), canonicalize(m)
+    grid = res.triple.grid
+    lam, mu, nu = (bicubic(f.values, ref.triple.grid, grid.u_nodes, psi)
+                   for f in (ref.triple.lam, ref.triple.mu, ref.triple.nu))
+    gauged = CanonicalTriple(lam=ScalarField(grid, lam / dpsi), mu=ScalarField(grid, mu / dpsi),
+                             nu=ScalarField(grid, nu), case=Case.DEGENERATE)
+    assert _triple_gap(res.triple, gauged, g.Nu // 8) <= 5e-6
+    assert _triple_gap(res.triple, ref.triple, g.Nu // 8) >= 0.1
+    assert res.diagnostics["metric_law_max_dev"] <= 2e-6

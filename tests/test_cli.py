@@ -261,6 +261,44 @@ def test_analyze_metric_gates(tmp_path, surface, code, error):
     assert data["error"] == error
 
 
+def located_gate_immersion(error: str, node: tuple[int, int], nodes: int = 33) -> Immersion:
+    """An immersion that fails geometric_frame's gate `error` at `node` and at no other node.
+
+    With (u*, v*) the node's coordinates and e = 0.01:
+    DegenerateMetric: z = (u + v, e (u - u*)^2 / 2, e (v - v*)^2 / 2, 0).  EG - F^2
+    is the sum of the squared 2x2 minors of (z_u, z_v), -e (u - u*),
+    e (v - v*) and e^2 (u - u*)(v - v*), so it vanishes at (u*, v*) only.
+    MinimalOrTotallyGeodesic: the null plane ((u - v)/sqrt2, 0, 0, (u + v)/sqrt2)
+    bent by e (u - u*)^2 v / 2 and e u (v - v*)^2 / 2 in the middle components,
+    so z_uv = (0, e (u - u*), e (v - v*), 0) and H vanish at (u*, v*) only.
+    Both are polynomials the order-4 stencils differentiate exactly.
+    """
+    g = GridSpec(0, 1, 0, 1, nodes, nodes)
+    U, V = g.mesh()
+    du, dv = U - g.u_nodes[node[0]], V - g.v_nodes[node[1]]
+    e, s = 0.01, 1 / np.sqrt(2)
+    if error == "DegenerateMetric":
+        pts = [U + V, e * du * du / 2, e * dv * dv / 2, np.zeros_like(U)]
+    else:
+        pts = [(U - V) * s, e * du * du * V / 2, e * U * dv * dv / 2, (U + V) * s]
+    return Immersion(g, np.stack(pts, axis=-1))
+
+
+@pytest.mark.parametrize("error", ["DegenerateMetric", "MinimalOrTotallyGeodesic"])
+def test_analyze_metric_gate_reports_node(tmp_path, error):
+    node = (10, 20)
+    m = located_gate_immersion(error, node)
+    csv = tmp_path / "m.csv"
+    io.write_immersion_csv(m, str(csv))
+    report = tmp_path / "err.json"
+    assert run(["analyze", "--immersion", str(csv), "--report", str(report)]) == 2
+    data = json.loads(report.read_text())
+    assert data["error"] == error
+    assert data["node"] == list(node)
+    assert data["uv"] == list(m.grid.uv(node))
+    assert f"node {node}" in data["message"]
+
+
 def test_metric_overflow_stderr_is_one_json_document(tmp_path):
     # numpy's overflow warnings must not reach stderr ahead of the error report
     cyl = cylinder_immersion(33)
@@ -512,6 +550,17 @@ def test_missing_out_is_checked_before_the_work(tmp_path, argv):
     data = json.loads(report.read_text())
     assert data["error"] == "ConfigError"
     assert "needs --out" in data["message"]
+
+
+@pytest.mark.parametrize("method", ["constant", "cylinder", "picard"])
+def test_solve_rejects_non_solver_names(tmp_path, method):
+    # only the jet and the two Goursat solvers produce a solved triple
+    report = tmp_path / "err.json"
+    assert run(["solve", "--method", method, "--out", str(tmp_path / "tri"), "--report", str(report)]) == 1
+    data = json.loads(report.read_text())
+    assert data["error"] == "ConfigError"
+    assert f"unknown solve method {method!r}" in data["message"]
+    assert not (tmp_path / "tri").exists()
 
 
 def test_solve_jet_degenerate_case(tmp_path):

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from minksurf import frames as frames_module
 from minksurf.errors import ResidualTooLarge, StepUnstable, ValidationError
-from minksurf.fields import GridSpec, ScalarField
+from minksurf.fields import GridSpec, ScalarField, diff_values
 from minksurf.fixtures import (
     constant_triple,
     goursat_degenerate_triple,
@@ -26,7 +26,7 @@ from minksurf.frames import (
     reconstruct,
 )
 from minksurf.minkowski import METRIC_DIAG, lorentz_inner, standard_frame
-from minksurf.natural import CanonicalTriple, Case
+from minksurf.natural import CanonicalTriple, Case, residual, system_residuals
 
 A_CONST = np.array([[0, 0, 0, 1], [0, 0, -2, 0], [-2, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
 B_CONST_NEG = np.array([[0, 0, -2, 0], [0, 0, 0, 1], [0, -2, 0, 0], [1, 0, 0, 0]], dtype=float)
@@ -111,17 +111,133 @@ def test_sqrt_mu_prefactor_structure():
     assert np.allclose(scaled[..., 2, 0], -t.nu.values)
 
 
+def compat(t):
+    return compatibility_residual(residual(t), t.mu)
+
+
 def test_compatibility_constant_solutions():
-    assert compatibility_residual(coefficient_matrices(constant_triple(33))).max_abs() <= 1e-12
-    c = compatibility_residual(coefficient_matrices(triple_const(0, 1, 2, Case.NEGATIVE_KH)))
+    assert compat(constant_triple(33)).max_abs() <= 1e-12
+    c = compat(triple_const(0, 1, 2, Case.NEGATIVE_KH))
     assert np.max(np.abs(c.values - 3.0)) <= 1e-12
 
 
 def test_compatibility_jet_scaling():
-    c1 = compatibility_residual(coefficient_matrices(jet_triple(Case.POSITIVE_KH, 6, 0.1, 65))).interior_max_abs()
-    c2 = compatibility_residual(coefficient_matrices(jet_triple(Case.POSITIVE_KH, 6, 0.05, 65))).interior_max_abs()
+    c1 = compat(jet_triple(Case.POSITIVE_KH, 6, 0.1, 65)).interior_max_abs()
+    c2 = compat(jet_triple(Case.POSITIVE_KH, 6, 0.05, 65)).interior_max_abs()
     assert c1 <= 1e-3
     assert c1 / c2 >= 2 ** 3.5, (c1, c2)
+
+
+def _symbolic_matrices(sp, case, lam, mu, nu, u, v):
+    """A and B of `coefficient_matrices`, entry by entry, with gamma = -grad sqrt|mu| taken exactly."""
+    root = sp.sqrt(sp.Abs(mu))
+    g1, g2 = -sp.diff(root, u), -sp.diff(root, v)
+    A, B = sp.zeros(4), sp.zeros(4)
+    A[0, 0], A[0, 2], A[0, 3] = g1, lam, mu
+    A[1, 1], A[1, 2] = -g1, -nu
+    A[2, 0], A[2, 1] = -nu, lam
+    A[3, 1] = mu
+    B[0, 0], B[0, 2] = -g2, -nu
+    B[1, 1] = g2
+    B[2, 1] = -nu
+    if case is not Case.DEGENERATE:
+        eps = case.epsilon
+        B[1, 2], B[1, 3] = -eps * lam, -eps * mu
+        B[2, 0] = -eps * lam
+        B[3, 0] = -eps * mu
+    return A / root, B / root
+
+
+@pytest.mark.parametrize("case", list(Case), ids=lambda c: c.value)
+def test_symbolic_matrices_are_the_codes(case):
+    # on a triple whose sqrt|mu| is linear the order-2 gammas are exact, so
+    # the typed matrices must be coefficient_matrices' at every node
+    sp = pytest.importorskip("sympy")
+    u, v = sp.symbols("u v", real=True)
+    fields = (0.3 + 0.2 * u - 0.1 * v * v, -(1 + 0.2 * u + 0.3 * v) ** 2, 0.7 + 0.4 * u)
+    A, B = (sp.lambdify((u, v), M) for M in _symbolic_matrices(sp, case, *fields, u, v))
+    g = GridSpec(0, 1, 0, 1, 9, 9)
+    lam, mu, nu = (ScalarField.from_function(g, sp.lambdify((u, v), f)) for f in fields)
+    cm = coefficient_matrices(CanonicalTriple(lam=lam, mu=mu, nu=nu, case=case))
+    for i, j in [(0, 0), (3, 5), (8, 2)]:
+        ui, vj = g.uv((i, j))
+        assert np.max(np.abs(cm.A[i, j] - A(ui, vj))) <= 1e-13
+        assert np.max(np.abs(cm.B[i, j] - B(ui, vj))) <= 1e-13
+
+
+@pytest.mark.parametrize("sign_mu", [1, -1])
+@pytest.mark.parametrize("case", list(Case), ids=lambda c: c.value)
+def test_compatibility_is_the_residual_exactly(case, sign_mu):
+    # M = A_v - B_u + [A, B] is the frames module docstring's reweighting of
+    # r1, r2, r3 as system_residuals states them, with mu = sign_mu e^g
+    sp = pytest.importorskip("sympy")
+    u, v = sp.symbols("u v", real=True)
+    lam, g = (sp.Function(name, real=True)(u, v) for name in ("lam", "g"))
+    nu = sp.Function("nu", real=True)(u) if case is Case.DEGENERATE else sp.Function("nu", real=True)(u, v)
+    abs_mu = sp.exp(g)
+    A, B = _symbolic_matrices(sp, case, lam, sign_mu * abs_mu, nu, u, v)
+    M = A.diff(v) - B.diff(u) + A * B - B * A
+    r1, r2, r3 = system_residuals(case, lam, nu, g, abs_mu, abs_mu ** 2, lambda a: sp.diff(a, u),
+                                  lambda a: sp.diff(a, v), lambda a, b: a * b)
+    s = 1 if case is Case.POSITIVE_KH else -1
+    root = sp.sqrt(abs_mu)
+    closed = sp.zeros(4)
+    closed[0, 0], closed[1, 1] = -r3 / abs_mu, r3 / abs_mu
+    closed[0, 2] = closed[2, 1] = r1 / root
+    closed[1, 2] = closed[2, 0] = s * r2 / root
+    assert sp.simplify(M - closed) == sp.zeros(4)
+
+
+def discrete_compatibility(t):
+    """A_v - B_u + AB - BA by order-2 differencing of the node matrices (the test oracle)."""
+    cm = coefficient_matrices(t)
+    A_v = diff_values(cm.A, t.grid.hv, axis=1)
+    B_u = diff_values(cm.B, t.grid.hu, axis=0)
+    return A_v - B_u + (cm.A @ cm.B - cm.B @ cm.A)
+
+
+def closed_compatibility(t):
+    """The same matrix field from the stencil residuals, by the identity above."""
+    rep = residual(t)
+    abs_mu = np.abs(t.mu.values)
+    root = np.sqrt(abs_mu)
+    s = 1 if t.case is Case.POSITIVE_KH else -1
+    M = np.zeros(abs_mu.shape + (4, 4))
+    M[..., 0, 0], M[..., 1, 1] = -rep.r3.values / abs_mu, rep.r3.values / abs_mu
+    M[..., 0, 2] = M[..., 2, 1] = rep.r1.values / root
+    M[..., 1, 2] = M[..., 2, 0] = s * rep.r2.values / root
+    return M
+
+
+def negated_mu(t):
+    # the natural system reads only |mu| and mu^2, so -mu solves it too
+    return CanonicalTriple(lam=t.lam, mu=ScalarField(t.grid, -t.mu.values), nu=t.nu, case=t.case)
+
+
+@pytest.mark.parametrize("make, bound", [
+    (goursat_degenerate_triple, 1e-4),
+    (goursat_hyperbolic_triple, 2e-5),
+    (lambda n: jet_triple(Case.POSITIVE_KH, 6, 0.1, n), 4e-6),
+    (lambda n: jet_triple(Case.NEGATIVE_KH, 6, 0.1, n), 4e-6),
+    (lambda n: jet_triple(Case.DEGENERATE, 6, 0.1, n), 4e-6),
+    (lambda n: negated_mu(jet_triple(Case.POSITIVE_KH, 6, 0.1, n)), 4e-6),
+], ids=["goursat-degenerate", "goursat-hyperbolic", "jet-positive", "jet-negative", "jet-degenerate",
+        "jet-positive-mu-negated"])
+def test_compatibility_closed_form_matches_discrete_oracle(make, bound):
+    # differencing A and B checks every entry of coefficient_matrices against
+    # the residual; the two fields agree entry by entry to O(h^2), two layers in.
+    # Measured at 65 / 129 nodes: 4.9e-5 / 1.3e-5 (goursat-degenerate),
+    # 7.9e-6 / 2.0e-6 (goursat-hyperbolic), 1.4e-6 / 3.6e-7 or less (jets)
+    gaps = []
+    for n in (65, 129):
+        t = make(n)
+        closed = closed_compatibility(t)
+        su, sv = t.grid.interior(2)
+        gaps.append(float(np.max(np.abs(discrete_compatibility(t) - closed)[su, sv])))
+        # the package's field is the closed form's per-node max-norm
+        assert np.array_equal(compat(t).values, np.max(np.abs(closed), axis=(-2, -1)))
+    assert gaps[0] <= bound and gaps[1] <= bound / 3.5, gaps
+    assert gaps[0] / gaps[1] >= 3, gaps
 
 
 def test_integrate_frame_matches_matrix_exponential():
@@ -191,8 +307,6 @@ def test_integrate_position_initial_point_and_metric():
     assert np.all(z[0, 0] == p0)
     assert disc <= 1e-6
     # FD metric law <z_u, z_v> = -1/|mu| = -1 (order-4 interior check)
-    from minksurf.fields import diff_values
-
     g = t.grid
     zu = diff_values(z, g.hu, axis=0, order=4)
     zv = diff_values(z, g.hv, axis=1, order=4)
@@ -205,8 +319,6 @@ def test_integrate_position_isotropy_degenerate():
     t = goursat_degenerate_triple(65)
     frames, _ = integrate_frame(coefficient_matrices(t))
     z, _ = integrate_position(frames, t.mu, np.zeros(4))
-    from minksurf.fields import diff_values
-
     g = t.grid
     zu = diff_values(z, g.hu, axis=0, order=4)
     zv = diff_values(z, g.hv, axis=1, order=4)

@@ -69,7 +69,8 @@ def polynomial_residual(case, order, seed, radius, nodes):
 
 
 def test_constants_seed_reproduces_exact_solution():
-    seed = JetSeed.constants(2, 0.0, 1.0, 1.0)
+    # (lambda, mu, nu) = (0, 1, 1): every coefficient but nu's constant is 0
+    seed = JetSeed(np.zeros(3), np.zeros(3), np.zeros(3), np.array([1.0, 0.0, 0.0]))
     assert polynomial_residual(Case.NEGATIVE_KH, 2, seed, 0.3, 65) == 0.0
     t = jet_manufacture(Case.NEGATIVE_KH, 2, seed, radius=0.3)
     assert residual(t).max_abs <= 1e-13  # the stencils see the exact solution to round-off

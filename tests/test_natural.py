@@ -533,6 +533,26 @@ def test_system_residuals_symbolic(case):
     assert all(sp.simplify(x - y) == 0 for x, y in zip(stated, docstring))
 
 
+def test_degenerate_system_gauge_in_v():
+    # (lambda, mu, nu)(u, v) -> (lambda / psi', mu / psi', nu)(u, psi(v)), psi' > 0,
+    # carries each degenerate residual over unchanged, so the degenerate
+    # canonical triple is unique only up to this gauge
+    sp = pytest.importorskip("sympy")
+    u, v, w = sp.symbols("u v w", real=True)
+    lam, g = sp.Function("lam", real=True), sp.Function("g", real=True)
+    nu = sp.Function("nu", real=True)(u)
+    psi = sp.Function("psi", real=True)(v)
+    dpsi = sp.diff(psi, v)
+
+    def stated(lam_, g_, y):
+        return system_residuals(Case.DEGENERATE, lam_, nu, g_, sp.exp(g_), None, lambda a: sp.diff(a, u),
+                                lambda a: sp.diff(a, y), operator.mul)
+
+    gauged = stated(lam(u, psi) / dpsi, g(u, psi) - sp.log(dpsi), v)  # ln|mu / psi'| = g - ln psi'
+    composed = (r.subs(w, psi) for r in stated(lam(u, w), g(u, w), w))
+    assert all(sp.simplify((a - b).doit()) == 0 for a, b in zip(gauged, composed))
+
+
 @pytest.mark.parametrize("eps", [0, -1])
 def test_curvature_rhs_solves_r3(eps):
     # with coef = -(nu^2 + eps lam^2) the right-hand side is the g_uv that makes
