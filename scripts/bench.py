@@ -6,7 +6,8 @@ REPEATS calls (after one untimed warm-up call) of:
 
   goursat_hyperbolic_triple   the eps = -1 fixture: order-8 jet edge data + Picard sweep
   solve_goursat_hyperbolic    the Picard sweep alone, on edge data sampled beforehand
-  goursat_march               one Goursat march: the first sweep's g on the same data
+  goursat_march               the Goursat march of the degenerate fixture alone, its
+                              only caller in the library, on the fixture's edge data
   goursat_degenerate_triple   the degenerate fixture: Goursat march + Simpson for lambda
   integrate_frame             `frames.integrate_frame` (both transport paths) of the
                               positive order-6 jet triple at radius 0.1, with its
@@ -69,12 +70,13 @@ def _hyperbolic_edges(nodes: int):
     )
 
 
-def _first_march(nodes: int):
-    """A call of the first sweep's Goursat march on the goursat-hyperbolic edge data."""
-    e = _hyperbolic_edges(nodes)
-    pb, pl, ql, qt = e["p_bottom"], e["p_left"], e["q_left"], e["q_top"]
-    pq = (pb[:, None] + pl[None, :] - pb[0]) * (ql[None, :] + qt[:, None] - ql[-1])
-    return lambda: natural._goursat_march(e["grid"], e["g_bottom"], e["g_left"], pq, -1)
+def _degenerate_march(nodes: int):
+    """A call of the goursat-degenerate fixture's Goursat march: coef = -nu^2, nu = 1 + u, eps = 0."""
+    grid = fixtures.default_grid(nodes)
+    edge = np.full(nodes, fixtures.DEGENERATE_EDGE_LEVEL)
+    nu = 1.0 + grid.u_nodes
+    coef = np.broadcast_to(-(nu * nu)[:, None], (nodes, nodes))
+    return lambda: natural._goursat_march(grid, edge, edge, coef, 0)
 
 
 def _stages(nodes: int) -> dict:
@@ -88,7 +90,7 @@ def _stages(nodes: int) -> dict:
     return {
         "goursat_hyperbolic_triple": lambda: fixtures.goursat_hyperbolic_triple(nodes),
         "solve_goursat_hyperbolic": lambda: natural.solve_goursat_hyperbolic(**edges),
-        "goursat_march": _first_march(nodes),
+        "goursat_march": _degenerate_march(nodes),
         "goursat_degenerate_triple": lambda: fixtures.goursat_degenerate_triple(nodes),
         "integrate_frame": lambda: frames.integrate_frame(cm),
         "reconstruct": lambda: frames.reconstruct(t),

@@ -104,8 +104,9 @@ def geometric_frame(m: Immersion) -> GeometricFrame:
     Gates, in order: DegenerateMetric where EG - F^2 is numerically zero,
     located at the first node of min |EG - F^2|;
     ValidationError, naming them, where finite samples overflow E, F or G;
-    NotIsotropic unless max(|E|, |G|) <= ISO_GATE_TOL max|F| and F < 0 at
-    every node;
+    NotIsotropic unless max(|E|, |G|) <= ISO_GATE_TOL max|F|, located at the
+    first node of the largest max(|E|, |G|), and unless F < 0 at every node,
+    located at the first node of F >= 0;
     MinimalOrTotallyGeodesic where |H| falls below its floor, located at the
     first node of min H^2.
     """
@@ -129,12 +130,18 @@ def geometric_frame(m: Immersion) -> GeometricFrame:
     worst = max(E_max, G_max)
     limit = ISO_GATE_TOL * F_max
     if worst > limit:
+        node = divmod(int(np.argmax(np.maximum(np.abs(E), np.abs(G)))), g.Nv)
+        uv = g.uv(node)
         raise NotIsotropic(
-            f"max(|E|,|G|) = {worst:.3e} exceeds {limit:.3e}; analysis needs isotropic "
-            "(null) parameters - construct them before calling"
+            f"max(|E|,|G|) = {worst:.3e} exceeds {limit:.3e}, worst at node {node} at (u, v) = {uv}; "
+            "analysis needs isotropic (null) parameters - construct them before calling", node, uv
         )
-    if np.any(F >= 0):
-        raise NotIsotropic("requires <z_u, z_v> < 0 at every node")
+    fails = F >= 0
+    if fails.any():
+        node = divmod(int(np.argmax(fails)), g.Nv)
+        uv = g.uv(node)
+        raise NotIsotropic(f"requires <z_u, z_v> < 0 at every node; first fails at node {node} at (u, v) = {uv}",
+                           node, uv)
 
     f = np.sqrt(-F)
     x = zu / f[..., None]

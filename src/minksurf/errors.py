@@ -82,11 +82,15 @@ class MinimalOrTotallyGeodesic(LocatedError):
 
 
 class NotIsotropic(ValidationError):
-    """Immersion is not given in isotropic (null) parameters.
+    """Immersion is not given in isotropic (null) parameters, as seen at grid node `node`, (u, v) = `uv`.
 
     Constructing isotropic coordinates from a generic timelike parametrization
     is out of scope; re-parametrize before analysis.
     """
+
+    def __init__(self, message: str, node=None, uv=None):
+        self.node, self.uv = node, uv
+        super().__init__(message)
 
 
 class NotSeparable(NumericalError):

@@ -33,11 +33,17 @@ coef = p q and the two transports
 (p transports along (1,1), q along (1,-1); the equivalence is checked
 symbolically in the test suite).  Along its characteristic each transport is
 dp = lam dg (dq = lam dg): the trapezoid rule from node to node, O(h^2), on
-grids with hu == hv.  Both cases march g with the implicit trapezoidal corner
-rule, one anti-diagonal at a time, by Newton steps from a predictor read off
-the stored corner values, stopping once the front's largest correction is at
-or below NEWTON_TOL (one step per front from 129 nodes up on the built-in
-fixtures; the next correction reads 1e-16 or less).
+grids with hu == hv, added up along every diagonal by one cumulative sum.
+
+Both cases discretize the curvature equation by the trapezoidal corner rule,
+g(i,j) - g(i-1,j) - g(i,j-1) + g(i-1,j-1) = (hu hv / 4) times the sum of the
+right-hand side at the cell's four corners.  The degenerate march solves it
+one anti-diagonal at a time, implicit in the new corner, by Newton steps from
+a predictor read off the stored corner values, stopping once the front's
+largest correction is at or below NEWTON_TOL.  The eps = -1 sweep evaluates
+the right-hand side at the previous sweep's g and adds up the cells of the
+whole grid by two cumulative sums; at the sweep's fixed point that is the
+same corner rule.
 In the degenerate case lam_v = lam g_v - nu_u is integrated exactly as
 (lam e^{-g})_v = -nu_u e^{-g}, by Simpson's rule.
 """
@@ -217,11 +223,34 @@ def _wavefronts(Nu: int, Nv: int) -> tuple:
     return tuple(fronts)
 
 
+def _characteristic_sums(steps: np.ndarray, slope: int) -> np.ndarray:
+    """Cumulative sums of `steps` along the grid's characteristic diagonals, in increasing i.
+
+    slope -1 sums along j - i = const, slope +1 along i + j = const.  Each
+    diagonal starts at its first node in i, whose entry is the start value;
+    every later entry is the step onto its node.  The diagonals are the
+    columns of a sheared (Nu, Nu + Nv - 1) buffer, padded with -0.0, the
+    exact additive identity, so one cumsum along axis 0 adds in the order
+    of a node-by-node loop and gives its bits, signed zeros included.
+    """
+    Nu, Nv = steps.shape
+    width = Nu + Nv - 1
+    flat = np.full(Nu * (width + 1), -0.0)
+    lanes = flat[: Nu * width].reshape(Nu, width)
+    # node (i, j) sits in row i of lane j - i + Nu - 1 (slope -1) or i + j (slope +1)
+    start = Nu - 1 if slope < 0 else 0
+    nodes = flat[start : start + Nu * (width + slope)].reshape(Nu, width + slope)[:, :Nv]
+    nodes[...] = steps
+    np.cumsum(lanes, axis=0, out=lanes)
+    return nodes.copy()
+
+
 def _goursat_march(
     grid: GridSpec, g_bottom: np.ndarray, g_left: np.ndarray, coef: np.ndarray, eps: int
 ) -> np.ndarray:
     """March g_uv = coef e^{-g} - eps e^{g} over the grid from two characteristic edges.
 
+    The degenerate solver's march; the eps = -1 sweep updates g without it.
     coef is the pointwise coefficient on the grid; the right-hand side and its
     g-derivative come from `_curvature_rhs`, which acts elementwise, so a
     node's value does not depend on the batch it is evaluated in.
@@ -234,9 +263,9 @@ def _goursat_march(
     correction |dx| is at or below NEWTON_TOL, or after 3 steps.  Newton
     converges quadratically: a correction e leaves a next one of about
     cell |d^2 rhs / dg^2| e^2 / 2, below round-off for e <= NEWTON_TOL.
-    Measured on the built-in fixtures, the first correction is at most
-    1.5e-8 / 9.3e-10 / 3.6e-12 on goursat-hyperbolic (33 / 65 / 257 nodes)
-    and 2.4e-7 / 1.5e-8 / 6.1e-11 on goursat-degenerate, and the second is
+    Measured on the built-in fixtures' data, the first correction is at most
+    1.5e-8 / 9.3e-10 / 3.6e-12 on goursat-hyperbolic's first sweep (33 / 65 /
+    257 nodes) and 2.4e-7 / 1.5e-8 / 6.1e-11 on goursat-degenerate, and the second is
     1.1e-16 or less.  So from 129 nodes up a front costs two rhs calls: one
     Newton step, and the final value, which the three cells that have the
     node as a known corner reuse.  Raises BlowUp, with the node and (u, v)
@@ -282,7 +311,7 @@ def _curvature_rhs(coef, g, eps: int):
     """g_uv = coef e^{-g} - eps e^{g}, the curvature equation, and its g-derivative.
 
     eps is 0 (the degenerate march, coef = -nu^2) or -1 (the eps = -1 sweep,
-    coef = p q); the eps = +1 form is not written, as nothing marches it yet.
+    coef = p q); the eps = +1 form is not written, as no solver uses it yet.
     """
     # clip to +-700, overflow-safe (the guard trips first); two ufuncs cost less than np.clip
     gc = np.minimum(np.maximum(g, -700.0), 700.0)
@@ -352,13 +381,23 @@ def solve_goursat_hyperbolic(
 
     p = lam + nu rides the (1,1) characteristics (data on bottom + left),
     q = lam - nu rides (1,-1) (data on left + top), g = ln|mu| solves the
-    curvature equation with coef = p q from bottom + left data.  Picard
-    sweeps alternate the g-march with the transports dp = lam dg and
-    dq = lam dg, each integrated by the trapezoid rule along the diagonal
-    step from the previous row, until the max sweep-to-sweep change drops
-    below PICARD_TOL; NoConvergence after MAX_SWEEPS sweeps.  Residual is
-    O(h^2).  The diagonal steps land on nodes only when hu == hv, so any
-    other grid raises ValidationError.
+    curvature equation with coef = p q from bottom + left data.  Each Picard
+    sweep takes the previous sweep's p, q and g and
+      - updates g on the whole grid: the corner rule's right-hand side at the
+        old p q and g, summed over the cells by cumulative sums along u and
+        v, added to the additive extension of the edge data;
+      - transports p and q by dp = lam dg and dq = lam dg, the trapezoid rule
+        on each diagonal step, summed along the diagonals
+        (`_characteristic_sums`);
+    until the max sweep-to-sweep change is at or below PICARD_TOL;
+    NoConvergence after MAX_SWEEPS sweeps.  At the fixed point g satisfies
+    the implicit corner rule the degenerate march solves; the corner rule's
+    Picard map is of Volterra type and contracts about as fast as the
+    transports (7 to 10 sweeps on order-8 jet edge data).  Residual is
+    O(h^2).  Raises BlowUp, with the node and (u, v) of the first interior
+    node in C order whose |g| exceeds G_LIMIT or is not finite, when a sweep
+    leaves the trust region.  The diagonal steps land on nodes only when
+    hu == hv, so any other grid raises ValidationError.
     """
     if sign_mu not in (1, -1):
         raise ValidationError("sign_mu must be +1 or -1")
@@ -373,32 +412,53 @@ def solve_goursat_hyperbolic(
     qt = _samples_1d(q_top, u, "q_top")
     gb = _samples_1d(g_bottom, u, "g_bottom")
     gl = _samples_1d(g_left, v, "g_left")
-    for a, b, what in ((pb[0], pl[0], "p"), (ql[-1], qt[0], "q")):  # _goursat_march checks g's corner
+    corners = (
+        (pb[0], pl[0], "incompatible corner data for p"),
+        (ql[-1], qt[0], "incompatible corner data for q"),
+        (gb[0], gl[0], "incompatible corner data: g_bottom(u0) != g_left(v0)"),
+    )
+    for a, b, message in corners:
         if abs(a - b) > 1e-10 * (1.0 + abs(a)):
-            raise ValidationError(f"incompatible corner data for {what}")
+            raise ValidationError(message)
 
-    # additive initial extensions of the edge data
+    # additive initial extensions of the edge data; g0 also carries g's edges through every sweep
     p = pb[:, None] + pl[None, :] - pb[0]
     q = ql[None, :] + qt[:, None] - ql[-1]
-    g = gb[:, None] + gl[None, :] - gb[0]
+    g0 = gb[:, None] + gl[None, :] - gb[0]
+    g0[:, 0] = gb
+    g0[0, :] = gl
+    g = g0
+    cell = grid.hu * grid.hv / 4.0
 
     deltas = []
     for _ in range(MAX_SWEEPS):
         p_old, q_old, g_old = p, q, g
         lam = 0.5 * (p_old + q_old)
 
-        g = _goursat_march(grid, gb, gl, p_old * q_old, -1)
+        # the trapezoidal corner rule of every cell, explicit in the previous sweep's g
+        r = _curvature_rhs(p_old * q_old, g_old, -1)[0]
+        g = g0.copy()
+        g[1:, 1:] += np.cumsum(np.cumsum(cell * (r[:-1, :-1] + r[:-1, 1:] + r[1:, :-1] + r[1:, 1:]), 0), 1)
+        inner = np.abs(g[1:, 1:])
+        # NaN-safe: max propagates NaN, and NaN fails the comparison
+        if not inner.max() <= G_LIMIT:
+            i, j = divmod(int(np.argmax(~(inner <= G_LIMIT))), Nv - 1)
+            first = (i + 1, j + 1)
+            uv = grid.uv(first)
+            raise BlowUp(f"|ln mu| exceeded {G_LIMIT} in Picard sweep {len(deltas) + 1}: node {first} "
+                         f"at (u, v) = {uv}", node=first, uv=uv)
 
+        # p from (i-1, j-1) along (1,1), q from (i-1, j+1) along (1,-1)
         p = np.empty((Nu, Nv))
         p[:, 0] = pb
         p[0, :] = pl
+        p[1:, 1:] = 0.5 * (lam[1:, 1:] + lam[:-1, :-1]) * (g[1:, 1:] - g[:-1, :-1])
+        p = _characteristic_sums(p, -1)
         q = np.empty((Nu, Nv))
         q[0, :] = ql
         q[:, -1] = qt
-        for i in range(1, Nu):
-            # p from (i-1, j-1) along (1,1), q from (i-1, j+1) along (1,-1)
-            p[i, 1:] = p[i - 1, :-1] + 0.5 * (lam[i, 1:] + lam[i - 1, :-1]) * (g[i, 1:] - g[i - 1, :-1])
-            q[i, :-1] = q[i - 1, 1:] + 0.5 * (lam[i, :-1] + lam[i - 1, 1:]) * (g[i, :-1] - g[i - 1, 1:])
+        q[1:, :-1] = 0.5 * (lam[1:, :-1] + lam[:-1, 1:]) * (g[1:, :-1] - g[:-1, 1:])
+        q = _characteristic_sums(q, 1)
 
         delta = max(np.max(np.abs(p - p_old)), np.max(np.abs(q - q_old)), np.max(np.abs(g - g_old)))
         deltas.append(delta)

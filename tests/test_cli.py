@@ -261,6 +261,40 @@ def test_analyze_metric_gates(tmp_path, surface, code, error):
     assert data["error"] == error
 
 
+def f_sign_immersion(i_star: int, nodes: int = 33) -> Immersion:
+    """Isotropic, with <z_u, z_v> >= 0 exactly on the rows from `i_star` on.
+
+    z = phi(u) n + v m for the null vectors n = (s, 0, 0, s) and m = (s, 0, 0, -s),
+    s = 1/sqrt2, <n, m> = 1, and phi' = u - u*, with u* halfway between rows
+    i_star - 1 and i_star: E = G = 0 and F = u - u*, which stays away from 0 on the
+    nodes, so the metric gates pass and the F gate is the first to fail.
+    """
+    g = GridSpec(0, 1, 0, 1, nodes, nodes)
+    U, V = g.mesh()
+    u_star = 0.5 * (g.u_nodes[i_star - 1] + g.u_nodes[i_star])
+    phi = 0.5 * (U - u_star) ** 2
+    s, zero = 1 / np.sqrt(2), np.zeros_like(U)
+    return Immersion(g, np.stack([s * (phi + V), zero, zero, s * (phi - V)], axis=-1))
+
+
+@pytest.mark.parametrize("surface, node, message", [
+    # E = -3 and G = 1 at every node, so the first node of the largest max(|E|, |G|) is the first node
+    ("graph", (0, 0), "exceeds"),
+    ("f-sign", (10, 0), "< 0 at every node"),
+])
+def test_analyze_not_isotropic_reports_node(tmp_path, surface, node, message):
+    m = graph_surface() if surface == "graph" else f_sign_immersion(node[0])
+    csv = tmp_path / "m.csv"
+    io.write_immersion_csv(m, str(csv))
+    report = tmp_path / "err.json"
+    assert run(["analyze", "--immersion", str(csv), "--report", str(report)]) == 1
+    data = json.loads(report.read_text())
+    assert data["error"] == "NotIsotropic"
+    assert data["node"] == list(node)
+    assert data["uv"] == list(m.grid.uv(node))
+    assert f"node {node}" in data["message"] and message in data["message"]
+
+
 def located_gate_immersion(error: str, node: tuple[int, int], nodes: int = 33) -> Immersion:
     """An immersion that fails geometric_frame's gate `error` at `node` and at no other node.
 

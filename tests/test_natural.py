@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minksurf import natural
+from minksurf import jets, natural
 from minksurf.errors import BlowUp, BothMuZero, NearZeroField, NoConvergence, ValidationError
 from minksurf.fields import GridSpec, ScalarField
 from minksurf.fixtures import (
@@ -20,9 +20,12 @@ from minksurf.fixtures import (
     nonsolution_triple,
 )
 from minksurf.natural import (
+    G_LIMIT,
     NEWTON_TOL,
+    PICARD_TOL,
     CanonicalTriple,
     Case,
+    _characteristic_sums,
     _curvature_rhs,
     _goursat_march,
     _wavefronts,
@@ -317,9 +320,9 @@ def test_goursat_solvers_reject_bad_data(solver, change, message):
         solve(**kwargs)
 
 
-def _hyperbolic_edges(grid: GridSpec) -> dict:
-    """solve_goursat_hyperbolic's edge data of the goursat-hyperbolic fixture."""
-    P, Q, G = _hyperbolic_edge_functions()
+def _hyperbolic_edges(grid: GridSpec, functions=None) -> dict:
+    """solve_goursat_hyperbolic's edge data of P, Q, G (default: those of the goursat-hyperbolic fixture)."""
+    P, Q, G = functions or _hyperbolic_edge_functions()
     return dict(
         p_bottom=lambda u: P(u, grid.v0), p_left=lambda v: P(grid.u0, v),
         q_left=lambda v: Q(grid.u0, v), q_top=lambda u: Q(u, grid.v1),
@@ -337,6 +340,107 @@ def test_goursat_hyperbolic_no_convergence_reports_sweeps(monkeypatch):
     assert deltas[1] < deltas[0]
     assert all(f"{d:.3e}" in str(info.value) for d in deltas)
     assert "in 2 sweeps" in str(info.value)
+
+
+@pytest.mark.parametrize("nan_at", [None, 5])
+def test_goursat_hyperbolic_blowup_located(nan_at):
+    # p = q = a and g = 0 on the edges: the first sweep's right-hand side is a^2 + 1
+    # everywhere, so it sets g(i, j) = i j h^2 (a^2 + 1) = 401 i j / 4096, which first
+    # exceeds G_LIMIT = 50 in C order at node (16, 32) (50.1; (15, 32) reads 47.0,
+    # (16, 31) 48.6).  A NaN in p_bottom at node 5 makes rows 5 and on NaN
+    a, grid = 20.0, GridSpec(0, 0.5, 0, 0.5, 33, 33)
+    assert G_LIMIT == 50.0
+    expected = (16, 32) if nan_at is None else (nan_at, 1)
+    const = lambda x: a + 0.0 * x  # noqa: E731
+    p_bottom = const if nan_at is None else lambda u: np.where(np.arange(33) == nan_at, np.nan, a)
+    with pytest.raises(BlowUp) as info:
+        solve_goursat_hyperbolic(p_bottom, const, const, const, lambda u: 0 * u, lambda v: 0 * v, grid)
+    assert info.value.node == expected
+    assert info.value.uv == grid.uv(expected)
+    assert f"node {expected}" in str(info.value) and "Picard sweep 1" in str(info.value)
+
+
+def _jet_edge_functions(seed: int):
+    """P, Q, G of the order-8 negative jet of seed `seed`, built as the goursat-hyperbolic fixture builds its own."""
+    s = jets.JetSeed.random(8, np.random.default_rng(seed), amplitude=0.35)
+    jt = jets.jet_manufacture(Case.NEGATIVE_KH, 8, s, center=(0.25, 0.25), radius=0.26, nodes=9)
+    lam, nu, mu = jt.lam.evaluator, jt.nu.evaluator, jt.mu.evaluator
+    return (lambda U, V: lam(U, V) + nu(U, V), lambda U, V: lam(U, V) - nu(U, V),
+            lambda U, V: np.log(np.abs(mu(U, V))))
+
+
+def _row_loop_sums(steps, slope):
+    """`_characteristic_sums` node by node: each row from the one before, one diagonal step at a time."""
+    out = steps.copy()
+    for i in range(1, steps.shape[0]):
+        if slope < 0:
+            out[i, 1:] = out[i - 1, :-1] + steps[i, 1:]
+        else:
+            out[i, :-1] = out[i - 1, 1:] + steps[i, :-1]
+    return out
+
+
+def _march_per_sweep_reference(grid, p_bottom, p_left, q_left, q_top, g_bottom, g_left):
+    """The eps = -1 Picard sweep with a full Goursat march of g in every sweep: lam, nu and mu.
+
+    Same edge extensions, transports and stopping rule as `solve_goursat_hyperbolic`, but g is
+    marched with the implicit corner rule from the old p q instead of updated from the old g.
+    """
+    u, v = grid.u_nodes, grid.v_nodes
+    pb, pl, ql, qt, gb, gl = (f(x) for f, x in ((p_bottom, u), (p_left, v), (q_left, v), (q_top, u),
+                                               (g_bottom, u), (g_left, v)))
+    p = pb[:, None] + pl[None, :] - pb[0]
+    q = ql[None, :] + qt[:, None] - ql[-1]
+    g = gb[:, None] + gl[None, :] - gb[0]
+    for _ in range(natural.MAX_SWEEPS):
+        p_old, q_old, g_old = p, q, g
+        lam = 0.5 * (p_old + q_old)
+        g = _goursat_march(grid, gb, gl, p_old * q_old, -1)
+        p = np.empty_like(g)
+        p[:, 0] = pb
+        p[0, :] = pl
+        p[1:, 1:] = 0.5 * (lam[1:, 1:] + lam[:-1, :-1]) * (g[1:, 1:] - g[:-1, :-1])
+        p = _row_loop_sums(p, -1)
+        q = np.empty_like(g)
+        q[0, :] = ql
+        q[:, -1] = qt
+        q[1:, :-1] = 0.5 * (lam[1:, :-1] + lam[:-1, 1:]) * (g[1:, :-1] - g[:-1, 1:])
+        q = _row_loop_sums(q, 1)
+        if max(np.max(np.abs(p - p_old)), np.max(np.abs(q - q_old)), np.max(np.abs(g - g_old))) <= PICARD_TOL:
+            return 0.5 * (p + q), 0.5 * (p - q), np.exp(g)
+    raise AssertionError("reference sweep did not converge")
+
+
+@pytest.mark.parametrize(
+    "nodes, seed",
+    [(33, None), (65, None), (129, None), (65, 11), (65, 16)],
+    ids=["fixture-33", "fixture-65", "fixture-129", "jet-seed11-65", "jet-seed16-65"],
+)
+def test_goursat_hyperbolic_matches_march_per_sweep(nodes, seed):
+    # the whole-grid update of g is the implicit corner rule at the sweep's fixed
+    # point, so only the path to the solution differs from a march per sweep
+    g = GridSpec(0, 0.5, 0, 0.5, nodes, nodes)
+    edges = _hyperbolic_edges(g, None if seed is None else _jet_edge_functions(seed))
+    tri = solve_goursat_hyperbolic(grid=g, **edges)
+    for got, want in zip((tri.lam, tri.nu, tri.mu), _march_per_sweep_reference(g, **edges)):
+        assert np.max(np.abs(got.values - want)) <= 1e-11
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (7, 12), (12, 7)])
+@pytest.mark.parametrize("slope", [-1, 1])
+def test_characteristic_sums_bit_identical_to_row_loop(shape, slope):
+    # one cumsum over the sheared buffer adds in the row loop's order; the -0.0
+    # padding is the exact additive identity, so a -0.0 start value and -0.0 or
+    # +0.0 steps keep their signs
+    rng = np.random.default_rng(5)
+    steps = rng.standard_normal(shape)
+    steps[rng.random(shape) < 0.2] = 0.0
+    steps[rng.random(shape) < 0.2] = -0.0
+    steps[0, 3] = -0.0
+    steps[2:, 0 if slope < 0 else -1] = -0.0  # start values of the diagonals that begin on the first or last column
+    got, want = _characteristic_sums(steps, slope), _row_loop_sums(steps, slope)
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got[0, 3]) and np.sum(np.signbit(got) & (got == 0.0)) > 1
 
 
 def _reference_march(grid, g_bottom, g_left, coef, eps):
