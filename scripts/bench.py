@@ -9,9 +9,14 @@ REPEATS calls (after one untimed warm-up call) of:
   goursat_march               the Goursat march of the degenerate fixture alone, its
                               only caller in the library, on the fixture's edge data
   goursat_degenerate_triple   the degenerate fixture: Goursat march + Simpson for lambda
+  coefficient_matrices        `frames.coefficient_matrices` of the positive order-6 jet
+                              triple at radius 0.1, built beforehand
   integrate_frame             `frames.integrate_frame` (both transport paths) of the
-                              positive order-6 jet triple at radius 0.1, with its
-                              triple and coefficient matrices built beforehand
+                              same triple, with its coefficient matrices built beforehand
+  integrate_position          `frames.integrate_position` of the same triple's frames,
+                              transported beforehand
+  compatibility_residual      `frames.compatibility_residual` of the same triple, with
+                              its residual report built beforehand
   reconstruct                 `frames.reconstruct` of the same triple: residual gate,
                               coefficient matrices, transport, position, compatibility
   geometric_frame             `analysis.geometric_frame` of the reconstructed positive
@@ -20,6 +25,8 @@ REPEATS calls (after one untimed warm-up call) of:
                               built beforehand
   invariants                  `analysis.invariants` of the same immersion
   canonicalize                `canonical.canonicalize` of the same immersion
+  roundtrip                   the `roundtrip-elliptic` op on that jet: `fixtures.jet_triple`,
+                              `reconstruct`, `invariants` and `canonicalize`
 
 The result is stored under `--label` in the JSON file `--out`, next to the
 runs already there, with the machine and the Python, numpy and scipy
@@ -79,11 +86,20 @@ def _degenerate_march(nodes: int):
     return lambda: natural._goursat_march(grid, edge, edge, coef, 0)
 
 
+def _roundtrip(nodes: int) -> None:
+    """jet -> reconstruct -> invariants -> canonicalize, as the `roundtrip-elliptic` workload runs it."""
+    t = fixtures.jet_triple(Case.POSITIVE_KH, order=6, radius=0.1, nodes=nodes)
+    m = analysis.Immersion(t.grid, frames.reconstruct(t).points)
+    analysis.invariants(m)
+    canonical.canonicalize(m)
+
+
 def _stages(nodes: int) -> dict:
     edges = _hyperbolic_edges(nodes)
     # the positive order-6 jet at radius 0.1 and its immersion, as `roundtrip-elliptic` builds them
     t = fixtures.jet_triple(Case.POSITIVE_KH, order=6, radius=0.1, nodes=nodes)
     cm = frames.coefficient_matrices(t)
+    rep = natural.residual(t)
     bundle = frames.reconstruct(t)
     m = analysis.Immersion(bundle.grid, bundle.points)
     frame = analysis.geometric_frame(m)
@@ -92,12 +108,16 @@ def _stages(nodes: int) -> dict:
         "solve_goursat_hyperbolic": lambda: natural.solve_goursat_hyperbolic(**edges),
         "goursat_march": _degenerate_march(nodes),
         "goursat_degenerate_triple": lambda: fixtures.goursat_degenerate_triple(nodes),
+        "coefficient_matrices": lambda: frames.coefficient_matrices(t),
         "integrate_frame": lambda: frames.integrate_frame(cm),
+        "integrate_position": lambda: frames.integrate_position(bundle.frames, t.mu, np.zeros(4)),
+        "compatibility_residual": lambda: frames.compatibility_residual(rep, t.mu),
         "reconstruct": lambda: frames.reconstruct(t),
         "geometric_frame": lambda: analysis.geometric_frame(m),
         "frame_functions": lambda: analysis.frame_functions(frame),
         "invariants": lambda: analysis.invariants(m),
         "canonicalize": lambda: canonical.canonicalize(m),
+        "roundtrip": lambda: _roundtrip(nodes),
     }
 
 

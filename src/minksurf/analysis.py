@@ -14,7 +14,9 @@ The stages run in one chain: `geometric_frame(m)`, then
 order-4 stencils: the beta tolerances sit below what order-2 differencing of
 an oscillatory immersion can deliver on production grids.  Each derivative
 of z is taken once per frame: `geometric_frame` keeps z_u, z_v and z_uv, and
-`invariants` reuses them.
+`invariants` reuses them.  The frame keeps x, y, n1 and n2 as separate
+contiguous (Nu, Nv, 4) arrays, not as rows of a stacked (Nu, Nv, 4, 4) array,
+so the stencils and inner products that read them run on contiguous rows.
 """
 
 from __future__ import annotations
@@ -85,7 +87,10 @@ class Immersion:
 
 @dataclass
 class GeometricFrame:
-    frames: np.ndarray       # (Nu, Nv, 4, 4), rows x, y, n1, n2
+    x: np.ndarray            # (Nu, Nv, 4) each, contiguous: the frame vectors x, y, n1, n2
+    y: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
     f: ScalarField           # metric function, F = -f^2
     nu: ScalarField          # |H|
     zu: np.ndarray           # (Nu, Nv, 4) order-4 derivatives of z the frame is built from
@@ -102,13 +107,14 @@ def geometric_frame(m: Immersion) -> GeometricFrame:
     n2 = -w / |w| is oriented by construction.
 
     Gates, in order: DegenerateMetric where EG - F^2 is numerically zero,
-    located at the first node of min |EG - F^2|;
+    located at the first node of min |EG - F^2|, with the number of nodes
+    that fail as `failing`;
     ValidationError, naming them, where finite samples overflow E, F or G;
     NotIsotropic unless max(|E|, |G|) <= ISO_GATE_TOL max|F|, located at the
     first node of the largest max(|E|, |G|), and unless F < 0 at every node,
     located at the first node of F >= 0;
     MinimalOrTotallyGeodesic where |H| falls below its floor, located at the
-    first node of min H^2.
+    first node of min H^2, with the number of nodes that fail as `failing`.
     """
     g = m.grid
     zu = diff_values(m.points, g.hu, axis=0, order=FD_ORDER)
@@ -119,11 +125,14 @@ def geometric_frame(m: Immersion) -> GeometricFrame:
         G = lorentz_inner(zv, zv)
         E_max, F_max, G_max = (np.max(np.abs(a)) for a in (E, F, G))
         det = np.abs(E * G - F * F)
+        det_floor = 1e-14 * max(E_max, F_max, G_max) ** 2
         k = int(np.argmin(det))
-        if det.flat[k] < 1e-14 * max(E_max, F_max, G_max) ** 2:
+        if det.flat[k] < det_floor:
             node = divmod(k, g.Nv)
             uv = g.uv(node)
-            raise DegenerateMetric(f"EG - F^2 is numerically zero: node {node} at (u, v) = {uv}", node, uv)
+            failing = int(np.count_nonzero(det < det_floor))
+            raise DegenerateMetric(f"EG - F^2 is numerically zero at {failing} of {det.size} nodes, least at "
+                                   f"node {node} at (u, v) = {uv}", node, uv, failing)
         overflow = [name for name, a in (("E", E), ("F", F), ("G", G)) if not np.all(np.isfinite(a))]
         if overflow:
             raise ValidationError(f"metric overflow: {', '.join(overflow)} not finite (the samples are finite)")
@@ -156,13 +165,15 @@ def geometric_frame(m: Immersion) -> GeometricFrame:
 
     H2 = lorentz_inner(H, H)
     scale = 1.0 + float(np.max(np.sqrt(np.abs(H2))))
+    H2_floor = (NU_FLOOR * scale) ** 2
     k = int(np.argmin(H2))
-    if H2.flat[k] <= (NU_FLOOR * scale) ** 2:
+    if H2.flat[k] <= H2_floor:
         node = divmod(k, g.Nv)
         uv = g.uv(node)
+        failing = int(np.count_nonzero(H2 <= H2_floor))
         raise MinimalOrTotallyGeodesic(
-            f"|H| falls below {NU_FLOOR * scale:.3e}: minimal or totally geodesic patch, "
-            f"node {node} at (u, v) = {uv}", node, uv
+            f"|H| falls below {NU_FLOOR * scale:.3e} at {failing} of {H2.size} nodes: minimal or totally "
+            f"geodesic patch, least at node {node} at (u, v) = {uv}", node, uv, failing
         )
     nu = np.sqrt(H2)
     n1 = H / nu[..., None]
@@ -171,7 +182,7 @@ def geometric_frame(m: Immersion) -> GeometricFrame:
     n2 = n2 / np.sqrt(np.abs(lorentz_inner(n2, n2)))[..., None]
 
     return GeometricFrame(
-        frames=np.stack([x, y, n1, n2], axis=-2),
+        x=x, y=y, n1=n1, n2=n2,
         f=ScalarField(g, f),
         nu=ScalarField(g, nu),
         zu=zu, zv=zv, zuv=zuv,
@@ -204,13 +215,10 @@ def frame_functions(frame: GeometricFrame) -> FrameFunctions:
     """
     g = frame.f.grid
     f = frame.f.values
-    x = frame.frames[..., 0, :]
-    y = frame.frames[..., 1, :]
-    n1 = frame.frames[..., 2, :]
-    n2 = frame.frames[..., 3, :]
+    n1, n2 = frame.n1, frame.n2
 
-    x_u = diff_values(x, g.hu, axis=0, order=FD_ORDER)
-    y_v = diff_values(y, g.hv, axis=1, order=FD_ORDER)
+    x_u = diff_values(frame.x, g.hu, axis=0, order=FD_ORDER)
+    y_v = diff_values(frame.y, g.hv, axis=1, order=FD_ORDER)
     n1_u = diff_values(n1, g.hu, axis=0, order=FD_ORDER)
     n1_v = diff_values(n1, g.hv, axis=1, order=FD_ORDER)
 
@@ -273,8 +281,7 @@ def invariants(m: Immersion) -> InvariantReport:
     zuu = diff_values(frame.zu, g.hu, axis=0, order=FD_ORDER)
     zuv = frame.zuv
     zvv = diff_values(frame.zv, g.hv, axis=1, order=FD_ORDER)
-    n1 = frame.frames[..., 2, :]
-    n2 = frame.frames[..., 3, :]
+    n1, n2 = frame.n1, frame.n2
     c = {
         (1, 1, 1): lorentz_inner(zuu, n1), (1, 1, 2): lorentz_inner(zuu, n2),
         (1, 2, 1): lorentz_inner(zuv, n1), (1, 2, 2): lorentz_inner(zuv, n2),

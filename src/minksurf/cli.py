@@ -338,8 +338,8 @@ def _emit_error(command: str, report_path: str | None, exc: Exception) -> None:
         "error": type(exc).__name__,
         "message": str(exc),
     }
-    # where a numerical failure happened, and what it measured against which tolerance
-    for key in ("sweep", "s", "node", "uv", "deltas", "measured", "tol"):
+    # where a numerical failure happened, at how many nodes, and what it measured against which tolerance
+    for key in ("sweep", "s", "node", "uv", "failing", "deltas", "measured", "tol"):
         if getattr(exc, key, None) is not None:
             report[key] = getattr(exc, key)
     if report_path:

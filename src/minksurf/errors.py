@@ -27,10 +27,13 @@ class ConfigError(ValidationError):
 
 
 class LocatedError(NumericalError):
-    """A numerical failure at grid node `node` = (i, j), at (u, v) = `uv` (None when unknown)."""
+    """A numerical failure at grid node `node` = (i, j), at (u, v) = `uv` (None when unknown).
 
-    def __init__(self, message: str, node=None, uv=None):
-        self.node, self.uv = node, uv
+    A gate checked at every node also gives `failing`, the number of nodes that fail it.
+    """
+
+    def __init__(self, message: str, node=None, uv=None, failing=None):
+        self.node, self.uv, self.failing = node, uv, failing
         super().__init__(message)
 
 
@@ -74,11 +77,11 @@ class StepUnstable(LocatedError):
 
 
 class DegenerateMetric(LocatedError):
-    """|EG - F^2| is numerically zero: the induced metric is degenerate (at `node`, `uv`)."""
+    """|EG - F^2| is numerically zero: the induced metric is degenerate (least at `node`, `uv`; `failing` nodes)."""
 
 
 class MinimalOrTotallyGeodesic(LocatedError):
-    """Mean curvature vector numerically vanishes (at `node`, `uv`); geometric frame undefined."""
+    """Mean curvature vector numerically vanishes (least at `node`, `uv`; `failing` nodes): no geometric frame."""
 
 
 class NotIsotropic(ValidationError):

@@ -29,10 +29,15 @@ the node matrices is the 1-D not-a-knot cubic spline along that line.  Each
 sweep solves one tridiagonal system for that spline's second derivatives at
 the nodes; an RK4 stage matrix inside a grid interval is then a fixed
 four-weight combination of the node matrices and second derivatives at the
-interval's ends, and a stage at a node is the node matrix itself.  Three
-sweeps give both integration paths: the bottom edge, then the columns (path
-1), then the rows from the columns sweep's first column, which is path 2's
-left edge.
+interval's ends, and a stage at a node is the node matrix itself.  An RK4
+step of the linear system F' = M F is F <- F + D F, with D the step's
+increment matrix at F = I (three matrix products of the stages).  A sweep
+forms D for a block of intervals at once, about BLOCK_MATRICES matrices per
+stage, then steps the frames through the block one D F product at a time;
+blocks bound the memory a sweep holds, and the frames do not depend on their
+size.  Three sweeps give both integration paths: the bottom edge, then the
+columns (path 1), then the rows from the columns sweep's first column, which
+is path 2's left edge.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.integrate import cumulative_simpson
 from scipy.linalg import solve_banded
 
@@ -102,10 +108,11 @@ def compatibility_residual(rep: ResidualReport, mu: ScalarField) -> ScalarField:
 
 
 RK4_SUBSTEPS = 2  # per grid interval; 1 leaves ~3e-9 vs the matrix-exponential oracle
+BLOCK_MATRICES = 2048  # stage matrices per stage and block: 16 intervals of 129 lines
 
 
-def _stage_matrices(mats: np.ndarray):
-    """Yield, per grid interval, the 2 * RK4_SUBSTEPS + 1 RK4 stage matrices of a sweep.
+def _stage_matrices(mats: np.ndarray, block: int):
+    """Yield, per block of `block` grid intervals, the 2 * RK4_SUBSTEPS + 1 RK4 stage matrices of a sweep.
 
     mats: (n, batch, 4, 4) node matrices on n >= 5 uniform nodes along the
     lines.  The interpolant is the not-a-knot cubic spline S along each line;
@@ -114,7 +121,9 @@ def _stage_matrices(mats: np.ndarray):
     (1 - tau) y_k + ((1 - tau)^3 - (1 - tau)) d_k + tau y_k+1 + (tau^3 - tau) d_k+1.
     The stages sit at the interval's ends and at fractions
     1 / (2 RK4_SUBSTEPS), ..., 1 - 1 / (2 RK4_SUBSTEPS); the end stages are the
-    node matrices themselves.
+    node matrices themselves.  Each yield is (k0, stages): stage s of the
+    block's intervals k0, k0 + 1, ... is stages[s], of shape (intervals, batch,
+    4, 4).  The last block holds what is left when block does not divide n - 1.
     """
     n, shape = mats.shape[0], mats.shape[1:]
     table = np.empty((n, 2) + shape)  # per node: y, then d; contiguous, unlike a strided `mats`
@@ -135,9 +144,41 @@ def _stage_matrices(mats: np.ndarray):
     d[-1] = 2 * d[-2] - d[-3]
     tau = np.arange(1, 2 * RK4_SUBSTEPS) / (2 * RK4_SUBSTEPS)
     weights = np.column_stack([1 - tau, (1 - tau) ** 3 - (1 - tau), tau, tau ** 3 - tau])
-    for k in range(n - 1):
-        inner = (weights @ flat[k:k + 2].reshape(4, -1)).reshape((-1,) + shape)
-        yield [table[k, 0], *inner, table[k + 1, 0]]
+    row, item = flat.strides[1:]
+    for k0 in range(0, n - 1, block):
+        nb = min(block, n - 1 - k0)
+        # interval k's (y_k, d_k, y_k+1, d_k+1) are 4 consecutive rows of flat, starting at node k
+        ends = as_strided(flat[k0], shape=(nb, 4, flat.shape[2]), strides=(2 * row, row, item), writeable=False)
+        inner = weights @ ends
+        yield k0, [table[k0:k0 + nb, 0], *(inner[:, s].reshape((nb,) + shape) for s in range(len(tau))),
+                   table[k0 + 1:k0 + nb + 1, 0]]
+
+
+def _rk4_increment(M0: np.ndarray, M1: np.ndarray, M2: np.ndarray, h: float) -> np.ndarray:
+    """D with F + D F the RK4 step of F' = M F from any F, for stages M0, M1 (midpoint) and M2.
+
+    The step is linear in F, so D is its increment at F = I:
+    D = h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = M0, K2 = M1 (I + h/2 K1),
+    K3 = M1 (I + h/2 K2), K4 = M2 (I + h K3).  Summed in place, bit for bit as
+    the expression h / 6 * (M0 + 2 * K2 + 2 * K3 + K4).
+    """
+    K2 = M1 @ M0
+    K2 *= 0.5 * h
+    K2 += M1
+    K3 = M1 @ K2
+    K3 *= 0.5 * h
+    K3 += M1
+    K4 = M2 @ K3
+    K4 *= h
+    K4 += M2
+    D = K2  # D = ((2 K2 + M0) + 2 K3) + K4, then times h / 6
+    D *= 2.0
+    D += M0
+    K3 *= 2.0
+    D += K3
+    D += K4
+    D *= h / 6.0
+    return D
 
 
 def _rk4_line(F0: np.ndarray, mats: np.ndarray, grid: GridSpec, axis: int, sweep: str) -> np.ndarray:
@@ -147,28 +188,31 @@ def _rk4_line(F0: np.ndarray, mats: np.ndarray, grid: GridSpec, axis: int, sweep
     axis.  F0: (batch, 4, 4); mats: (nodes along axis, batch, 4, 4), the
     node matrices along the lines; returns (nodes along axis, batch, 4, 4).
     Each grid interval takes RK4_SUBSTEPS RK4 steps on the stage matrices of
-    `_stage_matrices` (a step ends where the next starts).
+    `_stage_matrices` (a step ends where the next starts).  The increment
+    matrices of a block of intervals (BLOCK_MATRICES / batch of them, rounded
+    up) are formed at once; the frames then step F <- F + D F.  After every
+    step, StepUnstable is raised once an entry leaves STEP_LIMIT or is not
+    finite; it names the first line with a non-finite entry, else the line
+    with the largest entry.
     """
     coords = grid.u_nodes if axis == 0 else grid.v_nodes
     h = (coords[1] - coords[0]) / RK4_SUBSTEPS
     out = np.empty((len(coords),) + F0.shape)
-    out[0] = F0
-    F = F0
-    for k, stages in enumerate(_stage_matrices(mats)):
-        for m in range(RK4_SUBSTEPS):
-            M0, M1, M2 = stages[2 * m], stages[2 * m + 1], stages[2 * m + 2]
-            k1 = M0 @ F
-            k2 = M1 @ (F + 0.5 * h * k1)
-            k3 = M1 @ (F + 0.5 * h * k2)
-            k4 = M2 @ (F + h * k3)
-            F = F + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if np.max(np.abs(F)) > STEP_LIMIT:
-                b = int(np.argmax(np.max(np.abs(F), axis=(-2, -1))))
-                node = (k + 1, b) if axis == 0 else (b, k + 1)
-                uv = grid.uv(node)
-                raise StepUnstable(f"frame entries exceeded {STEP_LIMIT:.0e} in the {sweep} sweep before "
-                                   f"node {node} at (u, v) = {uv}", sweep, float(coords[k] + m * h + h), node, uv)
-        out[k + 1] = F
+    out[0] = F = F0
+    for k0, stages in _stage_matrices(mats, -(-BLOCK_MATRICES // F0.shape[0])):
+        steps = [_rk4_increment(*stages[2 * m:2 * m + 3], h) for m in range(RK4_SUBSTEPS)]
+        for k in range(k0, k0 + len(steps[0])):
+            for m, D in enumerate(steps):
+                F = F + D[k - k0] @ F
+                if not np.abs(F).max() <= STEP_LIMIT:  # NaN fails too
+                    # argmax takes the first NaN, so a non-finite line is named before the largest finite one
+                    b = int(np.argmax(np.max(np.abs(F), axis=(-2, -1))))
+                    node = (k + 1, b) if axis == 0 else (b, k + 1)
+                    uv = grid.uv(node)
+                    raise StepUnstable(f"frame entries exceeded {STEP_LIMIT:.0e} or went non-finite in the {sweep} "
+                                       f"sweep before node {node} at (u, v) = {uv}", sweep,
+                                       float(coords[k] + m * h + h), node, uv)
+            out[k + 1] = F
     return out
 
 

@@ -39,9 +39,9 @@ def lorentz_inner(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 
 
 def gram_matrix(frames: np.ndarray) -> np.ndarray:
-    """All pairwise inner products of the rows of (..., 4, 4) frame arrays."""
+    """All pairwise inner products of the rows of (..., 4, 4) frame arrays, as the product (F eta) F^T."""
     frames = np.asarray(frames, dtype=float)
-    return np.einsum("...ik,k,...jk->...ij", frames, METRIC_DIAG, frames)
+    return (frames * METRIC_DIAG) @ np.swapaxes(frames, -1, -2)
 
 
 def gram_residual(frame: np.ndarray) -> float | np.ndarray:

@@ -193,12 +193,17 @@ def classify_from_frame(lambda1: float, mu1: float, lambda2: float, mu2: float) 
 
 
 def _samples_1d(data, nodes: np.ndarray, name: str) -> np.ndarray:
-    """Accept a callable or an array sampled on the nodes."""
+    """Accept a callable or an array sampled on the nodes; every sample must be finite."""
     if callable(data):
-        return np.asarray(data(nodes), dtype=float) * np.ones_like(nodes)
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != nodes.shape:
-        raise ValidationError(f"{name}: expected {nodes.shape[0]} samples, got {arr.shape}")
+        arr = np.asarray(data(nodes), dtype=float) * np.ones_like(nodes)
+    else:
+        arr = np.asarray(data, dtype=float)
+        if arr.shape != nodes.shape:
+            raise ValidationError(f"{name}: expected {nodes.shape[0]} samples, got {arr.shape}")
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValidationError(f"{name}: sample {k} is {arr[k]}, not finite")
     return arr
 
 
@@ -274,7 +279,7 @@ def _goursat_march(
     """
     Nu, Nv = grid.Nu, grid.Nv
     hu, hv = grid.hu, grid.hv
-    if abs(g_bottom[0] - g_left[0]) > 1e-10 * (1.0 + abs(g_bottom[0])):
+    if not abs(g_bottom[0] - g_left[0]) <= 1e-10 * (1.0 + abs(g_bottom[0])):  # NaN fails too
         raise ValidationError("incompatible corner data: g_bottom(u0) != g_left(v0)")
     coef = np.ascontiguousarray(coef, dtype=float)
     g = np.empty((Nu, Nv))
@@ -418,7 +423,7 @@ def solve_goursat_hyperbolic(
         (gb[0], gl[0], "incompatible corner data: g_bottom(u0) != g_left(v0)"),
     )
     for a, b, message in corners:
-        if abs(a - b) > 1e-10 * (1.0 + abs(a)):
+        if not abs(a - b) <= 1e-10 * (1.0 + abs(a)):  # NaN fails too
             raise ValidationError(message)
 
     # additive initial extensions of the edge data; g0 also carries g's edges through every sweep

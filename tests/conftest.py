@@ -53,6 +53,15 @@ def degenerate_metric_immersion(nodes: int = 33) -> Immersion:
     return Immersion(g, np.stack([U + V, zero, zero, zero], axis=-1))
 
 
+def null_plane(nodes: int = 33) -> Immersion:
+    """((u - v)/sqrt2, 0, 0, (u + v)/sqrt2): isotropic with H = 0 at every node."""
+    g = GridSpec(0, 1, 0, 1, nodes, nodes)
+    U, V = g.mesh()
+    s = 1 / np.sqrt(2)
+    pts = np.stack([(U - V) * s, np.zeros_like(U), np.zeros_like(U), (U + V) * s], axis=-1)
+    return Immersion(g, pts)
+
+
 def immersion_of(bundle) -> Immersion:
     return Immersion(bundle.grid, bundle.points)
 

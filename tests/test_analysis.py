@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import degenerate_metric_immersion, graph_surface, immersion_of
+from conftest import degenerate_metric_immersion, graph_surface, immersion_of, null_plane
 from minksurf import fields
 from minksurf.analysis import (
     Immersion,
@@ -16,14 +16,6 @@ from minksurf.fields import GridSpec, diff_values, ln_abs
 from minksurf.fixtures import goursat_hyperbolic_triple, jet_triple
 from minksurf.frames import reconstruct
 from minksurf.natural import Case
-
-
-def null_plane(nodes=33) -> Immersion:
-    g = GridSpec(0, 1, 0, 1, nodes, nodes)
-    U, V = g.mesh()
-    s = 1 / np.sqrt(2)
-    pts = np.stack([(U - V) * s, np.zeros_like(U), np.zeros_like(U), (U + V) * s], axis=-1)
-    return Immersion(g, pts)
 
 
 def test_cylinder_form(cylinder):
@@ -61,7 +53,7 @@ def test_cylinder_geometric_frame(cylinder):
     # n1 = (-cos th, -sin th, 0, 0)
     U, V = cylinder.grid.mesh()
     th = (U - V) / np.sqrt(2)
-    n1 = gf.frames[..., 2, :]
+    n1 = gf.n1
     assert np.max(np.abs(n1[..., 0] + np.cos(th))[su, sv]) < 1e-5
     assert np.max(np.abs(n1[..., 1] + np.sin(th))[su, sv]) < 1e-5
     assert np.max(np.abs(n1[..., 2])[su, sv]) < 1e-10
@@ -84,7 +76,7 @@ ORIENTED_SURFACES = {
 def test_geometric_frame_orientation(request, surface):
     # n2 is oriented by construction; this determinant is the only check of it
     gf = geometric_frame(ORIENTED_SURFACES[surface](request))
-    det = np.linalg.det(gf.frames)
+    det = np.linalg.det(np.stack([gf.x, gf.y, gf.n1, gf.n2], axis=-2))
     assert np.all(det > 0)
     assert np.max(np.abs(det - 1.0)) <= 1e-3
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import degenerate_metric_immersion, graph_surface, unstable_triple
+from conftest import degenerate_metric_immersion, graph_surface, null_plane, unstable_triple
 
 from minksurf import io
 from minksurf.analysis import Immersion
@@ -331,6 +331,26 @@ def test_analyze_metric_gate_reports_node(tmp_path, error):
     assert data["node"] == list(node)
     assert data["uv"] == list(m.grid.uv(node))
     assert f"node {node}" in data["message"]
+    # the gate fails at that node alone
+    assert data["failing"] == 1
+    assert "at 1 of 1089 nodes" in data["message"]
+
+
+@pytest.mark.parametrize("surface, error", [
+    ("degenerate", "DegenerateMetric"),
+    ("null-plane", "MinimalOrTotallyGeodesic"),
+])
+def test_analyze_whole_patch_verdict_counts_nodes(tmp_path, surface, error):
+    # z = (u + v, 0, 0, 0) and the null plane fail their gate at every node of 33 x 33;
+    # the report says so beside the node it names
+    m = degenerate_metric_immersion() if surface == "degenerate" else null_plane()
+    csv = tmp_path / "m.csv"
+    io.write_immersion_csv(m, str(csv))
+    report = tmp_path / "err.json"
+    assert run(["analyze", "--immersion", str(csv), "--report", str(report)]) == 2
+    data = json.loads(report.read_text())
+    assert (data["error"], data["failing"]) == (error, 1089)
+    assert "at 1089 of 1089 nodes" in data["message"]
 
 
 def test_metric_overflow_stderr_is_one_json_document(tmp_path):

@@ -17,6 +17,7 @@ from minksurf.fixtures import (
 )
 from minksurf.frames import (
     RK4_SUBSTEPS,
+    _rk4_increment,
     _stage_matrices,
     _transport,
     coefficient_matrices,
@@ -401,6 +402,8 @@ def test_step_unstable_guard():
     assert i == g.Nu - 1 and 1 <= j < g.Nv
     assert exc.uv == (g.u_nodes[i], g.v_nodes[j])
     assert g.v_nodes[j - 1] < exc.s <= g.v_nodes[j]
+    # measured: lines 31 and 32 both leave the bound in the same step; 32's entries are larger
+    assert (exc.node, exc.s) == ((32, 6), 0.171875)
     assert f"node {exc.node}" in str(exc)
 
 
@@ -441,24 +444,77 @@ def test_transport_matches_einsum_reference(bottom_first):
     assert np.max(np.abs(frames - _transport_reference(cm, F0m, bottom_first, np.matmul))) <= 2e-15
 
 
-@pytest.mark.parametrize("nodes", [5, 6, 33])
+@pytest.mark.parametrize("nodes", [5, 6, 12, 33])
 def test_stage_matrices_are_the_not_a_knot_spline(nodes):
     # smooth entries (rough data would measure the B-spline reference's own
     # round-off), passed as a strided (lines, batch, 4, 4) view, as the columns
-    # sweep passes B
+    # sweep passes B; in blocks of 4 intervals, 5 and 11 intervals end on a
+    # partial block
+    block = 4
     rng = np.random.default_rng(nodes)
     s = np.linspace(0.2, 0.7, nodes)
     amp, phase = rng.standard_normal((2, 3, 1, 4, 4))
     mats = np.swapaxes(amp * np.sin(3 * s[:, None, None] + phase), 0, 1)
     spline = make_interp_spline(s, mats, k=3)
     frac = np.arange(2 * RK4_SUBSTEPS + 1) / (2 * RK4_SUBSTEPS)
-    intervals = list(_stage_matrices(mats))
-    assert len(intervals) == nodes - 1
-    for k, stages in enumerate(intervals):
+    blocks = list(_stage_matrices(mats, block))
+    assert [k0 for k0, _ in blocks] == list(range(0, nodes - 1, block))
+    for k0, stages in blocks:
+        nb = min(block, nodes - 1 - k0)
         assert len(stages) == 2 * RK4_SUBSTEPS + 1
+        assert all(stage.shape == (nb,) + mats.shape[1:] for stage in stages)
         # a stage at a node is the node matrix itself
-        assert np.array_equal(stages[0], mats[k]) and np.array_equal(stages[-1], mats[k + 1])
-        assert np.max(np.abs(np.stack(stages) - spline(s[k] + frac * (s[1] - s[0])))) <= 4e-15
+        assert np.array_equal(stages[0], mats[k0:k0 + nb]) and np.array_equal(stages[-1], mats[k0 + 1:k0 + nb + 1])
+        for k in range(nb):
+            at = s[k0 + k] + frac * (s[1] - s[0])
+            assert np.max(np.abs(np.stack([stage[k] for stage in stages]) - spline(at))) <= 4e-15
+
+
+def test_rk4_increment_is_one_rk4_step():
+    # F + D F is the RK4 step of F' = M F taken from F itself, stage by stage
+    rng = np.random.default_rng(3)
+    M0, M1, M2 = rng.standard_normal((3, 6, 4, 4))
+    F = rng.standard_normal((6, 4, 4))
+    h = 0.05
+    k1 = M0 @ F
+    k2 = M1 @ (F + 0.5 * h * k1)
+    k3 = M1 @ (F + 0.5 * h * k2)
+    k4 = M2 @ (F + h * k3)
+    step = F + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    assert np.max(np.abs(F + _rk4_increment(M0, M1, M2, h) @ F - step)) <= 1e-15
+
+
+@pytest.mark.parametrize("nodes", [33, 100])
+def test_transport_does_not_depend_on_block_size(monkeypatch, nodes):
+    # each interval's increments are formed matrix by matrix, so the blocks only
+    # group the work; at 100 nodes the default blocks of the columns and rows
+    # sweeps (21 intervals of 100 lines) leave a partial last block
+    cm = coefficient_matrices(jet_triple(Case.POSITIVE_KH, 6, 0.1, nodes))
+    default = _transport(cm, standard_frame())
+    for matrices in (1, 7, 10 ** 6):
+        monkeypatch.setattr(frames_module, "BLOCK_MATRICES", matrices)
+        for a, b in zip(default, _transport(cm, standard_frame())):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("where, sweep, node", [
+    ("A", "bottom edge", (1, 0)),
+    ("B", "columns", (10, 1)),
+], ids=["A-bottom-edge", "B-column"])
+def test_step_unstable_guard_catches_nan(where, sweep, node):
+    # a NaN coefficient fails the guard instead of filling the frames with NaN.
+    # The spline solve spreads it over its whole line, so a NaN in A on the
+    # bottom edge fails that edge's first step, and one in B up column 10 fails
+    # that column's first step
+    cm = coefficient_matrices(jet_triple(Case.POSITIVE_KH, 6, 0.1, 33))
+    (cm.A if where == "A" else cm.B)[10, 0 if where == "A" else 7, 0, 2] = np.nan
+    g = cm.grid
+    with pytest.raises(StepUnstable) as info:
+        integrate_frame(cm)
+    exc = info.value
+    assert (exc.sweep, exc.node, exc.uv) == (sweep, node, g.uv(node))
+    assert exc.s == (g.u_nodes[0] + g.hu / RK4_SUBSTEPS if where == "A" else g.v_nodes[0] + g.hv / RK4_SUBSTEPS)
+    assert f"node {node}" in str(exc)
 
 
 def test_reconstruct_builds_coefficient_matrices_once(monkeypatch):

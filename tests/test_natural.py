@@ -342,22 +342,48 @@ def test_goursat_hyperbolic_no_convergence_reports_sweeps(monkeypatch):
     assert "in 2 sweeps" in str(info.value)
 
 
-@pytest.mark.parametrize("nan_at", [None, 5])
-def test_goursat_hyperbolic_blowup_located(nan_at):
+def test_goursat_hyperbolic_blowup_located():
     # p = q = a and g = 0 on the edges: the first sweep's right-hand side is a^2 + 1
     # everywhere, so it sets g(i, j) = i j h^2 (a^2 + 1) = 401 i j / 4096, which first
     # exceeds G_LIMIT = 50 in C order at node (16, 32) (50.1; (15, 32) reads 47.0,
-    # (16, 31) 48.6).  A NaN in p_bottom at node 5 makes rows 5 and on NaN
+    # (16, 31) 48.6)
     a, grid = 20.0, GridSpec(0, 0.5, 0, 0.5, 33, 33)
     assert G_LIMIT == 50.0
-    expected = (16, 32) if nan_at is None else (nan_at, 1)
+    expected = (16, 32)
     const = lambda x: a + 0.0 * x  # noqa: E731
-    p_bottom = const if nan_at is None else lambda u: np.where(np.arange(33) == nan_at, np.nan, a)
     with pytest.raises(BlowUp) as info:
-        solve_goursat_hyperbolic(p_bottom, const, const, const, lambda u: 0 * u, lambda v: 0 * v, grid)
+        solve_goursat_hyperbolic(const, const, const, const, lambda u: 0 * u, lambda v: 0 * v, grid)
     assert info.value.node == expected
     assert info.value.uv == grid.uv(expected)
     assert f"node {expected}" in str(info.value) and "Picard sweep 1" in str(info.value)
+
+
+@pytest.mark.parametrize("solver, name, at, bad", [
+    ("hyperbolic", "p_bottom", 5, np.nan),
+    ("hyperbolic", "q_top", 0, np.inf),
+    ("hyperbolic", "g_left", 0, np.nan),  # the corner sample: the corner check would pass a NaN
+    ("degenerate", "nu_of_u", 7, -np.inf),
+    ("degenerate", "g_bottom", 0, np.nan),
+    ("degenerate", "lambda_bottom", 32, np.nan),
+], ids=["hyperbolic-p_bottom-nan", "hyperbolic-q_top-inf", "hyperbolic-g_left-corner-nan",
+        "degenerate-nu_of_u-inf", "degenerate-g_bottom-corner-nan", "degenerate-lambda_bottom-nan"])
+@pytest.mark.parametrize("as_array", [False, True], ids=["callable", "array"])
+def test_goursat_solvers_reject_non_finite_edge_data(solver, name, at, bad, as_array):
+    # a non-finite edge sample is invalid input (exit 1), named with its index,
+    # not a numerical BlowUp of the solve it would poison
+    g = GridSpec(0, 0.5, 0, 0.5, 33, 33)
+    if solver == "hyperbolic":
+        kwargs = dict(_hyperbolic_edges(g), grid=g)
+    else:
+        kwargs = dict(nu_of_u=lambda u: 1 + u, g_bottom=lambda u: 0 * u, g_left=lambda v: 0 * v,
+                      lambda_bottom=lambda u: 0 * u, sign_mu=1, grid=g)
+    nodes = g.v_nodes if name in ("p_left", "q_left", "g_left") else g.u_nodes
+    samples = np.asarray(kwargs[name](nodes), dtype=float) * np.ones_like(nodes)
+    samples[at] = bad
+    kwargs[name] = samples if as_array else (lambda x, a=samples: a.copy())
+    solve = solve_goursat_hyperbolic if solver == "hyperbolic" else solve_goursat_degenerate
+    with pytest.raises(ValidationError, match=f"{name}: sample {at} is {bad}, not finite"):
+        solve(**kwargs)
 
 
 def _jet_edge_functions(seed: int):

@@ -13,7 +13,8 @@ def test_bench_stages_run():
     stages = bench._stages(33)
     assert set(stages) == {
         "goursat_hyperbolic_triple", "solve_goursat_hyperbolic", "goursat_march", "goursat_degenerate_triple",
-        "integrate_frame", "reconstruct", "geometric_frame", "frame_functions", "invariants", "canonicalize",
+        "coefficient_matrices", "integrate_frame", "integrate_position", "compatibility_residual", "reconstruct",
+        "geometric_frame", "frame_functions", "invariants", "canonicalize", "roundtrip",
     }
     for fn in stages.values():
         fn()
