@@ -128,29 +128,21 @@ def geometric_frame(m: Immersion) -> GeometricFrame:
         det_floor = 1e-14 * max(E_max, F_max, G_max) ** 2
         k = int(np.argmin(det))
         if det.flat[k] < det_floor:
-            node = divmod(k, g.Nv)
-            uv = g.uv(node)
             failing = int(np.count_nonzero(det < det_floor))
-            raise DegenerateMetric(f"EG - F^2 is numerically zero at {failing} of {det.size} nodes, least at "
-                                   f"node {node} at (u, v) = {uv}", node, uv, failing)
+            raise DegenerateMetric(f"EG - F^2 is numerically zero at {failing} of {det.size} nodes, least", g,
+                                   g.node(k), failing)
         overflow = [name for name, a in (("E", E), ("F", F), ("G", G)) if not np.all(np.isfinite(a))]
         if overflow:
             raise ValidationError(f"metric overflow: {', '.join(overflow)} not finite (the samples are finite)")
     worst = max(E_max, G_max)
     limit = ISO_GATE_TOL * F_max
     if worst > limit:
-        node = divmod(int(np.argmax(np.maximum(np.abs(E), np.abs(G)))), g.Nv)
-        uv = g.uv(node)
-        raise NotIsotropic(
-            f"max(|E|,|G|) = {worst:.3e} exceeds {limit:.3e}, worst at node {node} at (u, v) = {uv}; "
-            "analysis needs isotropic (null) parameters - construct them before calling", node, uv
-        )
+        raise NotIsotropic("analysis needs isotropic (null) parameters - construct them before calling: "
+                           f"max(|E|,|G|) = {worst:.3e} exceeds {limit:.3e}, worst", g,
+                           g.node(np.argmax(np.maximum(np.abs(E), np.abs(G)))))
     fails = F >= 0
     if fails.any():
-        node = divmod(int(np.argmax(fails)), g.Nv)
-        uv = g.uv(node)
-        raise NotIsotropic(f"requires <z_u, z_v> < 0 at every node; first fails at node {node} at (u, v) = {uv}",
-                           node, uv)
+        raise NotIsotropic("requires <z_u, z_v> < 0 at every node; first fails", g, g.node(np.argmax(fails)))
 
     f = np.sqrt(-F)
     x = zu / f[..., None]
@@ -168,13 +160,9 @@ def geometric_frame(m: Immersion) -> GeometricFrame:
     H2_floor = (NU_FLOOR * scale) ** 2
     k = int(np.argmin(H2))
     if H2.flat[k] <= H2_floor:
-        node = divmod(k, g.Nv)
-        uv = g.uv(node)
         failing = int(np.count_nonzero(H2 <= H2_floor))
-        raise MinimalOrTotallyGeodesic(
-            f"|H| falls below {NU_FLOOR * scale:.3e} at {failing} of {H2.size} nodes: minimal or totally "
-            f"geodesic patch, least at node {node} at (u, v) = {uv}", node, uv, failing
-        )
+        raise MinimalOrTotallyGeodesic(f"|H| falls below {NU_FLOOR * scale:.3e} at {failing} of {H2.size} nodes: "
+                                       "minimal or totally geodesic patch, least", g, g.node(k), failing)
     nu = np.sqrt(H2)
     n1 = H / nu[..., None]
 

@@ -43,6 +43,18 @@ from .natural import CanonicalTriple, Case, classify_from_frame
 DEGENERATE_REL_TOL = 1e-3
 
 
+def _separability_fields(phi: ScalarField, psi: ScalarField | None) -> tuple[dict, float]:
+    """The laws' |d/dv ln phi| and |d/du ln psi| two layers in (0 outside), in report order, and their log scale."""
+    g = phi.grid
+    lns = {"separability_dev_v": (ln_abs(phi, mu_min=MU_MIN**2), g.hv, 1)}
+    if psi is not None:
+        lns = {"separability_dev_u": (ln_abs(psi, mu_min=MU_MIN**2), g.hu, 0), **lns}
+    devs = {k: np.zeros((g.Nu, g.Nv)) for k in lns}
+    for k, (ln, h, axis) in lns.items():
+        devs[k][g.interior(2)] = np.abs(diff_values(ln.values, h, axis)[g.interior(2)])
+    return devs, max(ln.max_abs() for ln, _, _ in lns.values())
+
+
 def check_separability(phi: ScalarField, psi: ScalarField | None = None) -> tuple[dict, float]:
     """Interior max deviations from the separability laws, in report order, and their log scale.
 
@@ -52,17 +64,8 @@ def check_separability(phi: ScalarField, psi: ScalarField | None = None) -> tupl
     the largest |ln phi| or |ln psi|.  The ln_abs guards keep phi and psi
     away from zero.
     """
-    g = phi.grid
-    su, sv = g.interior(2)
-    ln_phi = ln_abs(phi, mu_min=MU_MIN**2)
-    devs = {"separability_dev_v": float(np.max(np.abs(diff_values(ln_phi.values, g.hv, 1)[su, sv])))}
-    scale = ln_phi.max_abs()
-    if psi is not None:
-        ln_psi = ln_abs(psi, mu_min=MU_MIN**2)
-        dev_u = float(np.max(np.abs(diff_values(ln_psi.values, g.hu, 0)[su, sv])))
-        devs = {"separability_dev_u": dev_u, **devs}
-        scale = max(scale, ln_psi.max_abs())
-    return devs, scale
+    devs, scale = _separability_fields(phi, psi)
+    return {k: float(np.max(d)) for k, d in devs.items()}, scale
 
 
 def classify_functions(funcs: FrameFunctions):
@@ -76,7 +79,7 @@ def classify_functions(funcs: FrameFunctions):
     scale1 = float(np.max(np.abs(funcs.mu1.values[su, sv])))
     scale2 = float(np.max(np.abs(funcs.mu2.values[su, sv])))
     if max(scale1, scale2) <= DEGENERATE_REL_TOL:
-        raise BothMuZero("mu1 and mu2 both vanish on the patch")
+        raise BothMuZero("mu1 and mu2 both vanish on the whole patch, so no node is named")
     if scale1 < DEGENERATE_REL_TOL * (1.0 + scale2) <= scale2:
         return Case.DEGENERATE, 0.0, True  # mu1 ~ 0, mu2 carries the data
     if scale2 <= DEGENERATE_REL_TOL * (1.0 + scale1):
@@ -118,9 +121,12 @@ class CanonicalizationResult:
 
 
 def _monotone_inverse(svals: np.ndarray, nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Given s(nodes) strictly increasing, return nodes at the target s-values."""
+    """Given s(nodes) strictly increasing, return nodes at the target s-values.
+
+    Else NotSeparable with no node: the map is 1-D, of f^2 |mu_i| averaged over the other parameter.
+    """
     if np.any(np.diff(svals) <= 0):
-        raise NotSeparable("reparametrization map is not strictly increasing")
+        raise NotSeparable("reparametrization map is not strictly increasing", None, None)
     inv = make_interp_spline(svals, nodes, k=3)
     out = inv(np.clip(targets, svals[0], svals[-1]))
     return np.clip(out, nodes[0], nodes[-1])
@@ -132,7 +138,8 @@ def canonicalize(m: Immersion) -> CanonicalizationResult:
     Transposes first when mu2 rather than mu1 carries the data.  Besides
     the per-case entries the diagnostics hold the separability deviations
     and the canonical metric law max |f sqrt|mu| - 1|.  Raises NotSeparable
-    when f^2 |mu_i| depends on the wrong parameter.
+    when f^2 |mu_i| depends on the wrong parameter, at the interior node
+    where the largest deviation peaks.
     """
     funcs = frame_functions(geometric_frame(m))
     case, _, swapped = classify_functions(funcs)
@@ -146,11 +153,13 @@ def canonicalize(m: Immersion) -> CanonicalizationResult:
     fsq = funcs.f.values * funcs.f.values
     phi_uv = ScalarField(g, fsq * np.abs(funcs.mu1.values))
     psi_uv = None if degenerate else ScalarField(g, fsq * np.abs(funcs.mu2.values))
-    devs, scale = check_separability(phi_uv, psi_uv)
+    fields, scale = _separability_fields(phi_uv, psi_uv)
+    devs = {k: float(np.max(d)) for k, d in fields.items()}
     limit = 1e-3 * (1.0 + scale)
     if max(devs.values()) > limit:
         listed = ", ".join(f"{k} {v:.3e}" for k, v in devs.items())
-        raise NotSeparable(f"separability deviations ({listed}) exceed {limit:.3e}")
+        raise NotSeparable(f"separability deviations ({listed}) exceed {limit:.3e}, largest", g,
+                           g.node(np.argmax(fields[max(devs, key=devs.get)])))
 
     phi = np.mean(phi_uv.values[:, sv], axis=1)
     ubar = cumulative_simpson(np.sqrt(phi), dx=g.hu, initial=0.0)

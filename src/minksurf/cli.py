@@ -338,10 +338,9 @@ def _emit_error(command: str, report_path: str | None, exc: Exception) -> None:
         "error": type(exc).__name__,
         "message": str(exc),
     }
-    # where a numerical failure happened, at how many nodes, and what it measured against which tolerance
-    for key in ("sweep", "s", "node", "uv", "failing", "deltas", "measured", "tol"):
-        if getattr(exc, key, None) is not None:
-            report[key] = getattr(exc, key)
+    # the error's own fields: where it failed, at how many nodes, what it measured against which tolerance
+    if isinstance(exc, MinksurfError):
+        report.update((k, v) for k, v in vars(exc).items() if v is not None)
     if report_path:
         try:
             io.write_report(report, report_path)

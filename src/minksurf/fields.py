@@ -66,6 +66,10 @@ class GridSpec:
         """(u, v) coordinate of grid node (i, j)."""
         return float(self.u_nodes[node[0]]), float(self.v_nodes[node[1]])
 
+    def node(self, k) -> tuple[int, int]:
+        """Grid node (i, j) of index k into the C-order flattened samples."""
+        return divmod(int(k), self.Nv)
+
     def interior(self, layers: int = 2):
         """Index slices excluding `layers` boundary rows/columns."""
         return slice(layers, self.Nu - layers), slice(layers, self.Nv - layers)
@@ -78,7 +82,11 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
-        return cls(d["u0"], d["u1"], d["v0"], d["v1"], int(d["Nu"]), int(d["Nv"]))
+        """The grid of `to_dict`; Nu and Nv are integers or integral floats (33.0, not 33.7), not booleans."""
+        counts = d["Nu"], d["Nv"]
+        if not all(type(n) is int or type(n) is float and n.is_integer() for n in counts):  # a bool's type is bool
+            raise ValidationError(f"grid node counts must be integers, got Nu {counts[0]!r}, Nv {counts[1]!r}")
+        return cls(d["u0"], d["u1"], d["v0"], d["v1"], *map(int, counts))
 
 
 @dataclass
@@ -182,9 +190,7 @@ def require_away_from_zero(
         msg = f"{name} changes sign on the grid"
     else:
         return
-    node = divmod(k, s.grid.Nv)
-    uv = s.grid.uv(node)
-    raise NearZeroField(f"{msg}: node {node} at (u, v) = {uv}", node=node, uv=uv)
+    raise NearZeroField(msg, s.grid, s.grid.node(k))
 
 
 def ln_abs(s: ScalarField, mu_min: float = MU_MIN) -> ScalarField:

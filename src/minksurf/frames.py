@@ -207,11 +207,9 @@ def _rk4_line(F0: np.ndarray, mats: np.ndarray, grid: GridSpec, axis: int, sweep
                 if not np.abs(F).max() <= STEP_LIMIT:  # NaN fails too
                     # argmax takes the first NaN, so a non-finite line is named before the largest finite one
                     b = int(np.argmax(np.max(np.abs(F), axis=(-2, -1))))
-                    node = (k + 1, b) if axis == 0 else (b, k + 1)
-                    uv = grid.uv(node)
                     raise StepUnstable(f"frame entries exceeded {STEP_LIMIT:.0e} or went non-finite in the {sweep} "
-                                       f"sweep before node {node} at (u, v) = {uv}", sweep,
-                                       float(coords[k] + m * h + h), node, uv)
+                                       "sweep, on the interval ending", sweep, float(coords[k] + m * h + h),
+                                       grid, (k + 1, b) if axis == 0 else (b, k + 1))
             out[k + 1] = F
     return out
 
@@ -298,17 +296,18 @@ def reconstruct(
     """Full reconstruction: residual gate, frame transport, position quadrature,
     and the compatibility field read off the gate's residual report.
 
-    p0 = z(u0, v0) is the origin when None.  The gate's ResidualTooLarge
-    names the worst of r1, r2 and r3 and its worst interior node.
+    p0 = z(u0, v0) is the origin when None; tol_build must be positive.  The
+    gate's ResidualTooLarge names the worst of r1, r2 and r3 and its worst interior node.
     """
+    if not tol_build > 0:  # NaN too
+        raise ValidationError(f"tol_build must be positive, got {tol_build!r}")
     rep = residual(t)
     if rep.interior_max_abs > tol_build and not force:
         name, r = max(zip(("r1", "r2", "r3"), (rep.r1, rep.r2, rep.r3)), key=lambda p: p[1].interior_max_abs())
         worst = np.abs(r.values[t.grid.interior(2)])  # two layers in, as interior_max_abs
         node = tuple(int(k) + 2 for k in np.unravel_index(np.argmax(worst), worst.shape))
-        uv = t.grid.uv(node)
         raise ResidualTooLarge(f"natural-system residual {name} = {rep.interior_max_abs:.3e} exceeds tol_build "
-                               f"{tol_build:.3e} at node {node}, (u, v) = {uv}", rep.interior_max_abs, tol_build, node, uv)
+                               f"{tol_build:.3e}", rep.interior_max_abs, tol_build, t.grid, node)
     if p0 is None:
         p0 = np.zeros(4)
     cm = coefficient_matrices(t)

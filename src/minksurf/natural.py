@@ -177,7 +177,7 @@ def classify_from_frame(lambda1: float, mu1: float, lambda2: float, mu2: float) 
     scale = 1.0 + lambda1 * lambda1 + mu1 * mu1 + lambda2 * lambda2 + mu2 * mu2
     tol = CLASSIFY_TOL * scale
     if abs(mu1) <= tol and abs(mu2) <= tol:
-        raise BothMuZero("mu1 = mu2 = 0: inflection configuration")
+        raise BothMuZero("mu1 = mu2 = 0 on the whole patch: inflection configuration, so no node is named")
     if abs(mu1) <= tol < abs(mu2):
         lambda1, mu1, lambda2, mu2 = lambda2, mu2, lambda1, mu1
     km = -(mu2 / mu1) * (lambda1 * lambda1 + mu1 * mu1)
@@ -304,10 +304,8 @@ def _goursat_march(
         gf[node] = x
         # NaN-safe: max propagates NaN, and NaN fails the comparison
         if not np.abs(x).max() <= G_LIMIT:
-            first = divmod(node.start + int(np.argmax(~(np.abs(x) <= G_LIMIT))) * node.step, Nv)
-            uv = grid.uv(first)
-            raise BlowUp(f"|ln mu| exceeded {G_LIMIT} during marching: node {first} at (u, v) = {uv}",
-                         node=first, uv=uv)
+            first = node.start + int(np.argmax(~(np.abs(x) <= G_LIMIT))) * node.step
+            raise BlowUp(f"|ln mu| exceeded {G_LIMIT} during marching", grid, grid.node(first))
         rf[node] = _curvature_rhs(c, x, eps)[0]
     return g
 
@@ -448,10 +446,7 @@ def solve_goursat_hyperbolic(
         # NaN-safe: max propagates NaN, and NaN fails the comparison
         if not inner.max() <= G_LIMIT:
             i, j = divmod(int(np.argmax(~(inner <= G_LIMIT))), Nv - 1)
-            first = (i + 1, j + 1)
-            uv = grid.uv(first)
-            raise BlowUp(f"|ln mu| exceeded {G_LIMIT} in Picard sweep {len(deltas) + 1}: node {first} "
-                         f"at (u, v) = {uv}", node=first, uv=uv)
+            raise BlowUp(f"|ln mu| exceeded {G_LIMIT} in Picard sweep {len(deltas) + 1}", grid, (i + 1, j + 1))
 
         # p from (i-1, j-1) along (1,1), q from (i-1, j+1) along (1,-1)
         p = np.empty((Nu, Nv))

@@ -183,8 +183,10 @@ def test_canonicalize_rejects_non_pnmc_surface():
 
 def test_monotone_inverse_rejects_a_decreasing_map():
     nodes = np.linspace(0.0, 1.0, 9)
-    with pytest.raises(NotSeparable, match="not strictly increasing"):
+    with pytest.raises(NotSeparable, match="not strictly increasing$") as info:
         _monotone_inverse(nodes[::-1].copy(), nodes, nodes)
+    # a one-dimensional map of averages: no node
+    assert (info.value.node, info.value.uv) == (None, None)
 
 
 def test_canonicalize_role_swap_on_transposed_surface(degenerate_bundle):

@@ -400,6 +400,23 @@ def test_canonicalize_non_separable_exit_2(tmp_path):
     data = json.loads(report.read_text())
     assert data["status"] == "error"
     assert data["error"] == "NotSeparable"
+    # located where the largest law's deviation peaks, two layers in
+    node = tuple(data["node"])
+    assert all(2 <= k <= 30 for k in node)
+    assert data["uv"] == list(bundle.grid.uv(node))
+    assert data["message"].endswith(f"at node {node}, (u, v) = {bundle.grid.uv(node)}")
+
+
+def test_canonicalize_both_mu_zero_is_a_whole_patch_verdict(tmp_path):
+    csv = tmp_path / "cyl.csv"
+    io.write_immersion_csv(cylinder_immersion(33), str(csv))
+    report = tmp_path / "err.json"
+    assert run(["canonicalize", "--immersion", str(csv), "--out", str(tmp_path / "out"),
+                "--report", str(report)]) == 2
+    data = json.loads(report.read_text())
+    assert data["error"] == "BothMuZero"
+    assert "node" not in data and "uv" not in data
+    assert "whole patch" in data["message"]
 
 
 def test_canonicalize_config_rejects_nodes(tmp_path):
@@ -548,6 +565,20 @@ def test_malformed_triple_bundle_exit_1(tmp_path, name, edit):
     assert run(["residual", "--triple", str(bundle), "--report", str(report)]) == 1
     data = json.loads(report.read_text())
     assert data["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("count", ["1e400", "33.7", "true", '"33"'])
+def test_sidecar_node_count_must_be_an_integer(tmp_path, capsys, count):
+    # 1e400 reads as inf; 33.7 is not integral; a boolean and a string are not numbers
+    bundle = tmp_path / "bundle"
+    io.write_triple_bundle(goursat_degenerate_triple(33), str(bundle))
+    sidecar = bundle / "triple.json"
+    sidecar.write_text(sidecar.read_text().replace('"Nu": 33', f'"Nu": {count}'))
+    capsys.readouterr()
+    assert run(["residual", "--triple", str(bundle)]) == 1
+    data = json.loads(capsys.readouterr().err)  # one JSON document
+    assert (data["status"], data["error"]) == ("error", "ConfigError")
+    assert "grid node counts must be integers" in data["message"]
 
 
 def test_malformed_config_json_exit_1(tmp_path):

@@ -353,6 +353,13 @@ def test_reconstruct_rejects_malformed_p0(p0, message):
         reconstruct(constant_triple(17), p0)
 
 
+@pytest.mark.parametrize("tol_build", [float("nan"), 0.0, -1.0])
+def test_reconstruct_rejects_non_positive_tol_build(tol_build):
+    # NaN would switch the residual gate off: the non-solution (residual 1) would build
+    with pytest.raises(ValidationError, match="tol_build must be positive"):
+        reconstruct(nonsolution_triple(33), tol_build=tol_build)
+
+
 @pytest.mark.parametrize("make", [
     lambda: jet_triple(Case.POSITIVE_KH, 6, 0.1, 65),
     lambda: goursat_hyperbolic_triple(65),
