@@ -21,6 +21,7 @@ from . import fixtures, io
 from .analysis import Immersion, invariants
 from .canonical import canonicalize
 from .errors import ConfigError, MinksurfError, ValidationError
+from .fields import is_integral
 from .frames import TOL_BUILD, reconstruct
 from .natural import Case, residual
 
@@ -108,7 +109,7 @@ def _config_value(dest: str, typ: type, val):
     if isinstance(val, bool):
         ok = typ is bool
     elif typ is int:
-        ok = isinstance(val, int) or (isinstance(val, float) and val.is_integer())
+        ok = is_integral(val)
     elif typ is float:
         ok = isinstance(val, (int, float)) and bool(np.isfinite(val))
     else:
@@ -126,16 +127,13 @@ def _case_of(name: str) -> Case:
 
 
 def _load_triple(opts: dict):
+    """The triple of `--triple`, or else of the named fixture or solve method, built from the jet options given."""
     if opts.get("triple"):
         return io.read_triple_bundle(opts["triple"])
-    name = opts.get("fixture") or "constant"
-    return fixtures.make_triple_fixture(
-        name,
-        nodes=opts["nodes"],
-        order=opts["order"],
-        radius=opts["radius"],
-        case=_case_of(opts["case"]),
-    )
+    jet = {k: opts[k] for k in ("order", "radius", "seed") if k in opts}
+    if "case" in opts:
+        jet["case"] = _case_of(opts["case"])
+    return fixtures.make_triple_fixture(opts.get("fixture") or opts.get("method") or "constant", opts["nodes"], **jet)
 
 
 def _finish(report: dict, opts: dict, lines: list[str]) -> int:
@@ -172,10 +170,7 @@ def _cmd_solve(opts: dict) -> int:
     method = opts["method"]
     if method not in ("jet", "goursat-degenerate", "goursat-hyperbolic"):
         raise ConfigError(f"unknown solve method {method!r}")
-    t = fixtures.make_triple_fixture(
-        method, nodes=opts["nodes"], order=opts["order"], radius=opts["radius"],
-        case=_case_of(opts["case"]), seed=opts["seed"],
-    )
+    t = _load_triple(opts)
     rep = residual(t)
     io.write_triple_bundle(t, opts["out"])
     metrics = {"residual_max": rep.max_abs, "residual_interior_max": rep.interior_max_abs}
@@ -211,7 +206,7 @@ def _load_immersion(opts: dict) -> Immersion:
     if opts.get("fixture") == "cylinder":
         return fixtures.cylinder_immersion(opts["nodes"])
     if opts.get("fixture"):
-        bundle = reconstruct(fixtures.make_triple_fixture(opts["fixture"], nodes=opts["nodes"]))
+        bundle = reconstruct(_load_triple(opts))
         return Immersion(bundle.grid, bundle.points)
     raise ConfigError("need --immersion CSV or --fixture")
 
@@ -246,20 +241,14 @@ def _cmd_canonicalize(opts: dict) -> int:
 
 
 def _cmd_roundtrip(opts: dict) -> int:
-    t = fixtures.make_triple_fixture(
-        opts["fixture"], nodes=opts["nodes"], order=opts["order"],
-        radius=opts["radius"], case=_case_of(opts["case"]),
-    )
+    t = _load_triple(opts)
     bundle = reconstruct(t, tol_build=opts["tol_build"])
     m = Immersion(bundle.grid, bundle.points)
     inv = invariants(m)
     su, sv = m.grid.interior(2)
     funcs = inv.functions
-    err = max(
-        float(np.max(np.abs(funcs.lambda1.values[su, sv] - t.lam.values[su, sv]))),
-        float(np.max(np.abs(funcs.mu1.values[su, sv] - t.mu.values[su, sv]))),
-        float(np.max(np.abs(funcs.nu.values[su, sv] - t.nu.values[su, sv]))),
-    )
+    pairs = ((funcs.lambda1, t.lam), (funcs.mu1, t.mu), (funcs.nu, t.nu))
+    err = max(float(np.max(np.abs(a.values[su, sv] - b.values[su, sv]))) for a, b in pairs)
     metrics = {
         "residual_interior_max": bundle.diagnostics["residual_max"],
         "gram_drift": bundle.diagnostics["gram_drift"],
@@ -319,7 +308,9 @@ def run(argv: list[str] | None = None) -> int:
     try:
         opts = _merge_config(args)
         report_path = opts["report"]
-        return _HANDLERS[args.command](opts)
+        # the finiteness checks raise typed errors; numpy's warnings would only precede their report
+        with np.errstate(all="ignore"):
+            return _HANDLERS[args.command](opts)
     except ValidationError as exc:
         _emit_error(args.command, report_path, exc)
         return 1

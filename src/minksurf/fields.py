@@ -26,6 +26,11 @@ from .errors import GridTooSmall, NearZeroField, ValidationError
 MU_MIN = 1e-8  # guards ln|mu| and 1/sqrt|mu| against blow-up
 
 
+def is_integral(x) -> bool:
+    """An integer or an integral float (33.0, not 33.7), as JSON gives them; not a boolean."""
+    return type(x) is int or type(x) is float and x.is_integer()  # a bool's type is bool
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform rectangular grid on [u0, u1] x [v0, v1] with Nu x Nv nodes."""
@@ -84,7 +89,7 @@ class GridSpec:
     def from_dict(cls, d: dict) -> "GridSpec":
         """The grid of `to_dict`; Nu and Nv are integers or integral floats (33.0, not 33.7), not booleans."""
         counts = d["Nu"], d["Nv"]
-        if not all(type(n) is int or type(n) is float and n.is_integer() for n in counts):  # a bool's type is bool
+        if not all(map(is_integral, counts)):
             raise ValidationError(f"grid node counts must be integers, got Nu {counts[0]!r}, Nv {counts[1]!r}")
         return cls(d["u0"], d["u1"], d["v0"], d["v1"], *map(int, counts))
 

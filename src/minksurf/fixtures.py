@@ -40,7 +40,7 @@ DEGENERATE_EDGE_LEVEL = 2.0
 JET_RNG_SEED = 7
 HYPERBOLIC_JET_ORDER = 8
 
-FIXTURE_NAMES = ("constant", "jet", "goursat-degenerate", "goursat-hyperbolic", "cylinder")
+TRIPLE_FIXTURES = ("constant", "jet", "goursat-degenerate", "goursat-hyperbolic")
 
 
 def default_grid(nodes: int = 65) -> GridSpec:
@@ -169,19 +169,14 @@ def nonsolution_triple(nodes: int = 65) -> CanonicalTriple:
     )
 
 
-def make_triple_fixture(name: str, nodes: int = 65, **kwargs) -> CanonicalTriple:
+def make_triple_fixture(name: str, nodes: int = 65, **jet) -> CanonicalTriple:
+    """The triple fixture `name`; only the jet reads `jet`, the keywords of `jet_triple`."""
     if name == "constant":
         return constant_triple(nodes)
     if name == "jet":
-        return jet_triple(
-            case=kwargs.get("case", Case.POSITIVE_KH),
-            order=kwargs.get("order", 6),
-            radius=kwargs.get("radius", 0.1),
-            nodes=nodes,
-            seed=kwargs.get("seed", JET_RNG_SEED),
-        )
+        return jet_triple(nodes=nodes, **jet)
     if name == "goursat-degenerate":
         return goursat_degenerate_triple(nodes)
     if name == "goursat-hyperbolic":
         return goursat_hyperbolic_triple(nodes)
-    raise ConfigError(f"unknown triple fixture {name!r}; choose from {FIXTURE_NAMES[:-1]}")
+    raise ConfigError(f"unknown triple fixture {name!r}; choose from {TRIPLE_FIXTURES}")

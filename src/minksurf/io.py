@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import Immersion, InvariantReport
 from .errors import ConfigError
-from .fields import GridSpec, ScalarField
+from .fields import GridSpec, ScalarField, is_integral
 from .natural import CanonicalTriple, Case
 
 FLOAT_FMT = "%.17g"
@@ -156,7 +156,7 @@ def write_triple_bundle(t: CanonicalTriple, dirpath: str) -> None:
 
 
 def read_triple_bundle(dirpath: str) -> CanonicalTriple:
-    """Read a bundle; the sidecar's grid and sign_mu must agree with the CSVs."""
+    """Read a bundle; the sidecar's grid and integer sign_mu must agree with the CSVs."""
     try:
         with open(os.path.join(dirpath, "triple.json")) as fh:
             sidecar = json.load(fh)
@@ -166,6 +166,8 @@ def read_triple_bundle(dirpath: str) -> CanonicalTriple:
         flags = sidecar.get("flags", [])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{dirpath}: malformed triple.json: {exc!r}") from exc
+    if not is_integral(sign_mu):
+        raise ConfigError(f"{dirpath}: triple.json sign_mu must be an integer, got {sign_mu!r}")
     if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
         raise ConfigError(f"{dirpath}: triple.json flags must be a list of strings, got {flags!r}")
     lam = read_field_csv(os.path.join(dirpath, "lambda.csv"))

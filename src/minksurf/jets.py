@@ -140,6 +140,11 @@ def p_eval(c: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _require_order(order: int) -> None:
+    if not 2 <= order <= MAX_JET_ORDER:
+        raise ValidationError(f"jet order must be between 2 and {MAX_JET_ORDER}")
+
+
 @dataclass
 class JetSeed:
     """Free Taylor data: pure powers of g in u and v, edge jets of lambda, nu.
@@ -164,6 +169,7 @@ class JetSeed:
 
     @classmethod
     def random(cls, order: int, rng: np.random.Generator, amplitude: float = 0.4) -> "JetSeed":
+        _require_order(order)
         decay = amplitude / np.array([max(1.0, float(math.factorial(d))) for d in range(order + 1)])
         g_u = rng.standard_normal(order + 1) * decay
         g_v = rng.standard_normal(order + 1) * decay
@@ -195,8 +201,7 @@ def jet_coefficients(case: Case, order: int, seed: JetSeed) -> tuple[np.ndarray,
     docstring.  Entry [a, b] multiplies (u - cu)^a (v - cv)^b about the patch
     center.
     """
-    if not 2 <= order <= MAX_JET_ORDER:
-        raise ValidationError(f"jet order must be between 2 and {MAX_JET_ORDER}")
+    _require_order(order)
     for arr, name in ((seed.g_u, "g_u"), (seed.g_v, "g_v"), (seed.lam_u, "lam_u"), (seed.nu_u, "nu_u")):
         if len(arr) < order + 1:
             raise ValidationError(f"seed.{name} must supply order+1 coefficients")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import immersion_of
 from minksurf.analysis import Immersion, frame_functions, geometric_frame
@@ -8,6 +9,7 @@ from minksurf.errors import BothMuZero, NotSeparable
 from minksurf.fields import GridSpec, ScalarField, bicubic
 from minksurf.fixtures import goursat_degenerate_triple, goursat_hyperbolic_triple, jet_triple
 from minksurf.frames import reconstruct
+from minksurf.minkowski import METRIC_DIAG
 from minksurf.natural import CanonicalTriple, Case
 
 
@@ -257,6 +259,47 @@ def test_canonicalize_undoes_a_u_warp(make, triple_bound, law_bound):
     res, ref = canonicalize(warped), canonicalize(m)
     assert _triple_gap(res.triple, ref.triple, g.Nu // 8) <= triple_bound
     assert res.diagnostics["metric_law_max_dev"] <= law_bound
+
+
+ETA = np.diag(METRIC_DIAG)
+S = np.random.default_rng(3).standard_normal((4, 4))
+LORENTZ = expm(0.3 * ETA @ (S - S.T))  # eta times an antisymmetric matrix generates a Lorentz map, det +1
+REFLECT_X3 = np.diag([1.0, 1.0, -1.0, 1.0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: jet_triple(Case.POSITIVE_KH, 6, 0.1, 65),
+    lambda: jet_triple(Case.NEGATIVE_KH, 6, 0.1, 65),
+    lambda: goursat_hyperbolic_triple(65),
+    lambda: goursat_degenerate_triple(65),
+], ids=["jet-positive", "jet-negative", "goursat-hyperbolic", "goursat-degenerate"])
+@pytest.mark.parametrize("motion, mu_sign", [(LORENTZ, 1), (REFLECT_X3, -1), (REFLECT_X3 @ LORENTZ, -1)],
+                         ids=["L", "P", "PL"])
+def test_canonical_triple_is_unique_up_to_a_rigid_motion(make, motion, mu_sign):
+    # the paper's uniqueness: a rigid motion x -> M x + p leaves the canonical
+    # triple as it is when det M = +1, and negates mu when det M = -1 (n2
+    # is oriented by det = +1).  Measured at 65 nodes on the whole grid:
+    # at most 1.9e-9 (goursat-degenerate, PL)
+    m = immersion_of(reconstruct(make()))
+    assert np.allclose(motion.T @ ETA @ motion, ETA) and np.isclose(np.linalg.det(motion), mu_sign)
+    p = np.random.default_rng(4).standard_normal(4)
+    ref = canonicalize(m).triple
+    res = canonicalize(Immersion(m.grid, m.points @ motion.T + p)).triple
+    expected = CanonicalTriple(ref.lam, ScalarField(ref.grid, mu_sign * ref.mu.values), ref.nu, ref.case)
+    assert res.case is ref.case
+    assert _triple_gap(res, expected, 0) <= 1e-8
+
+
+@pytest.mark.parametrize("make", [goursat_hyperbolic_triple, goursat_degenerate_triple])
+def test_canonicalize_recovers_the_triple_at_second_order(make):
+    # triple -> surface -> canonical triple against the input, n/8 layers in.
+    # Measured orders on 65/129/257: 2.00, 1.99 (hyperbolic) and 1.97, 1.99
+    # (degenerate); goursat-degenerate fails its own build gate at 33 nodes
+    errs = []
+    for n in (65, 129, 257):
+        t = make(n)
+        errs.append(_triple_gap(canonicalize(immersion_of(reconstruct(t))).triple, t, n // 8))
+    assert min(np.log2(np.array(errs[:-1]) / errs[1:])) >= 1.8, errs
 
 
 def test_canonicalize_degenerate_v_gauge(degenerate_bundle):

@@ -13,9 +13,22 @@ from minksurf.analysis import Immersion
 from minksurf.cli import _emit_error, run
 from minksurf.errors import NoConvergence
 from minksurf.fields import GridSpec, ScalarField
-from minksurf.fixtures import cylinder_immersion, goursat_degenerate_triple, jet_triple, nonsolution_triple
+from minksurf.fixtures import (
+    cylinder_immersion,
+    goursat_degenerate_triple,
+    jet_triple,
+    make_triple_fixture,
+    nonsolution_triple,
+)
 from minksurf.frames import reconstruct
 from minksurf.natural import Case, residual
+
+
+def _cli_process(*argv: str) -> subprocess.CompletedProcess:
+    """The command line run in a fresh interpreter, where warnings reach the real stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "minksurf.cli", *argv], capture_output=True, text=True, env=env)
 
 
 def test_residual_constant_fixture(tmp_path, capsys):
@@ -135,6 +148,27 @@ def test_unknown_triple_fixture_exit_1(tmp_path):
     data = json.loads(report.read_text())
     assert data["status"] == "error"
     assert data["error"] == "ConfigError"
+
+
+def test_triple_fixture_rejects_a_misspelled_jet_option():
+    # the jet options go on to jet_triple, which has the only defaults
+    with pytest.raises(TypeError):
+        make_triple_fixture("jet", orde=4)
+
+
+@pytest.mark.parametrize("order", ["0", "-5", "25", "100000000"])
+def test_jet_order_out_of_range_exit_1(capsys, order):
+    # 0 was an IndexError, -5 a ValueError and 1e8 an OverflowError, before any check
+    assert run(["residual", "--fixture", "jet", "--nodes", "9", "--order", order]) == 1
+    data = json.loads(capsys.readouterr().err)  # one JSON document
+    assert (data["error"], data["message"]) == ("ValidationError", "jet order must be between 2 and 24")
+
+
+def test_jet_overflow_stderr_is_one_json_document():
+    # exp overflows at radius 50; numpy's warning must not precede the error report
+    proc = _cli_process("residual", "--fixture", "jet", "--radius", "50", "--nodes", "9")
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "ValidationError"
 
 
 def test_unknown_case_exit_1(tmp_path):
@@ -358,10 +392,7 @@ def test_metric_overflow_stderr_is_one_json_document(tmp_path):
     cyl = cylinder_immersion(33)
     csv = tmp_path / "m.csv"
     io.write_immersion_csv(Immersion(cyl.grid, cyl.points * 1e160), str(csv))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "minksurf.cli", "analyze", "--immersion", str(csv)],
-                          capture_output=True, text=True, env=env)
+    proc = _cli_process("analyze", "--immersion", str(csv))
     assert proc.returncode == 1
     data = json.loads(proc.stderr)
     assert (data["error"], data["message"]) == (
@@ -579,6 +610,19 @@ def test_sidecar_node_count_must_be_an_integer(tmp_path, capsys, count):
     data = json.loads(capsys.readouterr().err)  # one JSON document
     assert (data["status"], data["error"]) == ("error", "ConfigError")
     assert "grid node counts must be integers" in data["message"]
+
+
+@pytest.mark.parametrize("sign", ["true", '"1"', "1.5"])
+def test_sidecar_sign_mu_must_be_an_integer(tmp_path, capsys, sign):
+    bundle = tmp_path / "bundle"
+    io.write_triple_bundle(goursat_degenerate_triple(9), str(bundle))
+    sidecar = bundle / "triple.json"
+    sidecar.write_text(sidecar.read_text().replace('"sign_mu": 1', f'"sign_mu": {sign}'))
+    capsys.readouterr()
+    assert run(["residual", "--triple", str(bundle)]) == 1
+    data = json.loads(capsys.readouterr().err)
+    assert (data["error"], data["message"]) == ("ConfigError", f"{bundle}: triple.json sign_mu must be an integer, "
+                                                                f"got {json.loads(sign)!r}")
 
 
 def test_malformed_config_json_exit_1(tmp_path):

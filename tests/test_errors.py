@@ -128,7 +128,10 @@ JSON_VALUES = st.one_of(
 
 @st.composite
 def triple_sidecar(draw):
-    """The sidecar of a 7 x 7 bundle with one key replaced or dropped; 1e400 is written as text."""
+    """The sidecar of a 7 x 7 bundle with one key replaced or dropped; 1e400 is written as text.
+
+    Known-invalid: a node count that is not an integer, and a sign_mu that is not mu.csv's +1.
+    """
     sidecar = {"case": "negative", "sign_mu": 1,
                "grid": {"u0": 0.0, "u1": 1.0, "v0": 0.0, "v1": 1.0, "Nu": NODES, "Nv": NODES},
                "flags": ["nu-constant"]}
@@ -147,16 +150,16 @@ def triple_sidecar(draw):
     count = owner.get(key) if key in ("Nu", "Nv") else None
     bad_count = value == "1e400" and key in ("Nu", "Nv") or (
         isinstance(count, float) and not count.is_integer())
-    return {"kind": "sidecar", "text": text, "invalid": bad_count}
+    sign = sidecar.get("sign_mu", 1)  # "@" stands for 1e400
+    bad_sign = not (type(sign) in (int, float) and sign == 1)  # a boolean, a fraction or text; mu.csv's sign is +1
+    return {"kind": "sidecar", "text": text, "invalid": bad_count or bad_sign}
 
 
 @st.composite
 def job_config(draw):
     """A residual job config with drawn values; known-invalid: a non-integral or non-finite node count."""
     keys = draw(st.sets(st.sampled_from(["fixture", "order", "radius", "case", "command", "extra"]), max_size=2))
-    config = {k: draw(JSON_VALUES) for k in keys}
-    if config.get("fixture") == "jet":
-        del config["fixture"]  # a jet order below 1 is a known traceback (ROADMAP item 7)
+    config = {k: draw(st.one_of(st.just("jet"), JSON_VALUES) if k == "fixture" else JSON_VALUES) for k in keys}
     if draw(st.booleans()):
         config["nodes"] = draw(st.one_of(BAD_COUNTS, FLOATS, JSON_VALUES))
     nodes = config.get("nodes")
@@ -192,11 +195,15 @@ def _run_case(d: str, case: dict) -> tuple[int, str]:
 
 SIDECAR_NU_1E400 = json.dumps({"case": "negative", "sign_mu": 1, "grid": {
     "u0": 0.0, "u1": 1.0, "v0": 0.0, "v1": 1.0, "Nu": "@", "Nv": NODES}, "flags": []}).replace('"@"', "1e400")
+SIDECAR_SIGN_TRUE = json.dumps({"case": "negative", "sign_mu": True, "grid": {
+    "u0": 0.0, "u1": 1.0, "v0": 0.0, "v1": 1.0, "Nu": NODES, "Nv": NODES}, "flags": []})
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(case=st.one_of(immersion_csv(), triple_sidecar(), job_config(), MISSING))
 @example(case={"kind": "sidecar", "text": SIDECAR_NU_1E400, "invalid": True})  # once an OverflowError traceback
+@example(case={"kind": "config", "text": '{"fixture": "jet", "order": 0}', "invalid": True})  # once an IndexError
+@example(case={"kind": "sidecar", "text": SIDECAR_SIGN_TRUE, "invalid": True})  # once read as +1, exit 0
 def test_malformed_inputs_end_in_one_json_error_report(case):
     with tempfile.TemporaryDirectory() as d:
         code, err = _run_case(d, case)
