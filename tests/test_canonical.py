@@ -279,7 +279,7 @@ def test_canonical_triple_is_unique_up_to_a_rigid_motion(make, motion, mu_sign):
     # the paper's uniqueness: a rigid motion x -> M x + p leaves the canonical
     # triple as it is when det M = +1, and negates mu when det M = -1 (n2
     # is oriented by det = +1).  Measured at 65 nodes on the whole grid:
-    # at most 1.9e-9 (goursat-degenerate, PL)
+    # at most 2.7e-9 (goursat-degenerate, L)
     m = immersion_of(reconstruct(make()))
     assert np.allclose(motion.T @ ETA @ motion, ETA) and np.isclose(np.linalg.det(motion), mu_sign)
     p = np.random.default_rng(4).standard_normal(4)
