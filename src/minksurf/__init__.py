@@ -23,7 +23,6 @@ from .canonical import (
     CanonicalizationResult,
     Reparametrization,
     canonicalize,
-    check_separability,
 )
 from .fields import GridSpec, ScalarField, diff_values, ln_abs, sqrt_abs
 from .frames import (

@@ -44,7 +44,14 @@ DEGENERATE_REL_TOL = 1e-3
 
 
 def _separability_fields(phi: ScalarField, psi: ScalarField | None) -> tuple[dict, float]:
-    """The laws' |d/dv ln phi| and |d/du ln psi| two layers in (0 outside), in report order, and their log scale."""
+    """Deviations from the separability laws, two layers in (0 outside), in report order, and their log scale.
+
+    phi and psi are the samples of f^2 |mu1| and f^2 |mu2|.
+    separability_dev_u is |d/du ln psi| (skipped when psi is None, the
+    degenerate case), separability_dev_v is |d/dv ln phi|; the scale is the
+    largest |ln phi| or |ln psi|.  The ln_abs guards keep phi and psi away
+    from zero.
+    """
     g = phi.grid
     lns = {"separability_dev_v": (ln_abs(phi, mu_min=MU_MIN**2), g.hv, 1)}
     if psi is not None:
@@ -55,25 +62,13 @@ def _separability_fields(phi: ScalarField, psi: ScalarField | None) -> tuple[dic
     return devs, max(ln.max_abs() for ln, _, _ in lns.values())
 
 
-def check_separability(phi: ScalarField, psi: ScalarField | None = None) -> tuple[dict, float]:
-    """Interior max deviations from the separability laws, in report order, and their log scale.
-
-    phi and psi are the samples of f^2 |mu1| and f^2 |mu2|.
-    separability_dev_u = max |d/du ln psi| (skipped when psi is None, the
-    degenerate case), separability_dev_v = max |d/dv ln phi|; the scale is
-    the largest |ln phi| or |ln psi|.  The ln_abs guards keep phi and psi
-    away from zero.
-    """
-    devs, scale = _separability_fields(phi, psi)
-    return {k: float(np.max(d)) for k, d in devs.items()}, scale
-
-
 def classify_functions(funcs: FrameFunctions):
     """Case decision from analyzed frame functions, FD-noise aware.
 
     Exact classification thresholds are useless against O(h^2) analysis noise
-    in mu2, so a relative floor decides degeneracy; otherwise the sign of
-    K - H^2 (interior median of the closed formula) picks the case.
+    in mu2, so a relative floor decides degeneracy; otherwise
+    `classify_from_frame`'s closed formula for K - H^2, applied to the
+    interior medians of lambda1, mu1, lambda2 and mu2, picks the case.
     """
     su, sv = funcs.mu1.grid.interior(2)
     scale1 = float(np.max(np.abs(funcs.mu1.values[su, sv])))

@@ -25,27 +25,30 @@ from .fields import is_integral
 from .frames import TOL_BUILD, reconstruct
 from .natural import Case, residual
 
+# the jet options of the commands that build a triple, defaulting to the default jet
+JET_OPTIONS = {"order": (int, fixtures.JET_ORDER), "radius": (float, fixtures.JET_RADIUS),
+               "case": (str, fixtures.JET_CASE.value)}
+
 # per-command option schema: dest -> (type, default); used both for argparse
 # and for validating job-config keys
 SCHEMAS = {
-    "residual": {"fixture": (str, "constant"), "triple": (str, None), "nodes": (int, 65),
-                 "order": (int, 6), "radius": (float, 0.1), "case": (str, "positive"),
+    "residual": {"fixture": (str, "constant"), "triple": (str, None), "nodes": (int, 65), **JET_OPTIONS,
                  "report": (str, None)},
-    "solve": {"method": (str, "goursat-degenerate"), "nodes": (int, 65), "order": (int, 6),
-              "radius": (float, 0.1), "case": (str, "positive"), "seed": (int, fixtures.JET_RNG_SEED),
-              "out": (str, None), "report": (str, None)},
-    "reconstruct": {"fixture": (str, None), "triple": (str, None), "nodes": (int, 65),
-                    "order": (int, 6), "radius": (float, 0.1), "case": (str, "positive"),
+    "solve": {"method": (str, "goursat-degenerate"), "nodes": (int, 65), **JET_OPTIONS,
+              "seed": (int, fixtures.JET_RNG_SEED), "out": (str, None), "report": (str, None)},
+    "reconstruct": {"fixture": (str, None), "triple": (str, None), "nodes": (int, 65), **JET_OPTIONS,
                     "tol_build": (float, TOL_BUILD), "force": (bool, False),
                     "out": (str, None), "report": (str, None)},
     "analyze": {"immersion": (str, None), "fixture": (str, None), "nodes": (int, None),
                 "out": (str, None), "report": (str, None)},
     "canonicalize": {"immersion": (str, None), "out": (str, None), "report": (str, None)},
-    "roundtrip": {"fixture": (str, "jet"), "nodes": (int, 65), "order": (int, 6),
-                  "radius": (float, 0.1), "case": (str, "positive"),
+    "roundtrip": {"fixture": (str, "jet"), "nodes": (int, 65), **JET_OPTIONS,
                   "tol_build": (float, TOL_BUILD), "report": (str, None)},
     "export": {"bundle": (str, None), "out": (str, None), "report": (str, None)},
 }
+
+# what the jet reads of a command's options: the table, and solve's seed
+JET_KEYS = (*JET_OPTIONS, "seed")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,9 +133,9 @@ def _load_triple(opts: dict):
     """The triple of `--triple`, or else of the named fixture or solve method, built from the jet options given."""
     if opts.get("triple"):
         return io.read_triple_bundle(opts["triple"])
-    jet = {k: opts[k] for k in ("order", "radius", "seed") if k in opts}
-    if "case" in opts:
-        jet["case"] = _case_of(opts["case"])
+    jet = {k: opts[k] for k in JET_KEYS if k in opts}
+    if "case" in jet:
+        jet["case"] = _case_of(jet["case"])
     return fixtures.make_triple_fixture(opts.get("fixture") or opts.get("method") or "constant", opts["nodes"], **jet)
 
 
@@ -277,7 +280,7 @@ def _report(command: str, opts: dict, tolerances: dict, metrics: dict) -> dict:
     if opts.get("triple"):
         unread |= {"fixture", "nodes"}
     if opts.get("triple") or "jet" not in (opts.get("fixture"), opts.get("method")):
-        unread |= {"order", "radius", "case", "seed"}
+        unread |= set(JET_KEYS)
     inputs = {k: v for k, v in sorted(opts.items()) if k not in unread and v is not None}
     return {
         "command": command,

@@ -126,8 +126,8 @@ class ScalarField:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def interior_max_abs(self, layers: int = 2) -> float:
-        su, sv = self.grid.interior(layers)
+    def interior_max_abs(self) -> float:
+        su, sv = self.grid.interior(2)
         return float(np.max(np.abs(self.values[su, sv])))
 
 
@@ -204,9 +204,9 @@ def ln_abs(s: ScalarField, mu_min: float = MU_MIN) -> ScalarField:
     return ScalarField(s.grid, np.log(np.abs(s.values)))
 
 
-def sqrt_abs(s: ScalarField, mu_min: float = MU_MIN) -> ScalarField:
-    """Pointwise sqrt|s|; rejects fields that come within mu_min of zero."""
-    require_away_from_zero(s, mu_min)
+def sqrt_abs(s: ScalarField) -> ScalarField:
+    """Pointwise sqrt|s|; rejects fields that come within MU_MIN of zero."""
+    require_away_from_zero(s)
     return ScalarField(s.grid, np.sqrt(np.abs(s.values)))
 
 

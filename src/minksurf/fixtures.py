@@ -6,10 +6,11 @@ reproducible:
   constant             (lambda, mu, nu) = (0, 1, 1), eps = -1; exact solution
                        with commuting constant transport matrices (the frame
                        reduces to a matrix exponential).  nu is constant, so
-                       it carries the parallel-H flag rather than PNMC.
-  jet                  truncated Taylor solution (default eps = +1, order 6)
-                       on a radius-0.1 patch; the only route into the
-                       elliptic-type case.
+                       it carries the nu-constant flag (parallel H) rather
+                       than PNMC.
+  jet                  truncated Taylor solution (by default JET_CASE, of
+                       order JET_ORDER on a patch of radius JET_RADIUS); the
+                       only route into the elliptic-type case.
   goursat-degenerate   nu(u) = 1 + u on [0,1]^2 marched from raised edge data
                        g = 2 chosen so the solution exists on the whole square
                        (the zero-data problem blows up inside it: the exact
@@ -37,6 +38,10 @@ from .jets import JetSeed, jet_manufacture
 from .natural import CanonicalTriple, Case, solve_goursat_degenerate, solve_goursat_hyperbolic
 
 DEGENERATE_EDGE_LEVEL = 2.0
+# the default jet: its case, order, patch radius and seed
+JET_CASE = Case.POSITIVE_KH
+JET_ORDER = 6
+JET_RADIUS = 0.1
 JET_RNG_SEED = 7
 HYPERBOLIC_JET_ORDER = 8
 
@@ -59,14 +64,14 @@ def constant_triple(nodes: int = 65) -> CanonicalTriple:
     )
 
 
-def jet_seed(order: int = 6, seed: int = JET_RNG_SEED) -> JetSeed:
+def jet_seed(order: int, seed: int = JET_RNG_SEED) -> JetSeed:
     return JetSeed.random(order, np.random.default_rng(seed))
 
 
 def jet_triple(
-    case: Case = Case.POSITIVE_KH,
-    order: int = 6,
-    radius: float = 0.1,
+    case: Case = JET_CASE,
+    order: int = JET_ORDER,
+    radius: float = JET_RADIUS,
     nodes: int = 65,
     seed: int = JET_RNG_SEED,
 ) -> CanonicalTriple:
@@ -85,7 +90,6 @@ def goursat_degenerate_triple(nodes: int = 65) -> CanonicalTriple:
         g_bottom=lambda u: c + 0.0 * u,
         g_left=lambda v: c + 0.0 * v,
         lambda_bottom=lambda u: 0.0 * u,
-        sign_mu=1,
         grid=g,
     )
 

@@ -157,15 +157,12 @@ class JetSeed:
     g_v: np.ndarray
     lam_u: np.ndarray
     nu_u: np.ndarray
-    sign_mu: int = 1
 
     def __post_init__(self):
         self.g_u = np.asarray(self.g_u, dtype=float)
         self.g_v = np.asarray(self.g_v, dtype=float)
         self.lam_u = np.asarray(self.lam_u, dtype=float)
         self.nu_u = np.asarray(self.nu_u, dtype=float)
-        if self.sign_mu not in (1, -1):
-            raise ValidationError("sign_mu must be +1 or -1")
 
     @classmethod
     def random(cls, order: int, rng: np.random.Generator, amplitude: float = 0.4) -> "JetSeed":
@@ -245,13 +242,13 @@ def jet_manufacture(
     case: Case,
     order: int,
     seed: JetSeed,
-    center: tuple[float, float] = (0.0, 0.0),
-    radius: float = 0.1,
-    nodes: int = 65,
+    center: tuple[float, float],
+    radius: float,
+    nodes: int,
 ) -> CanonicalTriple:
     """Truncated Taylor solution of the natural system on a square patch.
 
-    Samples the polynomials of `jet_coefficients` (mu = sign_mu * exp(g)) on a
+    Samples the polynomials of `jet_coefficients` (mu = exp(g) > 0) on a
     nodes x nodes grid over [cu - r, cu + r] x [cv - r, cv + r].  Each field
     keeps its polynomial as `evaluator`, for edge data off the grid; the
     pipeline differentiates the samples with stencils like any other field.
@@ -260,10 +257,10 @@ def jet_manufacture(
     cu, cv = center
     grid = GridSpec(cu - radius, cu + radius, cv - radius, cv + radius, nodes, nodes)
     poly = lambda c: (lambda U, V: p_eval(c, np.asarray(U) - cu, np.asarray(V) - cv))
-    g_e, sign = poly(g), seed.sign_mu
+    g_e = poly(g)
     return CanonicalTriple(
         lam=ScalarField.from_function(grid, poly(lam)),
-        mu=ScalarField.from_function(grid, lambda U, V: sign * np.exp(g_e(U, V))),
+        mu=ScalarField.from_function(grid, lambda U, V: np.exp(g_e(U, V))),
         nu=ScalarField.from_function(grid, poly(nu)),
         case=case,
     )

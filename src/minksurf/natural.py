@@ -35,6 +35,10 @@ symbolically in the test suite).  Along its characteristic each transport is
 dp = lam dg (dq = lam dg): the trapezoid rule from node to node, O(h^2), on
 grids with hu == hv, added up along every diagonal by one cumulative sum.
 
+Both solvers return mu = e^{g} > 0.  The system reads mu only through |mu|
+and mu^2, so (lam, -mu, nu) solves it too; from the initial frame with n2
+reversed it builds the same surface.
+
 Both cases discretize the curvature equation by the trapezoidal corner rule,
 g(i,j) - g(i-1,j) - g(i,j-1) + g(i-1,j-1) = (hu hv / 4) times the sum of the
 right-hand side at the cell's four corners.  The degenerate march solves it
@@ -330,7 +334,6 @@ def solve_goursat_degenerate(
     g_bottom,
     g_left,
     lambda_bottom,
-    sign_mu: int,
     grid: GridSpec,
 ) -> CanonicalTriple:
     """Degenerate-case fixture generator.
@@ -346,8 +349,6 @@ def solve_goursat_degenerate(
     must be non-constant (constant nu is the parallel-H case the degenerate
     system is not meant for).
     """
-    if sign_mu not in (1, -1):
-        raise ValidationError("sign_mu must be +1 or -1")
     u, v = grid.u_nodes, grid.v_nodes
     nu = _samples_1d(nu_of_u, u, "nu_of_u")
     if np.max(nu) - np.min(nu) <= nu_constancy_tol(np.max(np.abs(nu))):
@@ -364,7 +365,7 @@ def solve_goursat_degenerate(
     lam = np.exp(g) * ((lb * e_minus[:, 0])[:, None] - nu_u[:, None] * integral)
     return CanonicalTriple(
         lam=ScalarField(grid, lam),
-        mu=ScalarField(grid, sign_mu * np.exp(g)),
+        mu=ScalarField(grid, np.exp(g)),
         nu=ScalarField(grid, np.repeat(nu[:, None], grid.Nv, axis=1)),
         case=Case.DEGENERATE,
     )
@@ -378,7 +379,6 @@ def solve_goursat_hyperbolic(
     g_bottom,
     g_left,
     grid: GridSpec,
-    sign_mu: int = 1,
 ) -> CanonicalTriple:
     """eps = -1 fixture generator via the characteristic reformulation.
 
@@ -402,8 +402,6 @@ def solve_goursat_hyperbolic(
     leaves the trust region.  The diagonal steps land on nodes only when
     hu == hv, so any other grid raises ValidationError.
     """
-    if sign_mu not in (1, -1):
-        raise ValidationError("sign_mu must be +1 or -1")
     if not np.isclose(grid.hu, grid.hv, rtol=1e-12, atol=0.0):
         raise ValidationError(f"characteristic sweep needs hu == hv, got hu {grid.hu!r}, hv {grid.hv!r}")
     Nu, Nv = grid.Nu, grid.Nv
@@ -476,7 +474,7 @@ def solve_goursat_hyperbolic(
     nu_constant = np.max(nu) - np.min(nu) <= nu_constancy_tol(np.max(np.abs(nu)))
     return CanonicalTriple(
         lam=ScalarField(grid, lam),
-        mu=ScalarField(grid, sign_mu * np.exp(g)),
+        mu=ScalarField(grid, np.exp(g)),
         nu=ScalarField(grid, nu),
         case=Case.NEGATIVE_KH,
         flags=("nu-constant",) if nu_constant else (),

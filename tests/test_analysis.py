@@ -12,10 +12,10 @@ from minksurf.analysis import (
 )
 from minksurf.canonical import canonicalize
 from minksurf.errors import DegenerateMetric, MinimalOrTotallyGeodesic, NotIsotropic, ValidationError
-from minksurf.fields import GridSpec, diff_values, ln_abs
-from minksurf.fixtures import goursat_hyperbolic_triple, jet_triple
+from minksurf.fields import GridSpec, ScalarField, diff_values, ln_abs
+from minksurf.fixtures import goursat_degenerate_triple, goursat_hyperbolic_triple, jet_triple
 from minksurf.frames import reconstruct
-from minksurf.natural import Case
+from minksurf.natural import CanonicalTriple, Case
 
 
 def test_cylinder_form(cylinder):
@@ -242,18 +242,11 @@ def test_immersion_resample_onto_named_grid(cylinder):
 
 def test_round_trip_negative_mu():
     # the oriented n2 convention must recover mu with its sign
-    from minksurf.fields import GridSpec
-    from minksurf.frames import reconstruct
-    from minksurf.natural import solve_goursat_degenerate
-
-    g = GridSpec(0, 1, 0, 1, 65, 65)
-    t = solve_goursat_degenerate(
-        lambda u: 1 + u, lambda u: 2.0 + 0 * u, lambda v: 2.0 + 0 * v,
-        lambda u: 0 * u, -1, g,
-    )
+    base = goursat_degenerate_triple(65)
+    t = CanonicalTriple(base.lam, ScalarField(base.grid, -base.mu.values), base.nu, base.case)
     bundle = reconstruct(t)
     rep = invariants(Immersion(bundle.grid, bundle.points))
-    su, sv = g.interior(2)
+    su, sv = t.grid.interior(2)
     assert np.all(rep.functions.mu1.values[su, sv] < 0)
     assert np.max(np.abs(rep.functions.mu1.values - t.mu.values)[su, sv]) <= 1e-4
 

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from conftest import immersion_of
 from minksurf.analysis import Immersion, frame_functions, geometric_frame
-from minksurf.canonical import _monotone_inverse, canonicalize, check_separability, classify_functions
+from minksurf.canonical import _monotone_inverse, _separability_fields, canonicalize, classify_functions
 from minksurf.errors import BothMuZero, NotSeparable
 from minksurf.fields import GridSpec, ScalarField, bicubic
 from minksurf.fixtures import goursat_degenerate_triple, goursat_hyperbolic_triple, jet_triple
@@ -20,9 +20,15 @@ def F(fn):
     return ScalarField.from_function(G, fn)
 
 
+def separability_devs(phi, psi=None):
+    """The interior max deviation of each law, as `canonicalize` reduces `_separability_fields`, and the scale."""
+    fields, scale = _separability_fields(phi, psi)
+    return {k: float(np.max(d)) for k, d in fields.items()}, scale
+
+
 def check_separability_pair(f, mu1, mu2):
     fsq = f.values * f.values
-    devs, _ = check_separability(ScalarField(G, fsq * np.abs(mu1.values)), ScalarField(G, fsq * np.abs(mu2.values)))
+    devs, _ = separability_devs(ScalarField(G, fsq * np.abs(mu1.values)), ScalarField(G, fsq * np.abs(mu2.values)))
     assert list(devs) == ["separability_dev_u", "separability_dev_v"]  # report order
     return devs["separability_dev_u"], devs["separability_dev_v"]
 
@@ -155,7 +161,7 @@ def test_canonicalize_reparametrization_invariance(constant_bundle):
 
 def test_separability_degenerate_measures_phi_only():
     # without psi = f^2|mu2| only phi = f^2|mu1| is checked; the scale is its largest |ln|
-    devs, scale = check_separability(F(lambda U, V: np.exp(U)))
+    devs, scale = separability_devs(F(lambda U, V: np.exp(U)))
     assert list(devs) == ["separability_dev_v"]
     assert devs["separability_dev_v"] <= 1e-10
     assert abs(scale - 1.0) <= 1e-12

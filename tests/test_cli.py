@@ -705,6 +705,16 @@ def test_solve_jet_degenerate_case(tmp_path):
     assert np.max(np.abs(np.diff(back.nu.values, axis=1))) == 0.0
 
 
+def test_solve_jet_bundle_is_the_default_jet(tmp_path):
+    # the CLI's jet options default to jet_triple's, so the two bundles agree byte for byte
+    assert run(["solve", "--method", "jet", "--nodes", "33", "--out", str(tmp_path / "cli")]) == 0
+    io.write_triple_bundle(jet_triple(nodes=33), str(tmp_path / "lib"))
+    names = sorted(os.listdir(tmp_path / "lib"))
+    assert sorted(os.listdir(tmp_path / "cli")) == names
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes(), name
+
+
 def test_report_numbers_reproducible(tmp_path):
     # every numeric in a report must equal the library value
     from minksurf.fixtures import constant_triple

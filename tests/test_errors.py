@@ -27,9 +27,10 @@ from minksurf.errors import (
     ResidualTooLarge,
     StepUnstable,
 )
-from minksurf.fields import GridSpec, ScalarField, ln_abs
+from minksurf.fields import GridSpec, ScalarField, is_integral, ln_abs
 from minksurf.fixtures import constant_triple, cylinder_immersion, goursat_degenerate_triple, jet_triple
 from minksurf.frames import coefficient_matrices, integrate_frame, reconstruct
+from minksurf.jets import MAX_JET_ORDER
 from minksurf.natural import Case, solve_goursat_degenerate, solve_goursat_hyperbolic
 
 G33 = GridSpec(0, 1, 0, 1, 33, 33)
@@ -61,7 +62,7 @@ def _non_pnmc_immersion():
 LOCATED = {
     "near-zero-field": (_zero_at_two_nodes, G33, NearZeroField),
     "march-blowup": (lambda: solve_goursat_degenerate(lambda u: 1 + u, lambda u: 0 * u, lambda v: 0 * v,
-                                                      lambda u: 0 * u, 1, G65), G65, BlowUp),
+                                                      lambda u: 0 * u, G65), G65, BlowUp),
     "sweep-blowup": (lambda: _hyperbolic_sweep_blowup(GridSpec(0, 0.5, 0, 0.5, 33, 33)),
                      GridSpec(0, 0.5, 0, 0.5, 33, 33), BlowUp),
     "step-unstable": (lambda: integrate_frame(coefficient_matrices(unstable_triple())), unstable_triple().grid,
@@ -157,14 +158,19 @@ def triple_sidecar(draw):
 
 @st.composite
 def job_config(draw):
-    """A residual job config with drawn values; known-invalid: a non-integral or non-finite node count."""
-    keys = draw(st.sets(st.sampled_from(["fixture", "order", "radius", "case", "command", "extra"]), max_size=2))
-    config = {k: draw(st.one_of(st.just("jet"), JSON_VALUES) if k == "fixture" else JSON_VALUES) for k in keys}
-    if draw(st.booleans()):
-        config["nodes"] = draw(st.one_of(BAD_COUNTS, FLOATS, JSON_VALUES))
-    nodes = config.get("nodes")
+    """A residual job config, each key present or not by its own draw.
+
+    Known-invalid: a non-integral or non-finite node count, and the jet with
+    an order that is not an integer in 2..MAX_JET_ORDER.
+    """
+    values = {"fixture": st.one_of(st.just("jet"), JSON_VALUES), "nodes": st.one_of(BAD_COUNTS, FLOATS, JSON_VALUES)}
+    config = {k: draw(values.get(k, JSON_VALUES))
+              for k in ("fixture", "order", "radius", "case", "command", "extra", "nodes") if draw(st.booleans())}
+    nodes, order = config.get("nodes"), config.get("order")
+    bad_order = config.get("fixture") == "jet" and "order" in config and not (
+        is_integral(order) and 2 <= order <= MAX_JET_ORDER)
     return {"kind": "config", "text": json.dumps(config),
-            "invalid": isinstance(nodes, float) and not nodes.is_integer()}
+            "invalid": isinstance(nodes, float) and not nodes.is_integer() or bad_order}
 
 
 MISSING = st.sampled_from([{"kind": k, "text": None, "invalid": True} for k in ("csv", "sidecar", "config")])

@@ -124,9 +124,9 @@ def test_ln_abs_sign_constancy_flag():
     assert info.value.node == (4, 2)
     assert info.value.uv == (G.u_nodes[4], G.v_nodes[2])
     with pytest.raises(NearZeroField) as info:
-        sqrt_abs(ScalarField(G, -vals), mu_min=1.5)
+        sqrt_abs(ScalarField(G, -1e-9 * vals))
     assert info.value.node == (0, 0)
-    # without the sign check, |value| >= mu_min passes
+    # without the sign check, |value| >= MU_MIN passes
     ln_abs(ScalarField(G, vals))
 
 

@@ -241,6 +241,25 @@ def test_compatibility_closed_form_matches_discrete_oracle(make, bound):
     assert gaps[0] / gaps[1] >= 3, gaps
 
 
+@pytest.mark.parametrize("make", [
+    lambda n: jet_triple(Case.POSITIVE_KH, nodes=n),
+    lambda n: jet_triple(Case.NEGATIVE_KH, nodes=n),
+    lambda n: jet_triple(Case.DEGENERATE, nodes=n),
+    goursat_hyperbolic_triple,
+    goursat_degenerate_triple,
+], ids=["jet-positive", "jet-negative", "jet-degenerate", "goursat-hyperbolic", "goursat-degenerate"])
+def test_sign_of_mu_only_orients_n2(make):
+    # mu enters the transport as sign(mu) sqrt|mu| in n2's rows and columns, so
+    # -mu from the initial frame with n2 reversed gives the same surface bit for bit
+    t = make(65)
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    plus = reconstruct(t)
+    minus = reconstruct(negated_mu(t), F0=flip @ standard_frame())
+    assert np.array_equal(minus.points, plus.points)
+    assert minus.diagnostics == plus.diagnostics
+    assert np.array_equal(minus.frames, flip @ plus.frames)
+
+
 def test_integrate_frame_matches_matrix_exponential():
     # constant (0, 1, 1): A and B commute, so F = expm(A u + B v) F0 exactly
     t = constant_triple(65)

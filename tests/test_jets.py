@@ -5,7 +5,7 @@ import pytest
 
 from minksurf import jets
 from minksurf.errors import ValidationError
-from minksurf.fields import GridSpec
+from minksurf.fields import GridSpec, ScalarField
 from minksurf.fixtures import jet_seed, jet_triple
 from minksurf.jets import (
     JetSeed,
@@ -19,7 +19,7 @@ from minksurf.jets import (
     p_mul,
     p_zero,
 )
-from minksurf.natural import Case, residual
+from minksurf.natural import CanonicalTriple, Case, residual
 
 
 def test_poly_mul_and_eval():
@@ -72,7 +72,7 @@ def test_constants_seed_reproduces_exact_solution():
     # (lambda, mu, nu) = (0, 1, 1): every coefficient but nu's constant is 0
     seed = JetSeed(np.zeros(3), np.zeros(3), np.zeros(3), np.array([1.0, 0.0, 0.0]))
     assert polynomial_residual(Case.NEGATIVE_KH, 2, seed, 0.3, 65) == 0.0
-    t = jet_manufacture(Case.NEGATIVE_KH, 2, seed, radius=0.3)
+    t = jet_manufacture(Case.NEGATIVE_KH, 2, seed, center=(0.0, 0.0), radius=0.3, nodes=65)
     assert residual(t).max_abs <= 1e-13  # the stencils see the exact solution to round-off
     assert np.max(np.abs(t.lam.values)) == 0.0
     assert np.max(np.abs(t.mu.values - 1.0)) == 0.0
@@ -117,20 +117,21 @@ def test_negative_case_manufacture():
 def test_seed_length_validation():
     seed = JetSeed(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
     with pytest.raises(ValidationError):
-        jet_manufacture(Case.POSITIVE_KH, 6, seed)
+        jet_manufacture(Case.POSITIVE_KH, 6, seed, (0.0, 0.0), 0.1, 9)
     with pytest.raises(ValidationError):
-        jet_manufacture(Case.POSITIVE_KH, 1, jet_seed(1))
+        jet_manufacture(Case.POSITIVE_KH, 1, jet_seed(1), (0.0, 0.0), 0.1, 9)
     with pytest.raises(ValidationError):  # the product index would hold 26^4 entries
-        jet_manufacture(Case.POSITIVE_KH, 25, jet_seed(25))
+        jet_manufacture(Case.POSITIVE_KH, 25, jet_seed(25), (0.0, 0.0), 0.1, 9)
 
 
 def test_negative_sign_mu():
-    rng = np.random.default_rng(3)
-    s = JetSeed.random(6, rng, amplitude=0.4)
-    s.sign_mu = -1
-    t = jet_manufacture(Case.POSITIVE_KH, 6, s, radius=0.1, nodes=33)
-    assert np.all(t.mu.values < 0)
-    assert residual(t).interior_max_abs <= 1e-3
+    # the system reads mu only through |mu| and mu^2, so -mu leaves r1, r2, r3 bit for bit
+    t = jet_manufacture(Case.POSITIVE_KH, 6, JetSeed.random(6, np.random.default_rng(3)), (0.0, 0.0), 0.1, 33)
+    assert np.all(t.mu.values > 0)
+    rep = residual(t)
+    flipped = residual(CanonicalTriple(t.lam, ScalarField(t.grid, -t.mu.values), t.nu, t.case))
+    for a, b in ((rep.r1, flipped.r1), (rep.r2, flipped.r2), (rep.r3, flipped.r3)):
+        assert np.array_equal(a.values, b.values)
 
 
 def _loop_mul(a, b, n):

@@ -173,7 +173,7 @@ def test_classify_sign_law(lam1, m1, m2, s1, s2):
 def test_goursat_degenerate_rejects_constant_nu():
     with pytest.raises(ValidationError):
         solve_goursat_degenerate(
-            lambda u: 0 * u, lambda u: 0 * u, lambda v: 0 * v, lambda u: 0 * u, 1, G65
+            lambda u: 0 * u, lambda u: 0 * u, lambda v: 0 * v, lambda u: 0 * u, G65
         )
 
 
@@ -214,7 +214,7 @@ def test_goursat_degenerate_lambda_matches_closed_form():
 def test_goursat_degenerate_zero_data_exists_on_subdomain():
     g = GridSpec(0, 0.7, 0, 0.7, 65, 65)
     tri = solve_goursat_degenerate(
-        lambda u: 1 + u, lambda u: 0 * u, lambda v: 0 * v, lambda u: 0 * u, 1, g
+        lambda u: 1 + u, lambda u: 0 * u, lambda v: 0 * v, lambda u: 0 * u, g
     )
     assert residual(tri).interior_max_abs <= 1e-2
 
@@ -223,7 +223,7 @@ def test_goursat_degenerate_zero_data_blows_up_on_unit_square():
     # the closed-form solution is singular at v * int(nu^2) = 2, inside [0,1]^2
     with pytest.raises(BlowUp) as info:
         solve_goursat_degenerate(
-            lambda u: 1 + u, lambda u: 0 * u, lambda v: 0 * v, lambda u: 0 * u, 1, G65
+            lambda u: 1 + u, lambda u: 0 * u, lambda v: 0 * v, lambda u: 0 * u, G65
         )
     i, j = info.value.node
     assert (i, j) == (64, 56)
@@ -238,7 +238,7 @@ def test_goursat_degenerate_zero_data_blows_up_on_unit_square():
 def test_goursat_degenerate_incompatible_corner():
     with pytest.raises(ValidationError):
         solve_goursat_degenerate(
-            lambda u: 1 + u, lambda u: 1 + 0 * u, lambda v: 0 * v, lambda u: 0 * u, 1, G65
+            lambda u: 1 + u, lambda u: 1 + 0 * u, lambda v: 0 * v, lambda u: 0 * u, G65
         )
 
 
@@ -292,32 +292,22 @@ def test_goursat_hyperbolic_rejects_unequal_spacing():
 
 
 @pytest.mark.parametrize(
-    "solver, change, message",
+    "change, message",
     [
-        ("hyperbolic", dict(p_left=1.0), "corner data for p"),
-        ("hyperbolic", dict(q_top=1.0), "corner data for q"),
-        ("hyperbolic", dict(g_left=1.0), "corner data: g_bottom"),
-        ("hyperbolic", dict(sign_mu=0), "sign_mu"),
-        ("hyperbolic", dict(sign_mu=2), "sign_mu"),
-        ("degenerate", dict(sign_mu=0), "sign_mu"),
-        ("degenerate", dict(sign_mu=2), "sign_mu"),
+        (dict(p_left=1.0), "corner data for p"),
+        (dict(q_top=1.0), "corner data for q"),
+        (dict(g_left=1.0), "corner data: g_bottom"),
     ],
-    ids=["hyperbolic-p-corner", "hyperbolic-q-corner", "hyperbolic-g-corner", "hyperbolic-sign0",
-         "hyperbolic-sign2", "degenerate-sign0", "degenerate-sign2"],
+    ids=["hyperbolic-p-corner", "hyperbolic-q-corner", "hyperbolic-g-corner"],
 )
-def test_goursat_solvers_reject_bad_data(solver, change, message):
-    # an edge shifted by 1 breaks its corner match; mu = sign_mu e^g needs sign_mu = +-1
+def test_goursat_solvers_reject_bad_data(change, message):
+    # an edge shifted by 1 breaks its corner match
     g = GridSpec(0, 0.5, 0, 0.5, 33, 33)
-    if solver == "hyperbolic":
-        kwargs = dict(_hyperbolic_edges(g), grid=g)
-    else:
-        kwargs = dict(nu_of_u=lambda u: 1 + u, g_bottom=lambda u: 0 * u, g_left=lambda v: 0 * v,
-                      lambda_bottom=lambda u: 0 * u, sign_mu=1, grid=g)
+    kwargs = dict(_hyperbolic_edges(g), grid=g)
     for name, value in change.items():
-        kwargs[name] = value if name == "sign_mu" else (lambda x, e=kwargs[name]: e(x) + value)
-    solve = solve_goursat_hyperbolic if solver == "hyperbolic" else solve_goursat_degenerate
+        kwargs[name] = lambda x, e=kwargs[name]: e(x) + value
     with pytest.raises(ValidationError, match=message):
-        solve(**kwargs)
+        solve_goursat_hyperbolic(**kwargs)
 
 
 def _hyperbolic_edges(grid: GridSpec, functions=None) -> dict:
@@ -376,7 +366,7 @@ def test_goursat_solvers_reject_non_finite_edge_data(solver, name, at, bad, as_a
         kwargs = dict(_hyperbolic_edges(g), grid=g)
     else:
         kwargs = dict(nu_of_u=lambda u: 1 + u, g_bottom=lambda u: 0 * u, g_left=lambda v: 0 * v,
-                      lambda_bottom=lambda u: 0 * u, sign_mu=1, grid=g)
+                      lambda_bottom=lambda u: 0 * u, grid=g)
     nodes = g.v_nodes if name in ("p_left", "q_left", "g_left") else g.u_nodes
     samples = np.asarray(kwargs[name](nodes), dtype=float) * np.ones_like(nodes)
     samples[at] = bad
