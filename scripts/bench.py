@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Stage wall times of the Goursat solvers, reconstruction and the inverse direction at 65, 129 and 257 nodes.
+"""Stage wall times and minor page faults of the solvers, reconstruction and inverse direction at 65, 129 and 257 nodes.
 
 Times, with `time.perf_counter` and no library timer, the median of
 REPEATS calls (after one untimed warm-up call) of:
@@ -28,6 +28,10 @@ REPEATS calls (after one untimed warm-up call) of:
   roundtrip                   the `roundtrip-elliptic` op on that jet: `fixtures.jet_triple`,
                               `reconstruct`, `invariants` and `canonicalize`
 
+Each call's minor page faults (the process's `resource.getrusage` ru_minflt
+delta) are recorded too, as their median: a fresh large temporary costs a
+fault per page on first touch, which the wall time alone does not separate.
+
 The result is stored under `--label` in the JSON file `--out`, next to the
 runs already there, with the machine and the Python, numpy and scipy
 versions.  To compare two commits, run the script on each checkout with the
@@ -40,6 +44,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import time
 
@@ -121,14 +126,17 @@ def _stages(nodes: int) -> dict:
     }
 
 
-def median_ms(fn) -> float:
+def median_call(fn) -> tuple[float, int]:
+    """Median wall time (ms) and median minor page faults of REPEATS calls of fn, after one warm-up."""
     fn()
-    times = []
+    times, faults = [], []
     for _ in range(REPEATS):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return round(1e3 * statistics.median(times), 2)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+    return round(1e3 * statistics.median(times), 2), int(statistics.median(faults))
 
 
 def main():
@@ -137,11 +145,12 @@ def main():
     ap.add_argument("--label", required=True, help="name of this run, e.g. the commit measured")
     args = ap.parse_args()
 
-    ms = {}
+    ms, minflt = {}, {}
     for n in NODES:
         for stage, fn in _stages(n).items():
-            ms.setdefault(stage, {})[str(n)] = median_ms(fn)
-            print(f"{stage:28s} {n:4d} nodes  {ms[stage][str(n)]:9.2f} ms", flush=True)
+            ms.setdefault(stage, {})[str(n)], minflt.setdefault(stage, {})[str(n)] = median_call(fn)
+            print(f"{stage:28s} {n:4d} nodes  {ms[stage][str(n)]:9.2f} ms  {minflt[stage][str(n)]:7d} minor faults",
+                  flush=True)
 
     doc = {}
     if os.path.exists(args.out):
@@ -152,8 +161,10 @@ def main():
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "statistic": f"median of {REPEATS} wall-clock calls after one warm-up, ms",
+        "statistic": f"median of {REPEATS} calls after one warm-up: wall clock in ms, and minor page faults "
+                     "(the process's getrusage ru_minflt delta)",
         "stages_ms": ms,
+        "stages_minflt": minflt,
     }
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=2)

@@ -26,18 +26,19 @@ re-orthonormalized: Gram drift is itself a diagnostic.
 Transport runs RK4 along all grid lines of a sweep at once, as batched
 `matmul` products.  On a grid line the not-a-knot tensor cubic interpolant of
 the node matrices is the 1-D not-a-knot cubic spline along that line.  Each
-sweep solves one tridiagonal system for that spline's second derivatives at
-the nodes; an RK4 stage matrix inside a grid interval is then a fixed
-four-weight combination of the node matrices and second derivatives at the
-interval's ends, and a stage at a node is the node matrix itself.  An RK4
-step of the linear system F' = M F is F <- F + D F, with D the step's
-increment matrix at F = I (three matrix products of the stages).  A sweep
-forms D for a block of intervals at once, about BLOCK_MATRICES matrices per
-stage, then steps the frames through the block one D F product at a time;
-blocks bound the memory a sweep holds, and the frames do not depend on their
-size.  Three sweeps give both integration paths: the bottom edge, then the
-columns (path 1), then the rows from the columns sweep's first column, which
-is path 2's left edge.
+sweep finds that spline's second derivatives at the nodes from its
+tridiagonal system, solved in place by a Thomas sweep in LAPACK's operation
+order (equal to LAPACK's banded solve, without its copies); an RK4 stage
+matrix inside a grid interval is then a fixed four-weight combination of the
+node matrices and second derivatives at the interval's ends, and a stage at
+a node is the node matrix itself.  An RK4 step of the linear system
+F' = M F is F <- F + D F, with D the step's increment matrix at F = I (three
+matrix products of the stages).  A sweep forms D for a block of intervals at
+once, about BLOCK_MATRICES matrices per stage, then steps the frames through
+the block one D F product at a time; blocks bound the memory a sweep holds,
+and the frames do not depend on their size.  Three sweeps give both
+integration paths: the bottom edge, then the columns (path 1), then the rows
+from the columns sweep's first column, which is path 2's left edge.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.integrate import cumulative_simpson
-from scipy.linalg import solve_banded
 
 from .errors import ResidualTooLarge, StepUnstable, ValidationError
 from .fields import GridSpec, ScalarField, diff_values, sqrt_abs
@@ -111,6 +111,32 @@ RK4_SUBSTEPS = 2  # per grid interval; 1 leaves ~3e-9 vs the matrix-exponential 
 BLOCK_MATRICES = 2048  # stage matrices per stage and block: 16 intervals of 129 lines
 
 
+def _solve_folded_spline(b: np.ndarray) -> None:
+    """Solve the folded not-a-knot system in place for every column of b, (m, k) with m >= 3.
+
+    The matrix is tridiagonal: diagonal 6, 4, ..., 4, 6, sub- and superdiagonal
+    1 except the first superdiagonal and the last subdiagonal entry, which are 0.
+    A Thomas sweep in LAPACK dgtsv's operation order: the matrix is diagonally
+    dominant, so dgtsv never swaps rows, and the solution equals its solution
+    value for value (a NaN in a column fills that column only).  Only the sign
+    of a zero can differ, where dgtsv's back sweep subtracts 0 * b[i + 2] and
+    this one does not.
+    """
+    m = len(b)
+    du = [0.0] + [1.0] * (m - 2)
+    dl = [1.0] * (m - 2) + [0.0]
+    piv = [6.0] + [4.0] * (m - 2) + [6.0]
+    fact = []
+    for i in range(m - 1):
+        fact.append(dl[i] / piv[i])
+        piv[i + 1] -= fact[i] * du[i]
+    for i in range(m - 1):
+        b[i + 1] -= fact[i] * b[i]
+    b[-1] /= piv[-1]
+    for i in range(m - 2, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1]) / piv[i]
+
+
 def _stage_matrices(mats: np.ndarray, block: int):
     """Yield, per block of `block` grid intervals, the 2 * RK4_SUBSTEPS + 1 RK4 stage matrices of a sweep.
 
@@ -119,6 +145,9 @@ def _stage_matrices(mats: np.ndarray, block: int):
     with y the node matrices and d = h^2 / 6 S'' at the nodes, its value at
     fraction tau of an interval is
     (1 - tau) y_k + ((1 - tau)^3 - (1 - tau)) d_k + tau y_k+1 + (tau^3 - tau) d_k+1.
+    d is found in place in the sweep's node table: its right-hand sides are
+    formed in d's rows, and `_solve_folded_spline` (a Thomas sweep in LAPACK's
+    operation order) overwrites them with the solution.
     The stages sit at the interval's ends and at fractions
     1 / (2 RK4_SUBSTEPS), ..., 1 - 1 / (2 RK4_SUBSTEPS); the end stages are the
     node matrices themselves.  Each yield is (k0, stages): stage s of the
@@ -130,16 +159,13 @@ def _stage_matrices(mats: np.ndarray, block: int):
     table[:, 0] = mats
     flat = table.reshape(n, 2, -1)
     y, d = flat[:, 0], flat[:, 1]
-    # d_k-1 + 4 d_k + d_k+1 = r_k = y_k-1 - 2 y_k + y_k+1 at the inner nodes; not-a-knot
-    # sets d_0 = 2 d_1 - d_2 (and its mirror), which folds rows 1 and n-2 to 6 d = r
-    bands = np.zeros((3, n - 2))
-    bands[0, 2:] = bands[2, :-2] = 1.0
-    bands[1] = 4.0
-    bands[1, [0, -1]] = 6.0
-    r = np.multiply(y[1:-1], -2.0)  # r summed in one buffer, bit for bit as y_k-1 - 2 y_k + y_k+1
-    r += y[:-2]
-    r += y[2:]
-    d[1:-1] = solve_banded((1, 1), bands, r, check_finite=False)
+    # d_k-1 + 4 d_k + d_k+1 = r_k = y_k-1 - 2 y_k + y_k+1 at the inner nodes, with r summed
+    # in d's own rows, bit for bit as that expression; not-a-knot sets d_0 = 2 d_1 - d_2
+    # (and its mirror), which folds rows 1 and n-2 to 6 d = r
+    np.multiply(y[1:-1], -2.0, out=d[1:-1])
+    d[1:-1] += y[:-2]
+    d[1:-1] += y[2:]
+    _solve_folded_spline(d[1:-1])
     d[0] = 2 * d[1] - d[2]
     d[-1] = 2 * d[-2] - d[-3]
     tau = np.arange(1, 2 * RK4_SUBSTEPS) / (2 * RK4_SUBSTEPS)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import unstable_triple
 from scipy.interpolate import make_interp_spline
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_banded
 
 from minksurf import frames as frames_module
 from minksurf.errors import ResidualTooLarge, StepUnstable, ValidationError
@@ -18,6 +18,7 @@ from minksurf.fixtures import (
 from minksurf.frames import (
     RK4_SUBSTEPS,
     _rk4_increment,
+    _solve_folded_spline,
     _stage_matrices,
     _transport,
     coefficient_matrices,
@@ -26,7 +27,7 @@ from minksurf.frames import (
     integrate_position,
     reconstruct,
 )
-from minksurf.minkowski import METRIC_DIAG, lorentz_inner, standard_frame
+from minksurf.minkowski import METRIC_DIAG, gram_matrix, lorentz_inner, standard_frame
 from minksurf.natural import CanonicalTriple, Case, residual, system_residuals
 
 A_CONST = np.array([[0, 0, 0, 1], [0, 0, -2, 0], [-2, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
@@ -258,6 +259,20 @@ def test_sign_of_mu_only_orients_n2(make):
     assert np.array_equal(minus.points, plus.points)
     assert minus.diagnostics == plus.diagnostics
     assert np.array_equal(minus.frames, flip @ plus.frames)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: jet_triple(Case.POSITIVE_KH, nodes=n),
+    lambda n: jet_triple(Case.NEGATIVE_KH, nodes=n),
+    lambda n: jet_triple(Case.DEGENERATE, nodes=n),
+    goursat_hyperbolic_triple,
+    goursat_degenerate_triple,
+    constant_triple,
+], ids=["jet-positive", "jet-negative", "jet-degenerate", "goursat-hyperbolic", "goursat-degenerate", "constant"])
+def test_gram_matrix_of_transported_frames_is_the_strided_product(make):
+    # gram_matrix multiplies by a contiguous copy of F^T; the strided view gives the same bits
+    frames = integrate_frame(coefficient_matrices(make(65)))[0]
+    assert np.array_equal(gram_matrix(frames), (frames * METRIC_DIAG) @ np.swapaxes(frames, -1, -2))
 
 
 def test_integrate_frame_matches_matrix_exponential():
@@ -494,6 +509,37 @@ def test_stage_matrices_are_the_not_a_knot_spline(nodes):
         for k in range(nb):
             at = s[k0 + k] + frac * (s[1] - s[0])
             assert np.max(np.abs(np.stack([stage[k] for stage in stages]) - spline(at))) <= 4e-15
+
+
+def folded_bands(m):
+    """solve_banded's (1, 1) bands of the folded not-a-knot matrix on m inner nodes."""
+    bands = np.zeros((3, m))
+    bands[0, 2:] = bands[2, :-2] = 1.0
+    bands[1] = 4.0
+    bands[1, [0, -1]] = 6.0
+    return bands
+
+
+@pytest.mark.parametrize("nodes", [5, 6, 33, 129, 257])
+def test_folded_spline_solve_is_lapacks_bit_for_bit(nodes):
+    # the Thomas sweep runs in dgtsv's operation order, so it is LAPACK's solution
+    # exactly, on right-hand sides whose magnitudes span 16 decades
+    rng = np.random.default_rng(nodes)
+    r = rng.standard_normal((nodes - 2, 48)) * 10.0 ** rng.uniform(-8, 8, (nodes - 2, 48))
+    b = r.copy()
+    _solve_folded_spline(b)
+    assert np.array_equal(b, solve_banded((1, 1), folded_bands(nodes - 2), r))
+
+
+def test_folded_spline_solve_keeps_a_nan_in_its_column():
+    # a NaN fills its own column, as in LAPACK's solve, and leaves the others exact
+    rng = np.random.default_rng(2)
+    r = rng.standard_normal((31, 16))
+    r[12, 5] = np.nan
+    b = r.copy()
+    _solve_folded_spline(b)
+    assert np.isnan(b[:, 5]).all() and np.isfinite(np.delete(b, 5, axis=1)).all()
+    assert np.array_equal(b, solve_banded((1, 1), folded_bands(31), r, check_finite=False), equal_nan=True)
 
 
 def test_rk4_increment_is_one_rk4_step():
