@@ -13,6 +13,7 @@ Usage: python scripts/convergence_study.py [--grids 33 65 129]
 """
 
 import argparse
+import math
 
 import numpy as np
 
@@ -40,7 +41,7 @@ def study(name, make_triple, grids, with_roundtrip=False):
         c = compatibility_residual(rep, t.mu).interior_max_abs()
         line = f"  n={n:4d}  residual {r:.4e}  compat {c:.4e}"
         if with_roundtrip:
-            bundle = reconstruct(t, force=True)
+            bundle = reconstruct(t, tol_build=math.inf)
             rep = invariants(Immersion(bundle.grid, bundle.points))
             su, sv = bundle.grid.interior(2)
             d = float(np.max(np.abs(rep.K_metric.values - rep.K_frame.values)[su, sv]))

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .fields import GridSpec, ScalarField, bicubic, diff_values
 from .minkowski import lorentz_inner, minkowski_cross
+from .natural import k_minus_h2
 
 FD_ORDER = 4
 ISO_GATE_TOL = 1e-3      # isotropy gate: max(|E|,|G|) <= tol * max|F|
@@ -227,9 +228,7 @@ def frame_functions(frame: GeometricFrame) -> FrameFunctions:
 @dataclass
 class InvariantReport:
     K_metric: ScalarField
-    K_frame: ScalarField
-    H2: ScalarField
-    KmH2_direct: ScalarField
+    K_frame: ScalarField         # H^2 is functions.nu squared, so K - H^2 is K_frame - nu^2
     KmH2_formula: ScalarField    # zeroed where |mu1| is below threshold
     formula_valid: np.ndarray    # mask: where KmH2_formula is meaningful
     Delta1: ScalarField
@@ -255,14 +254,12 @@ def invariants(m: Immersion) -> InvariantReport:
 
     nu = funcs.nu.values
     K_frame = nu * nu - funcs.lambda1.values * funcs.lambda2.values - funcs.mu1.values * funcs.mu2.values
-    H2 = nu * nu
-    KmH2 = K_frame - H2
 
     mu1 = funcs.mu1.values
     sigma_scale = funcs.sigma_scale()
     formula_valid = np.abs(mu1) > C_ZERO_TOL * (1.0 + sigma_scale)
     with np.errstate(divide="ignore", invalid="ignore"):
-        formula = -(funcs.mu2.values / mu1) * (funcs.lambda1.values**2 + mu1**2)
+        formula = k_minus_h2(funcs.lambda1.values, mu1, funcs.mu2.values)
     formula = np.where(formula_valid, formula, 0.0)
 
     # inflection determinants from c_ij^k = <z_ij, n_k>
@@ -290,8 +287,7 @@ def invariants(m: Immersion) -> InvariantReport:
 
     F = lambda a: ScalarField(g, a)
     return InvariantReport(
-        K_metric=F(K_metric), K_frame=F(K_frame), H2=F(H2),
-        KmH2_direct=F(KmH2), KmH2_formula=F(formula), formula_valid=formula_valid,
+        K_metric=F(K_metric), K_frame=F(K_frame), KmH2_formula=F(formula), formula_valid=formula_valid,
         Delta1=F(D1), Delta2=F(D2), Delta3=F(D3),
         classification=cls, functions=funcs,
     )

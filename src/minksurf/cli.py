@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -185,7 +186,7 @@ def _cmd_reconstruct(opts: dict) -> int:
     if not opts.get("out"):
         raise ConfigError("reconstruct needs --out for the bundle directory")
     t = _load_triple(opts)
-    bundle = reconstruct(t, tol_build=opts["tol_build"], force=opts["force"])
+    bundle = reconstruct(t, tol_build=math.inf if opts["force"] else opts["tol_build"])
     os.makedirs(opts["out"], exist_ok=True)
     m = Immersion(bundle.grid, bundle.points)
     io.write_immersion_csv(m, os.path.join(opts["out"], "immersion.csv"))

@@ -317,18 +317,18 @@ def reconstruct(
     p0: np.ndarray | None = None,
     F0: np.ndarray | None = None,
     tol_build: float = TOL_BUILD,
-    force: bool = False,
 ) -> ReconstructionBundle:
     """Full reconstruction: residual gate, frame transport, position quadrature,
     and the compatibility field read off the gate's residual report.
 
-    p0 = z(u0, v0) is the origin when None; tol_build must be positive.  The
-    gate's ResidualTooLarge names the worst of r1, r2 and r3 and its worst interior node.
+    p0 = z(u0, v0) is the origin when None; tol_build must be positive, and
+    math.inf opens the gate.  The gate's ResidualTooLarge names the worst of
+    r1, r2 and r3 and its worst interior node.
     """
     if not tol_build > 0:  # NaN too
         raise ValidationError(f"tol_build must be positive, got {tol_build!r}")
     rep = residual(t)
-    if rep.interior_max_abs > tol_build and not force:
+    if rep.interior_max_abs > tol_build:
         name, r = max(zip(("r1", "r2", "r3"), (rep.r1, rep.r2, rep.r3)), key=lambda p: p[1].interior_max_abs())
         worst = np.abs(r.values[t.grid.interior(2)])  # two layers in, as interior_max_abs
         node = tuple(int(k) + 2 for k in np.unravel_index(np.argmax(worst), worst.shape))

@@ -223,45 +223,38 @@ def write_report(report: dict, path: str) -> None:
         fh.write(report_text(report))
 
 
+# every invariant field, in the summary's order; the betas are summarized by
+# one key, beta_max, at their place
+INVARIANT_FIELDS = (
+    ("K_metric", lambda rep: rep.K_metric),
+    ("K_frame", lambda rep: rep.K_frame),
+    ("KmH2_formula", lambda rep: rep.KmH2_formula),
+    ("Delta1", lambda rep: rep.Delta1),
+    ("Delta2", lambda rep: rep.Delta2),
+    ("Delta3", lambda rep: rep.Delta3),
+    ("beta1", lambda rep: rep.functions.beta1),
+    ("beta2", lambda rep: rep.functions.beta2),
+    ("nu", lambda rep: rep.functions.nu),
+)
+
+
 def invariant_report_dict(rep: InvariantReport) -> dict:
-    """Interior min/max summary of every invariant field (two boundary layers dropped)."""
-    su, sv = rep.K_metric.grid.interior()
-
-    def mm(field: ScalarField) -> dict:
-        inner = field.values[su, sv]
-        return {"min": float(np.min(inner)), "max": float(np.max(inner))}
-
-    return {
-        "K_metric": mm(rep.K_metric),
-        "K_frame": mm(rep.K_frame),
-        "H2": mm(rep.H2),
-        "KmH2_direct": mm(rep.KmH2_direct),
-        "KmH2_formula": mm(rep.KmH2_formula),
-        "Delta1": mm(rep.Delta1),
-        "Delta2": mm(rep.Delta2),
-        "Delta3": mm(rep.Delta3),
-        "beta_max": float(
-            max(rep.functions.beta1.interior_max_abs(), rep.functions.beta2.interior_max_abs())
-        ),
-        "nu": mm(rep.functions.nu),
-        "classification": rep.classification.value,
-    }
+    """Interior min/max of each invariant field (two boundary layers dropped); the betas' largest |.|; the class."""
+    summary = {}
+    for name, get in INVARIANT_FIELDS:
+        field = get(rep)
+        if name.startswith("beta"):
+            summary["beta_max"] = max(summary.get("beta_max", 0.0), field.interior_max_abs())
+        else:
+            inner = field.values[field.grid.interior()]
+            summary[name] = {"min": float(np.min(inner)), "max": float(np.max(inner))}
+    summary["classification"] = rep.classification.value
+    return summary
 
 
 def write_invariant_report(rep: InvariantReport, dirpath: str) -> None:
+    """The summary as invariants.json, and one field CSV per entry of INVARIANT_FIELDS."""
     os.makedirs(dirpath, exist_ok=True)
     write_report(invariant_report_dict(rep), os.path.join(dirpath, "invariants.json"))
-    for name, field in (
-        ("K_metric", rep.K_metric),
-        ("K_frame", rep.K_frame),
-        ("H2", rep.H2),
-        ("KmH2_direct", rep.KmH2_direct),
-        ("KmH2_formula", rep.KmH2_formula),
-        ("Delta1", rep.Delta1),
-        ("Delta2", rep.Delta2),
-        ("Delta3", rep.Delta3),
-        ("nu", rep.functions.nu),
-        ("beta1", rep.functions.beta1),
-        ("beta2", rep.functions.beta2),
-    ):
-        write_field_csv(field, os.path.join(dirpath, f"{name}.csv"))
+    for name, get in INVARIANT_FIELDS:
+        write_field_csv(get(rep), os.path.join(dirpath, f"{name}.csv"))

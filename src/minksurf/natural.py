@@ -171,8 +171,13 @@ def residual(t: CanonicalTriple) -> ResidualReport:
     return ResidualReport(r1, r2, r3, full, inner)
 
 
+def k_minus_h2(lambda1, mu1, mu2):
+    """K - H^2 = -(mu2/mu1)(lambda1^2 + mu1^2), on scalars or on arrays of frame functions."""
+    return -(mu2 / mu1) * (lambda1 * lambda1 + mu1 * mu1)
+
+
 def classify_from_frame(lambda1: float, mu1: float, lambda2: float, mu2: float) -> tuple[Case, float]:
-    """Case and K - H^2 = -(mu2/mu1)(lambda1^2 + mu1^2) from frame functions.
+    """Case and K - H^2 (`k_minus_h2`) from frame functions.
 
     If mu1 vanishes but mu2 does not, the roles of the two directions are
     swapped first.  Raises BothMuZero when both vanish (inflection
@@ -184,7 +189,7 @@ def classify_from_frame(lambda1: float, mu1: float, lambda2: float, mu2: float) 
         raise BothMuZero("mu1 = mu2 = 0 on the whole patch: inflection configuration, so no node is named")
     if abs(mu1) <= tol < abs(mu2):
         lambda1, mu1, lambda2, mu2 = lambda2, mu2, lambda1, mu1
-    km = -(mu2 / mu1) * (lambda1 * lambda1 + mu1 * mu1)
+    km = k_minus_h2(lambda1, mu1, mu2)
     if km > tol:
         return Case.POSITIVE_KH, km
     if km < -tol:

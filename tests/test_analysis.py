@@ -15,7 +15,7 @@ from minksurf.errors import DegenerateMetric, MinimalOrTotallyGeodesic, NotIsotr
 from minksurf.fields import GridSpec, ScalarField, diff_values, ln_abs
 from minksurf.fixtures import goursat_degenerate_triple, goursat_hyperbolic_triple, jet_triple
 from minksurf.frames import reconstruct
-from minksurf.natural import CanonicalTriple, Case
+from minksurf.natural import CanonicalTriple, Case, classify_from_frame
 
 
 def test_cylinder_form(cylinder):
@@ -148,7 +148,8 @@ def test_round_trip_constant(constant_bundle):
     assert np.max(np.abs(funcs.mu2.values - 1.0)[su, sv]) <= 1e-4
     # K = nu^2 + eps (lam^2 + mu^2) = 0, K - H^2 = -1
     assert np.max(np.abs(rep.K_frame.values[su, sv])) <= 1e-4
-    assert np.max(np.abs(rep.KmH2_direct.values + 1.0)[su, sv]) <= 1e-3
+    nu = funcs.nu.values
+    assert np.max(np.abs((rep.K_frame.values - nu * nu) + 1.0)[su, sv]) <= 1e-3
     assert rep.classification is SurfaceClass.PARALLEL_H
 
 
@@ -188,10 +189,16 @@ def test_two_curvature_formulas_agree(degenerate_bundle):
 def test_sign_law_formula_vs_direct(jet_bundle):
     rep = invariants(immersion_of(jet_bundle))
     su, sv = jet_bundle.grid.interior(2)
-    direct = rep.KmH2_direct.values[su, sv]
+    nu = rep.functions.nu.values
+    direct = (rep.K_frame.values - nu * nu)[su, sv]
     formula = rep.KmH2_formula.values[su, sv]
     valid = rep.formula_valid[su, sv] & (np.abs(formula) > 1e-6)
     assert np.all(np.sign(direct[valid]) == np.sign(formula[valid]))
+    # the array formula is the scalar classifier's, bit for bit, wherever it is valid
+    f, ok = rep.functions, rep.formula_valid[su, sv]
+    frame = [a.values[su, sv][ok] for a in (f.lambda1, f.mu1, f.lambda2, f.mu2)]
+    km = [classify_from_frame(*map(float, node))[1] for node in zip(*frame)]
+    assert len(km) > 0 and np.array_equal(formula[ok], km)
 
 
 def test_integrability_mu1_lam2_relation(jet_bundle):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -274,6 +275,20 @@ def test_analyze_immersion_takes_no_nodes(tmp_path):
         assert "nodes" in data["message"]
 
 
+def test_analyze_out_writes_one_csv_per_invariant_field(tmp_path):
+    csv = tmp_path / "cyl.csv"
+    io.write_immersion_csv(cylinder_immersion(33), str(csv))
+    report = tmp_path / "inv.json"
+    assert run(["analyze", "--immersion", str(csv), "--out", str(tmp_path / "d"), "--report", str(report)]) == 0
+    # H^2 = nu^2 and K - H^2 = K_frame - nu^2 are not written
+    names = ["K_metric", "K_frame", "KmH2_formula", "Delta1", "Delta2", "Delta3", "beta1", "beta2", "nu"]
+    assert [name for name, _ in io.INVARIANT_FIELDS] == names
+    assert sorted(os.listdir(tmp_path / "d")) == sorted([f"{name}.csv" for name in names] + ["invariants.json"])
+    metrics = json.loads(report.read_text())["metrics"]
+    assert list(metrics) == [*names[:6], "beta_max", "nu", "classification"]
+    assert json.loads((tmp_path / "d" / "invariants.json").read_text()) == metrics
+
+
 @pytest.mark.parametrize("surface, code, error", [
     ("degenerate", 2, "DegenerateMetric"),
     ("overflow", 1, "ValidationError"),
@@ -419,7 +434,7 @@ def test_canonicalize_command(tmp_path):
 
 def test_canonicalize_non_separable_exit_2(tmp_path):
     # an isotropic surface that is not PNMC: the forced order-4 jet at radius 0.2
-    bundle = reconstruct(jet_triple(Case.POSITIVE_KH, order=4, radius=0.2, nodes=33), force=True)
+    bundle = reconstruct(jet_triple(Case.POSITIVE_KH, order=4, radius=0.2, nodes=33), tol_build=math.inf)
     csv = tmp_path / "immersion.csv"
     io.write_immersion_csv(Immersion(bundle.grid, bundle.points), str(csv))
     report = tmp_path / "err.json"
