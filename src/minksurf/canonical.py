@@ -93,17 +93,13 @@ class Reparametrization:
     psi: np.ndarray | None       # f^2|mu2| averaged over u (general case)
     ubar_map: np.ndarray         # ubar at the original u nodes
     vbar_map: np.ndarray         # vbar at the original v nodes
-    new_grid: GridSpec
-    case: Case
 
     def to_dict(self) -> dict:
         return {
-            "case": self.case.value,
             "phi": self.phi.tolist(),
             "psi": None if self.psi is None else self.psi.tolist(),
             "ubar_map": self.ubar_map.tolist(),
             "vbar_map": self.vbar_map.tolist(),
-            "new_grid": self.new_grid.to_dict(),
         }
 
 
@@ -196,9 +192,7 @@ def canonicalize(m: Immersion) -> CanonicalizationResult:
         )
         case_diag = {"sigma_relation_max_dev": float(sigma_dev / (1.0 + funcs2.sigma_scale()))}
 
-    repar = Reparametrization(
-        phi=phi, psi=psi, ubar_map=ubar, vbar_map=vbar, new_grid=new_grid, case=case,
-    )
+    repar = Reparametrization(phi=phi, psi=psi, ubar_map=ubar, vbar_map=vbar)
     metric_law = (funcs2.f.values * np.sqrt(np.abs(triple.mu.values)))[su, sv] - 1.0
     diagnostics = {
         **devs,

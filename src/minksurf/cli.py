@@ -101,6 +101,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
         raise ConfigError("tol_build must be positive")
     if merged.get("nodes") is not None and merged["nodes"] < 5:
         raise ConfigError("nodes must be at least 5")
+    if merged.get("seed", 0) < 0:  # numpy's generator takes no negative seed
+        raise ConfigError("seed must be non-negative")
     return merged
 
 

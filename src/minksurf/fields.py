@@ -79,20 +79,6 @@ class GridSpec:
         """Index slices excluding `layers` boundary rows/columns."""
         return slice(layers, self.Nu - layers), slice(layers, self.Nv - layers)
 
-    def to_dict(self) -> dict:
-        return {
-            "u0": self.u0, "u1": self.u1, "v0": self.v0, "v1": self.v1,
-            "Nu": self.Nu, "Nv": self.Nv,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridSpec":
-        """The grid of `to_dict`; Nu and Nv are integers or integral floats (33.0, not 33.7), not booleans."""
-        counts = d["Nu"], d["Nv"]
-        if not all(map(is_integral, counts)):
-            raise ValidationError(f"grid node counts must be integers, got Nu {counts[0]!r}, Nv {counts[1]!r}")
-        return cls(d["u0"], d["u1"], d["v0"], d["v1"], *map(int, counts))
-
 
 @dataclass
 class ScalarField:

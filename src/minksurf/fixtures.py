@@ -6,8 +6,7 @@ reproducible:
   constant             (lambda, mu, nu) = (0, 1, 1), eps = -1; exact solution
                        with commuting constant transport matrices (the frame
                        reduces to a matrix exponential).  nu is constant, so
-                       it carries the nu-constant flag (parallel H) rather
-                       than PNMC.
+                       the surface has parallel H rather than PNMC.
   jet                  truncated Taylor solution (by default JET_CASE, of
                        order JET_ORDER on a patch of radius JET_RADIUS); the
                        only route into the elliptic-type case.
@@ -60,7 +59,6 @@ def constant_triple(nodes: int = 65) -> CanonicalTriple:
         mu=ScalarField.constant(g, 1.0),
         nu=ScalarField.constant(g, 1.0),
         case=Case.NEGATIVE_KH,
-        flags=("nu-constant",),
     )
 
 
@@ -158,7 +156,7 @@ def perturbed_constant_triple(nodes: int = 65) -> CanonicalTriple:
     g = base.grid
     bump = gaussian_bump(g)
     mu = ScalarField(g, base.mu.values * (1.0 + 0.01 * bump.values))
-    return CanonicalTriple(lam=base.lam, mu=mu, nu=base.nu, case=Case.NEGATIVE_KH, flags=("nu-constant",))
+    return CanonicalTriple(lam=base.lam, mu=mu, nu=base.nu, case=Case.NEGATIVE_KH)
 
 
 def nonsolution_triple(nodes: int = 65) -> CanonicalTriple:

@@ -4,7 +4,8 @@ All floating-point output is printed with 17 significant digits so that CSV
 and JSON artifacts round-trip float64 exactly and repeated runs are
 byte-identical.  Grid CSVs are field CSVs (`u,v,value`) and immersion CSVs
 (`u,v,x1,x2,x3,x4`); a triple bundle is a directory holding lambda.csv,
-mu.csv, nu.csv and a triple.json sidecar.  A grid CSV is read only if it has
+mu.csv, nu.csv and a triple.json sidecar `{"case": ...}` with no other key
+(the CSVs carry the grid and mu's sign).  A grid CSV is read only if it has
 the exact header, rows u outer / v fastest over uniform nodes (within
 1e-9 × each axis' span), finite values and at least 5 nodes per axis;
 anything else raises a ValidationError (exit 1), never a misread surface.
@@ -20,7 +21,7 @@ import numpy as np
 
 from .analysis import Immersion, InvariantReport
 from .errors import ConfigError
-from .fields import GridSpec, ScalarField, is_integral
+from .fields import GridSpec, ScalarField
 from .natural import CanonicalTriple, Case
 
 FLOAT_FMT = "%.17g"
@@ -146,39 +147,24 @@ def write_triple_bundle(t: CanonicalTriple, dirpath: str) -> None:
     write_field_csv(t.lam, os.path.join(dirpath, "lambda.csv"))
     write_field_csv(t.mu, os.path.join(dirpath, "mu.csv"))
     write_field_csv(t.nu, os.path.join(dirpath, "nu.csv"))
-    sidecar = {
-        "case": t.case.value,
-        "sign_mu": t.sign_mu,
-        "grid": t.grid.to_dict(),
-        "flags": list(t.flags),
-    }
-    write_report(sidecar, os.path.join(dirpath, "triple.json"))
+    write_report({"case": t.case.value}, os.path.join(dirpath, "triple.json"))
 
 
 def read_triple_bundle(dirpath: str) -> CanonicalTriple:
-    """Read a bundle; the sidecar's grid and integer sign_mu must agree with the CSVs."""
+    """Read a bundle; triple.json holds the case alone, the CSVs everything else."""
     try:
         with open(os.path.join(dirpath, "triple.json")) as fh:
             sidecar = json.load(fh)
         case = Case(sidecar["case"])
-        grid = GridSpec.from_dict(sidecar["grid"])
-        sign_mu = sidecar["sign_mu"]
-        flags = sidecar.get("flags", [])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{dirpath}: malformed triple.json: {exc!r}") from exc
-    if not is_integral(sign_mu):
-        raise ConfigError(f"{dirpath}: triple.json sign_mu must be an integer, got {sign_mu!r}")
-    if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
-        raise ConfigError(f"{dirpath}: triple.json flags must be a list of strings, got {flags!r}")
+    unknown = set(sidecar) - {"case"}
+    if unknown:
+        raise ConfigError(f"{dirpath}: triple.json holds only the case; drop {sorted(unknown)}")
     lam = read_field_csv(os.path.join(dirpath, "lambda.csv"))
     mu = read_field_csv(os.path.join(dirpath, "mu.csv"))
     nu = read_field_csv(os.path.join(dirpath, "nu.csv"))
-    t = CanonicalTriple(lam=lam, mu=mu, nu=nu, case=case, flags=tuple(flags))
-    if grid != t.grid:
-        raise ConfigError(f"{dirpath}: triple.json grid {grid} disagrees with the CSV grid {t.grid}")
-    if sign_mu != t.sign_mu:
-        raise ConfigError(f"{dirpath}: triple.json sign_mu {sign_mu} disagrees with mu.csv ({t.sign_mu})")
-    return t
+    return CanonicalTriple(lam=lam, mu=mu, nu=nu, case=case)
 
 
 # ---------------------------------------------------------------------------

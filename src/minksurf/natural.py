@@ -101,7 +101,6 @@ class CanonicalTriple:
     mu: ScalarField
     nu: ScalarField
     case: Case
-    flags: tuple = ()
 
     def __post_init__(self):
         if not (self.lam.grid == self.mu.grid == self.nu.grid):
@@ -115,10 +114,6 @@ class CanonicalTriple:
     @property
     def grid(self) -> GridSpec:
         return self.lam.grid
-
-    @property
-    def sign_mu(self) -> int:
-        return 1 if self.mu.values.flat[0] > 0 else -1
 
 
 @dataclass
@@ -476,11 +471,9 @@ def solve_goursat_hyperbolic(
 
     lam = 0.5 * (p + q)
     nu = 0.5 * (p - q)
-    nu_constant = np.max(nu) - np.min(nu) <= nu_constancy_tol(np.max(np.abs(nu)))
     return CanonicalTriple(
         lam=ScalarField(grid, lam),
         mu=ScalarField(grid, np.exp(g)),
         nu=ScalarField(grid, nu),
         case=Case.NEGATIVE_KH,
-        flags=("nu-constant",) if nu_constant else (),
     )

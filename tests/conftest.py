@@ -79,5 +79,4 @@ def unstable_triple() -> CanonicalTriple:
         mu=ScalarField.constant(g, 1.0),
         nu=ScalarField.constant(g, 0.0),
         case=Case.POSITIVE_KH,
-        flags=("nu-constant",),
     )

@@ -137,9 +137,12 @@ def test_canonicalize_degenerate(degenerate_bundle):
 
 @pytest.mark.parametrize("bundle_name", ["jet_bundle", "degenerate_bundle"])
 def test_canonicalize_immersion_lives_on_the_canonical_grid(request, bundle_name):
-    res = canonicalize(immersion_of(request.getfixturevalue(bundle_name)))
-    assert res.immersion.grid == res.repar.new_grid
-    assert res.triple.grid == res.repar.new_grid
+    m = immersion_of(request.getfixturevalue(bundle_name))
+    res = canonicalize(m)
+    ubar, vbar = res.repar.ubar_map, res.repar.vbar_map
+    grid = GridSpec(0, ubar[-1], vbar[0], vbar[-1], m.grid.Nu, m.grid.Nv)
+    assert res.immersion.grid == grid
+    assert res.triple.grid == grid
 
 
 def test_canonicalize_reparametrization_invariance(constant_bundle):

@@ -425,7 +425,8 @@ def test_canonicalize_command(tmp_path):
     ])
     assert code == 0
     assert (out / "lambda.csv").exists()
-    assert (out / "reparametrization.json").exists()
+    assert (out / "triple.json").read_bytes() == b'{"case": "negative"}\n'
+    assert list(json.loads((out / "reparametrization.json").read_text())) == ["phi", "psi", "ubar_map", "vbar_map"]
     data = json.loads(report.read_text())
     assert data["metrics"]["metric_law_max_dev"] <= 1e-2
     # the grid comes from the CSV, so the report names no node count
@@ -613,31 +614,21 @@ def test_malformed_triple_bundle_exit_1(tmp_path, name, edit):
     assert data["error"] == "ConfigError"
 
 
-@pytest.mark.parametrize("count", ["1e400", "33.7", "true", '"33"'])
-def test_sidecar_node_count_must_be_an_integer(tmp_path, capsys, count):
-    # 1e400 reads as inf; 33.7 is not integral; a boolean and a string are not numbers
-    bundle = tmp_path / "bundle"
-    io.write_triple_bundle(goursat_degenerate_triple(33), str(bundle))
-    sidecar = bundle / "triple.json"
-    sidecar.write_text(sidecar.read_text().replace('"Nu": 33', f'"Nu": {count}'))
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_exit_1(tmp_path, capsys, source):
+    # numpy's generator rejects a negative seed with a bare ValueError; the merge rejects it first
+    out = tmp_path / "tri"
+    if source == "flag":
+        argv = ["solve", "--method", "jet", "--seed", "-1", "--nodes", "9", "--out", str(out)]
+    else:
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"command": "solve", "method": "jet", "seed": -3, "nodes": 9, "out": str(out)}))
+        argv = ["--config", str(cfg), "solve"]
     capsys.readouterr()
-    assert run(["residual", "--triple", str(bundle)]) == 1
-    data = json.loads(capsys.readouterr().err)  # one JSON document
-    assert (data["status"], data["error"]) == ("error", "ConfigError")
-    assert "grid node counts must be integers" in data["message"]
-
-
-@pytest.mark.parametrize("sign", ["true", '"1"', "1.5"])
-def test_sidecar_sign_mu_must_be_an_integer(tmp_path, capsys, sign):
-    bundle = tmp_path / "bundle"
-    io.write_triple_bundle(goursat_degenerate_triple(9), str(bundle))
-    sidecar = bundle / "triple.json"
-    sidecar.write_text(sidecar.read_text().replace('"sign_mu": 1', f'"sign_mu": {sign}'))
-    capsys.readouterr()
-    assert run(["residual", "--triple", str(bundle)]) == 1
-    data = json.loads(capsys.readouterr().err)
-    assert (data["error"], data["message"]) == ("ConfigError", f"{bundle}: triple.json sign_mu must be an integer, "
-                                                                f"got {json.loads(sign)!r}")
+    assert run(argv) == 1
+    data = json.loads(capsys.readouterr().err)  # exactly one JSON document
+    assert (data["error"], data["message"]) == ("ConfigError", "seed must be non-negative")
+    assert not out.exists()
 
 
 def test_malformed_config_json_exit_1(tmp_path):
@@ -705,6 +696,15 @@ def test_solve_rejects_non_solver_names(tmp_path, method):
     assert data["error"] == "ConfigError"
     assert f"unknown solve method {method!r}" in data["message"]
     assert not (tmp_path / "tri").exists()
+
+
+@pytest.mark.parametrize(
+    "method, case", [("jet", "positive"), ("goursat-degenerate", "degenerate"), ("goursat-hyperbolic", "negative")])
+def test_solve_bundle_sidecar_is_the_case_alone(tmp_path, method, case):
+    # the CSVs carry the grid and mu's sign; triple.json states only what they cannot
+    out = tmp_path / "tri"
+    assert run(["solve", "--method", method, "--nodes", "9", "--out", str(out)]) == 0
+    assert (out / "triple.json").read_bytes() == b'{"case": "%s"}\n' % case.encode()
 
 
 def test_solve_jet_degenerate_case(tmp_path):

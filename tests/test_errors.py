@@ -130,31 +130,19 @@ JSON_VALUES = st.one_of(
 
 @st.composite
 def triple_sidecar(draw):
-    """The sidecar of a 7 x 7 bundle with one key replaced or dropped; 1e400 is written as text.
+    """The sidecar of a 7 x 7 bundle: a case or none, and up to two more keys; 1e400 is written as text.
 
-    Known-invalid: a node count that is not an integer, and a sign_mu that is not mu.csv's +1.
+    Known-invalid: any key but case, a missing case, and a case that is not a Case value.
     """
-    sidecar = {"case": "negative", "sign_mu": 1,
-               "grid": {"u0": 0.0, "u1": 1.0, "v0": 0.0, "v1": 1.0, "Nu": NODES, "Nv": NODES},
-               "flags": ["nu-constant"]}
-    key = draw(st.one_of(st.sampled_from(["Nu", "Nv"]), st.sampled_from(["case", "sign_mu", "flags", "u0", "u1"])))
-    owner = sidecar["grid"] if key in ("u0", "u1", "Nu", "Nv") else sidecar
-    value = draw(st.one_of(st.just("1e400"), st.just("drop"), BAD_COUNTS, FLOATS, JSON_VALUES))
-    if value == "drop":
-        del owner[key]
-        text = json.dumps(sidecar)
-    elif value == "1e400":
-        owner[key] = "@"
-        text = json.dumps(sidecar).replace('"@"', "1e400")
-    else:
-        owner[key] = value
-        text = json.dumps(sidecar)
-    count = owner.get(key) if key in ("Nu", "Nv") else None
-    bad_count = value == "1e400" and key in ("Nu", "Nv") or (
-        isinstance(count, float) and not count.is_integer())
-    sign = sidecar.get("sign_mu", 1)  # "@" stands for 1e400
-    bad_sign = not (type(sign) in (int, float) and sign == 1)  # a boolean, a fraction or text; mu.csv's sign is +1
-    return {"kind": "sidecar", "text": text, "invalid": bad_count or bad_sign}
+    cases = [c.value for c in Case]
+    sidecar = {}
+    if draw(st.booleans()):
+        sidecar["case"] = draw(st.one_of(st.sampled_from(cases), st.just("@"), JSON_VALUES))
+    for key in draw(st.lists(st.sampled_from(["grid", "sign_mu", "flags", "Nu", "extra"]), max_size=2, unique=True)):
+        sidecar[key] = draw(st.one_of(st.just("@"), BAD_COUNTS, FLOATS, JSON_VALUES))
+    text = json.dumps(sidecar).replace('"@"', "1e400")
+    valid = set(sidecar) == {"case"} and sidecar["case"] in cases
+    return {"kind": "sidecar", "text": text, "invalid": not valid}
 
 
 @st.composite

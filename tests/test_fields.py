@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minksurf.errors import GridTooSmall, NearZeroField, ValidationError
+from minksurf.errors import GridTooSmall, NearZeroField
 from minksurf.fields import (
     GridSpec,
     ScalarField,
@@ -36,14 +36,6 @@ def test_grid_node_of_flat_index():
         i, j = g.node(k)
         assert (type(i), type(j)) == (int, int)
         assert samples[i, j] == k
-
-
-@pytest.mark.parametrize("count", [33.7, float("inf"), float("nan"), True, "33", None])
-def test_grid_from_dict_takes_integral_node_counts(count):
-    d = GridSpec(0.0, 1.0, 0.0, 1.0, 33, 33).to_dict()
-    assert GridSpec.from_dict({**d, "Nu": 33.0}) == GridSpec.from_dict(d)
-    with pytest.raises(ValidationError, match="grid node counts must be integers"):
-        GridSpec.from_dict({**d, "Nu": count})
 
 
 def test_linear_derivative_exact():

@@ -43,7 +43,6 @@ def triple_const(lam, mu, nu, case, nodes=33):
         mu=ScalarField.constant(g, mu),
         nu=ScalarField.constant(g, nu),
         case=case,
-        flags=("nu-constant",),
     )
 
 

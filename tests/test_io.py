@@ -81,35 +81,36 @@ def test_triple_bundle_roundtrip(tmp_path):
     io.write_triple_bundle(t, str(tmp_path / "bundle"))
     back = io.read_triple_bundle(str(tmp_path / "bundle"))
     assert back.case is t.case
-    assert back.sign_mu == t.sign_mu
+    assert back.grid == t.grid
     assert np.array_equal(back.lam.values, t.lam.values)
     assert np.array_equal(back.mu.values, t.mu.values)
     assert np.array_equal(back.nu.values, t.nu.values)
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "sidecar, message",
     [
-        lambda sc: sc["grid"].update(Nu=99),
-        lambda sc: sc["grid"].update(v1=2.0),
-        lambda sc: sc.update(sign_mu=-sc["sign_mu"]),
-        lambda sc: sc.pop("grid"),
-        lambda sc: sc.update(flags=5),
-        lambda sc: sc.update(flags="nu-constant"),  # a string is iterable, but not a list of flags
-        lambda sc: sc.update(flags=[1, None]),
+        # the keys the sidecar once held, with the values it held for this bundle
+        ({"case": "degenerate", "grid": {"u0": 0.0, "u1": 1.0, "v0": 0.0, "v1": 1.0, "Nu": 9, "Nv": 9}},
+         "drop ['grid']"),
+        ({"case": "degenerate", "sign_mu": 1}, "drop ['sign_mu']"),
+        ({"case": "degenerate", "flags": []}, "drop ['flags']"),
+        ({}, "KeyError('case')"),
+        ({"case": "sideways"}, "'sideways' is not a valid Case"),
+        ({"case": 5}, "5 is not a valid Case"),
+        (["degenerate"], "list indices must be integers"),
     ],
-    ids=["grid-nodes", "grid-bounds", "sign-mu", "no-grid", "flags-not-a-list", "flags-a-string",
-         "flags-not-strings"],
+    ids=["grid", "sign-mu", "flags", "no-case", "case-sideways", "case-a-number", "a-list"],
 )
-def test_triple_bundle_sidecar_must_match_csvs(tmp_path, edit):
+def test_triple_bundle_sidecar_holds_only_the_case(tmp_path, sidecar, message):
     bundle = tmp_path / "bundle"
     io.write_triple_bundle(goursat_degenerate_triple(9), str(bundle))
     sidecar_path = bundle / "triple.json"
-    sidecar = json.loads(sidecar_path.read_text())
-    edit(sidecar)
+    assert json.loads(sidecar_path.read_text()) == {"case": "degenerate"}
     sidecar_path.write_text(json.dumps(sidecar))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         io.read_triple_bundle(str(bundle))
+    assert message in str(err.value)
 
 
 def test_immersion_roundtrip(tmp_path, constant_bundle):
