@@ -614,6 +614,35 @@ def test_malformed_triple_bundle_exit_1(tmp_path, name, edit):
     assert data["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("count", ["1e400", "33.7", "true", '"33"'])
+def test_sidecar_node_count_must_be_an_integer(tmp_path, capsys, count):
+    # 1e400 reads as inf; 33.7 is not integral; a boolean and a string are not numbers.
+    # The CSVs carry the grid, so a sidecar stating any node count is refused outright.
+    bundle = tmp_path / "bundle"
+    io.write_triple_bundle(goursat_degenerate_triple(33), str(bundle))
+    sidecar = bundle / "triple.json"
+    sidecar.write_text('{"case": "degenerate", "grid": {"Nu": %s}}' % count)
+    capsys.readouterr()
+    assert run(["residual", "--triple", str(bundle)]) == 1
+    data = json.loads(capsys.readouterr().err)  # one JSON document
+    assert (data["status"], data["error"]) == ("error", "ConfigError")
+    assert data["message"] == f"{bundle}: triple.json holds only the case; drop ['grid']"
+
+
+@pytest.mark.parametrize("sign", ["true", '"1"', "1.5"])
+def test_sidecar_sign_mu_must_be_an_integer(tmp_path, capsys, sign):
+    # mu.csv carries mu's sign, so a sidecar stating any sign_mu is refused outright
+    bundle = tmp_path / "bundle"
+    io.write_triple_bundle(goursat_degenerate_triple(9), str(bundle))
+    sidecar = bundle / "triple.json"
+    sidecar.write_text('{"case": "degenerate", "sign_mu": %s}' % sign)
+    capsys.readouterr()
+    assert run(["residual", "--triple", str(bundle)]) == 1
+    data = json.loads(capsys.readouterr().err)
+    assert (data["error"], data["message"]) == ("ConfigError", f"{bundle}: triple.json holds only the case; "
+                                                                f"drop ['sign_mu']")
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_negative_seed_exit_1(tmp_path, capsys, source):
     # numpy's generator rejects a negative seed with a bare ValueError; the merge rejects it first
