@@ -1,18 +1,20 @@
 """Command-line front end.
 
 Subcommands: residual, solve, reconstruct, analyze, canonicalize, roundtrip,
-export.  A JSON job file (--config) supplies defaults for the chosen command;
-explicit flags override it; unknown config keys are rejected.  Exit codes:
-0 success, 1 configuration or validation error, 2 numerical failure,
-3 I/O error.  Reports are deterministic JSON (17 significant digits), so a
-repeated run with the same inputs is byte-identical.
+export.  Each input has one spelling: --fixture a built triple (or the
+cylinder), --triple a triple bundle, --immersion a surface CSV, --tol-build
+the residual gate (inf opens it).  A JSON job file (--config) supplies
+defaults for the chosen command; explicit flags override it; unknown config
+keys are rejected.  Exit codes, each non-zero one with a JSON error report:
+0 success, 1 configuration or validation error (a malformed command line
+too), 2 numerical failure, 3 I/O error.  Reports are deterministic JSON (17
+significant digits), so a repeated run with the same inputs is byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -35,39 +37,41 @@ JET_OPTIONS = {"order": (int, fixtures.JET_ORDER), "radius": (float, fixtures.JE
 SCHEMAS = {
     "residual": {"fixture": (str, "constant"), "triple": (str, None), "nodes": (int, 65), **JET_OPTIONS,
                  "report": (str, None)},
-    "solve": {"method": (str, "goursat-degenerate"), "nodes": (int, 65), **JET_OPTIONS,
+    "solve": {"fixture": (str, "goursat-degenerate"), "nodes": (int, 65), **JET_OPTIONS,
               "seed": (int, fixtures.JET_RNG_SEED), "out": (str, None), "report": (str, None)},
-    "reconstruct": {"fixture": (str, None), "triple": (str, None), "nodes": (int, 65), **JET_OPTIONS,
-                    "tol_build": (float, TOL_BUILD), "force": (bool, False),
-                    "out": (str, None), "report": (str, None)},
+    "reconstruct": {"fixture": (str, "constant"), "triple": (str, None), "nodes": (int, 65), **JET_OPTIONS,
+                    "tol_build": (float, TOL_BUILD), "out": (str, None), "report": (str, None)},
     "analyze": {"immersion": (str, None), "fixture": (str, None), "nodes": (int, None),
                 "out": (str, None), "report": (str, None)},
     "canonicalize": {"immersion": (str, None), "out": (str, None), "report": (str, None)},
     "roundtrip": {"fixture": (str, "jet"), "nodes": (int, 65), **JET_OPTIONS,
                   "tol_build": (float, TOL_BUILD), "report": (str, None)},
-    "export": {"bundle": (str, None), "out": (str, None), "report": (str, None)},
+    "export": {"immersion": (str, None), "out": (str, None), "report": (str, None)},
 }
 
 # what the jet reads of a command's options: the table, and solve's seed
 JET_KEYS = (*JET_OPTIONS, "seed")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line (an abbreviated option too) is a ConfigError, reported like any other; -h exits 0."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="minksurf",
+    parser = _Parser(
+        prog="minksurf", allow_abbrev=False,
         description="Timelike surfaces with parallel normalized mean curvature direction: "
         "natural systems, reconstruction, analysis, canonical parameters.",
     )
     parser.add_argument("--config", help="JSON job file with defaults for the subcommand")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, schema in SCHEMAS.items():
-        p = sub.add_parser(command)
+        p = sub.add_parser(command, allow_abbrev=False)
         for dest, (typ, _default) in schema.items():
-            flag = "--" + dest.replace("_", "-")
-            if typ is bool:
-                p.add_argument(flag, action="store_const", const=True, default=None, dest=dest)
-            else:
-                p.add_argument(flag, type=typ, default=None, dest=dest)
+            p.add_argument("--" + dest.replace("_", "-"), type=typ, default=None, dest=dest)
     return parser
 
 
@@ -97,10 +101,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             merged[dest] = _config_value(dest, typ, config[dest])
         else:
             merged[dest] = default
-    if "tol_build" in merged and not merged["tol_build"] > 0:  # NaN too
-        raise ConfigError("tol_build must be positive")
-    if merged.get("nodes") is not None and merged["nodes"] < 5:
-        raise ConfigError("nodes must be at least 5")
+    # GridSpec checks nodes and reconstruct checks tol_build, both before any output
     if merged.get("seed", 0) < 0:  # numpy's generator takes no negative seed
         raise ConfigError("seed must be non-negative")
     return merged
@@ -110,14 +111,13 @@ def _config_value(dest: str, typ: type, val):
     """A job-file value of the schema's type; JSON's loose types are not coerced.
 
     An int key takes an integer or an integral float (33.0, not 33.7); a
-    float key takes any finite number; neither takes a boolean or a string.
+    float key takes any finite number, so a job file opens the build gate
+    with a large tolerance, not inf; no key takes a boolean.
     """
-    if isinstance(val, bool):
-        ok = typ is bool
-    elif typ is int:
+    if typ is int:
         ok = is_integral(val)
     elif typ is float:
-        ok = isinstance(val, (int, float)) and bool(np.isfinite(val))
+        ok = type(val) in (int, float) and bool(np.isfinite(val))  # a bool's type is bool
     else:
         ok = isinstance(val, typ)
     if not ok:
@@ -133,13 +133,13 @@ def _case_of(name: str) -> Case:
 
 
 def _load_triple(opts: dict):
-    """The triple of `--triple`, or else of the named fixture or solve method, built from the jet options given."""
+    """The triple of `--triple`, or else of the named fixture, built from the jet options given."""
     if opts.get("triple"):
         return io.read_triple_bundle(opts["triple"])
     jet = {k: opts[k] for k in JET_KEYS if k in opts}
     if "case" in jet:
         jet["case"] = _case_of(jet["case"])
-    return fixtures.make_triple_fixture(opts.get("fixture") or opts.get("method") or "constant", opts["nodes"], **jet)
+    return fixtures.make_triple_fixture(opts["fixture"], opts["nodes"], **jet)
 
 
 def _finish(report: dict, opts: dict, lines: list[str]) -> int:
@@ -173,22 +173,19 @@ def _cmd_residual(opts: dict) -> int:
 def _cmd_solve(opts: dict) -> int:
     if not opts.get("out"):
         raise ConfigError("solve needs --out for the triple bundle")
-    method = opts["method"]
-    if method not in ("jet", "goursat-degenerate", "goursat-hyperbolic"):
-        raise ConfigError(f"unknown solve method {method!r}")
     t = _load_triple(opts)
     rep = residual(t)
     io.write_triple_bundle(t, opts["out"])
     metrics = {"residual_max": rep.max_abs, "residual_interior_max": rep.interior_max_abs}
     report = _report("solve", opts, {}, metrics)
-    return _finish(report, opts, [f"solved {method}: interior residual {rep.interior_max_abs:.3e}"])
+    return _finish(report, opts, [f"solved {opts['fixture']}: interior residual {rep.interior_max_abs:.3e}"])
 
 
 def _cmd_reconstruct(opts: dict) -> int:
     if not opts.get("out"):
         raise ConfigError("reconstruct needs --out for the bundle directory")
     t = _load_triple(opts)
-    bundle = reconstruct(t, tol_build=math.inf if opts["force"] else opts["tol_build"])
+    bundle = reconstruct(t, tol_build=opts["tol_build"])
     os.makedirs(opts["out"], exist_ok=True)
     m = Immersion(bundle.grid, bundle.points)
     io.write_immersion_csv(m, os.path.join(opts["out"], "immersion.csv"))
@@ -268,9 +265,9 @@ def _cmd_roundtrip(opts: dict) -> int:
 
 
 def _cmd_export(opts: dict) -> int:
-    if not opts.get("bundle") or not opts.get("out"):
-        raise ConfigError("export needs --bundle (dir with immersion.csv) and --out (.vtk)")
-    m = io.read_immersion_csv(os.path.join(opts["bundle"], "immersion.csv"))
+    if not opts.get("immersion") or not opts.get("out"):
+        raise ConfigError("export needs --immersion CSV and --out (.vtk)")
+    m = io.read_immersion_csv(opts["immersion"])
     io.write_vtk_structured(opts["out"], m)
     report = _report("export", opts, {}, {"points": m.grid.Nu * m.grid.Nv})
     return _finish(report, opts, [f"wrote {opts['out']}"])
@@ -282,7 +279,7 @@ def _report(command: str, opts: dict, tolerances: dict, metrics: dict) -> dict:
     unread = {"report"}
     if opts.get("triple"):
         unread |= {"fixture", "nodes"}
-    if opts.get("triple") or "jet" not in (opts.get("fixture"), opts.get("method")):
+    if opts.get("triple") or opts.get("fixture") != "jet":
         unread |= set(JET_KEYS)
     inputs = {k: v for k, v in sorted(opts.items()) if k not in unread and v is not None}
     return {
@@ -306,29 +303,29 @@ _HANDLERS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     # the error report goes where the merged options say; if the merge itself
-    # failed, only the command-line flag is known
-    report_path = args.report
+    # failed, only the command-line flag is known, and if parsing failed, neither is
+    command = report_path = None
     try:
+        args = _build_parser().parse_args(argv)
+        command, report_path = args.command, args.report
         opts = _merge_config(args)
         report_path = opts["report"]
         # the finiteness checks raise typed errors; numpy's warnings would only precede their report
         with np.errstate(all="ignore"):
-            return _HANDLERS[args.command](opts)
+            return _HANDLERS[command](opts)
     except ValidationError as exc:
-        _emit_error(args.command, report_path, exc)
+        _emit_error(command, report_path, exc)
         return 1
     except MinksurfError as exc:  # NumericalError and the rest
-        _emit_error(args.command, report_path, exc)
+        _emit_error(command, report_path, exc)
         return 2
     except OSError as exc:
-        _emit_error(args.command, report_path, exc)
+        _emit_error(command, report_path, exc)
         return 3
 
 
-def _emit_error(command: str, report_path: str | None, exc: Exception) -> None:
+def _emit_error(command: str | None, report_path: str | None, exc: Exception) -> None:
     report = {
         "command": command,
         "status": "error",

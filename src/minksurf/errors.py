@@ -44,7 +44,11 @@ class LocatedError(MinksurfError):
 
 
 class NearZeroField(LocatedError, NumericalError):
-    """A field that must stay away from zero came too close (or changed sign)."""
+    """A field that must stay away from zero came too close."""
+
+
+class SignChange(LocatedError, ValidationError):
+    """A field that must keep one sign changes sign between nodes: bad input, since every generator keeps it."""
 
 
 class BlowUp(LocatedError, NumericalError):

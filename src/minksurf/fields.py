@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
-from .errors import GridTooSmall, NearZeroField, ValidationError
+from .errors import GridTooSmall, NearZeroField, SignChange, ValidationError
 
 MU_MIN = 1e-8  # guards ln|mu| and 1/sqrt|mu| against blow-up
 
@@ -169,19 +169,16 @@ def require_away_from_zero(
     The error's `node` is the first node of min |s|.  With constant_sign the
     samples must also be all positive or all negative (a sign flip between
     nodes implies a zero crossing of the underlying function); otherwise
-    `node` is the first node, in row-major order, whose sign differs from
-    node (0, 0).
+    SignChange names the first node, in row-major order, whose sign differs
+    from node (0, 0).
     """
     vals = s.values
     k = int(np.argmin(np.abs(vals)))
     if abs(vals.flat[k]) < mu_min:
-        msg = f"min |{name}| = {abs(vals.flat[k]):.3e} < {mu_min:.3e}"
-    elif constant_sign and not (np.all(vals > 0) or np.all(vals < 0)):
+        raise NearZeroField(f"min |{name}| = {abs(vals.flat[k]):.3e} < {mu_min:.3e}", s.grid, s.grid.node(k))
+    if constant_sign and not (np.all(vals > 0) or np.all(vals < 0)):
         k = int(np.argmax((vals > 0) != (vals.flat[0] > 0)))
-        msg = f"{name} changes sign on the grid"
-    else:
-        return
-    raise NearZeroField(msg, s.grid, s.grid.node(k))
+        raise SignChange(f"{name} changes sign on the grid", s.grid, s.grid.node(k))
 
 
 def ln_abs(s: ScalarField, mu_min: float = MU_MIN) -> ScalarField:

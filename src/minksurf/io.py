@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .analysis import Immersion, InvariantReport
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .fields import GridSpec, ScalarField
 from .natural import CanonicalTriple, Case
 
@@ -161,10 +161,17 @@ def read_triple_bundle(dirpath: str) -> CanonicalTriple:
     unknown = set(sidecar) - {"case"}
     if unknown:
         raise ConfigError(f"{dirpath}: triple.json holds only the case; drop {sorted(unknown)}")
-    lam = read_field_csv(os.path.join(dirpath, "lambda.csv"))
-    mu = read_field_csv(os.path.join(dirpath, "mu.csv"))
-    nu = read_field_csv(os.path.join(dirpath, "nu.csv"))
+    lam, mu, nu = (read_field_csv(os.path.join(dirpath, f"{name}.csv")) for name in ("lambda", "mu", "nu"))
+    for name, field in (("mu", mu), ("nu", nu)):
+        if field.grid != lam.grid:
+            raise ValidationError(f"{dirpath}: triple fields must share one grid; {name}.csv lies on "
+                                  f"{_grid_text(field.grid)}, lambda.csv on {_grid_text(lam.grid)}")
     return CanonicalTriple(lam=lam, mu=mu, nu=nu, case=case)
+
+
+def _grid_text(g: GridSpec) -> str:
+    u0, u1, v0, v1 = (float(x) for x in (g.u0, g.u1, g.v0, g.v1))  # repr: the shortest exact decimal
+    return f"{g.Nu} x {g.Nv} nodes on [{u0!r}, {u1!r}] x [{v0!r}, {v1!r}]"
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def test_criterion_4_curvature_consistency():
     su, sv = cyl.grid.interior(2)
     diffs["cylinder"] = float(np.max(np.abs(rep.K_metric.values - rep.K_frame.values)[su, sv]))
 
-    # refinement study on the degenerate fixture (force at 33: its residual
+    # refinement study on the degenerate fixture (gate open at 33: its residual
     # only drops under tol_build from 65 x 65 on)
     seq = []
     for n in (33, 65, 129):

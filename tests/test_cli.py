@@ -78,7 +78,7 @@ def test_step_unstable_report_locates_failure(tmp_path):
     io.write_triple_bundle(t, str(tmp_path / "unstable"))
     report = tmp_path / "err.json"
     code = run([
-        "reconstruct", "--triple", str(tmp_path / "unstable"), "--force",
+        "reconstruct", "--triple", str(tmp_path / "unstable"), "--tol-build", "inf",
         "--out", str(tmp_path / "out"), "--report", str(report),
     ])
     assert code == 2
@@ -130,7 +130,7 @@ def test_no_convergence_report_has_deltas(tmp_path, capsys):
 
 
 def test_bundle_fields_on_different_grids_exit_1(tmp_path):
-    # CanonicalTriple's grid check raises a ValidationError, no longer a bare ValueError
+    # a ValidationError, not a bare ValueError, naming the bundle, the file that differs and both grids
     bundle = tmp_path / "bundle"
     io.write_triple_bundle(goursat_degenerate_triple(33), str(bundle))
     io.write_field_csv(ScalarField.constant(GridSpec(0, 1, 0, 1, 9, 9), 1.0), str(bundle / "lambda.csv"))
@@ -138,7 +138,25 @@ def test_bundle_fields_on_different_grids_exit_1(tmp_path):
     assert run(["residual", "--triple", str(bundle), "--report", str(report)]) == 1
     data = json.loads(report.read_text())
     assert data["error"] == "ValidationError"
-    assert "one grid" in data["message"]
+    assert data["message"] == (f"{bundle}: triple fields must share one grid; mu.csv lies on 33 x 33 nodes "
+                               f"on [0.0, 1.0] x [0.0, 1.0], lambda.csv on 9 x 9 nodes on [0.0, 1.0] x [0.0, 1.0]")
+
+
+def test_bundle_mu_changing_sign_exit_1(tmp_path):
+    # no generator writes a mu that changes sign, so a bundle with one is bad input, located where it flips
+    bundle = tmp_path / "bundle"
+    t = goursat_degenerate_triple(9)
+    io.write_triple_bundle(t, str(bundle))
+    mu = t.mu.values.copy()
+    mu[4, 3] = -mu[4, 3]
+    io.write_field_csv(ScalarField(t.grid, mu), str(bundle / "mu.csv"))
+    report = tmp_path / "err.json"
+    assert run(["residual", "--triple", str(bundle), "--report", str(report)]) == 1
+    data = json.loads(report.read_text())
+    assert data["error"] == "SignChange"
+    assert data["node"] == [4, 3]
+    assert data["uv"] == list(t.grid.uv((4, 3)))
+    assert data["message"].startswith("mu changes sign")
 
 
 def test_unknown_triple_fixture_exit_1(tmp_path):
@@ -202,7 +220,7 @@ def test_config_report_receives_error(tmp_path, source, code, error):
 
 def test_solve_and_residual_roundtrip(tmp_path):
     out = tmp_path / "triple"
-    code = run(["solve", "--method", "goursat-degenerate", "--nodes", "33", "--out", str(out)])
+    code = run(["solve", "--fixture", "goursat-degenerate", "--nodes", "33", "--out", str(out)])
     assert code == 0
     report = tmp_path / "res.json"
     code = run(["residual", "--triple", str(out), "--report", str(report)])
@@ -213,7 +231,7 @@ def test_solve_and_residual_roundtrip(tmp_path):
 
 def test_report_inputs_from_triple_bundle(tmp_path):
     out = tmp_path / "triple"
-    assert run(["solve", "--method", "jet", "--case", "negative", "--nodes", "33", "--out", str(out)]) == 0
+    assert run(["solve", "--fixture", "jet", "--case", "negative", "--nodes", "33", "--out", str(out)]) == 0
     report = tmp_path / "res.json"
     assert run(["residual", "--triple", str(out), "--report", str(report)]) == 0
     # the bundle carries the grid and the triple: no fixture, size or jet option was read
@@ -222,7 +240,7 @@ def test_report_inputs_from_triple_bundle(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["reconstruct", "--fixture", "goursat-degenerate", "--nodes", "65"],
-    ["solve", "--method", "goursat-degenerate", "--nodes", "65"],
+    ["solve", "--fixture", "goursat-degenerate", "--nodes", "65"],
 ])
 def test_report_inputs_of_non_jet_source(tmp_path, argv):
     report = tmp_path / "r.json"
@@ -234,8 +252,8 @@ def test_report_inputs_of_non_jet_source(tmp_path, argv):
 
 @pytest.mark.parametrize("argv, keys", [
     (["residual", "--fixture", "jet", "--nodes", "33"], {"fixture", "nodes", "order", "radius", "case"}),
-    (["solve", "--method", "jet", "--nodes", "33", "--out", "OUT"],
-     {"method", "nodes", "order", "radius", "case", "seed", "out"}),
+    (["solve", "--fixture", "jet", "--nodes", "33", "--out", "OUT"],
+     {"fixture", "nodes", "order", "radius", "case", "seed", "out"}),
 ])
 def test_report_inputs_of_jet_keep_jet_options(tmp_path, argv, keys):
     report = tmp_path / "r.json"
@@ -497,7 +515,7 @@ def test_export_command(tmp_path):
     rec = tmp_path / "rec"
     assert run(["reconstruct", "--fixture", "constant", "--nodes", "33", "--out", str(rec)]) == 0
     out = tmp_path / "exported.vtk"
-    assert run(["export", "--bundle", str(rec), "--out", str(out)]) == 0
+    assert run(["export", "--immersion", str(rec / "immersion.csv"), "--out", str(out)]) == 0
     assert out.read_text().startswith("# vtk DataFile")
 
 
@@ -518,6 +536,62 @@ def test_unknown_config_key_exit_1(tmp_path):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps({"command": "residual", "fixtur": "constant"}))
     assert run(["--config", str(cfg), "residual"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--forse", "--fixture", "constant"],
+    ["reconstruct", "--fix", "constant"],
+    ["residual", "--nodes", "abc"],
+    [],
+], ids=["unknown-option", "abbreviated-option", "non-numeric-nodes", "no-command"])
+def test_malformed_command_line_exit_1(capsys, argv):
+    # argparse's usage text and exit 2 would break the contract: exit 1, one JSON document
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    data = json.loads(err)
+    assert (data["status"], data["error"]) == ("error", "ConfigError")
+    assert data["message"].startswith("minksurf")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["reconstruct", "-h"])
+    assert info.value.code == 0
+    assert "--tol-build" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("reconstruct", "force", None),
+    ("solve", "method", "jet"),
+    ("export", "bundle", "rec"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_removed_spellings_exit_1(tmp_path, capsys, command, flag, value, source):
+    # --fixture, --tol-build inf and --immersion are the one spelling of each input
+    out = tmp_path / "out"
+    if source == "flag":
+        argv = [command, "--" + flag, *([value] if value else []), "--out", str(out)]
+    else:
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"command": command, flag: value or True, "out": str(out)}))
+        argv = ["--config", str(cfg), command]
+    assert run(argv) == 1
+    data = json.loads(capsys.readouterr().err)
+    assert data["error"] == "ConfigError"
+    assert flag in data["message"]
+    assert not out.exists()
+
+
+def test_tol_build_inf_opens_the_gate(tmp_path):
+    # goursat-degenerate misses the 1e-3 gate at 33 nodes (residual 2.6e-3); inf lets it through
+    report = tmp_path / "r.json"
+    assert run(["reconstruct", "--fixture", "goursat-degenerate", "--nodes", "33", "--tol-build", "inf",
+                "--out", str(tmp_path / "rec"), "--report", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert data["tolerances"] == {"tol_build": None}  # JSON has no inf
+    assert data["metrics"]["residual_max"] > 1e-3
+    assert "force" not in data["inputs"]
 
 
 def test_bad_tolerance_exit_1(tmp_path):
@@ -648,10 +722,10 @@ def test_negative_seed_exit_1(tmp_path, capsys, source):
     # numpy's generator rejects a negative seed with a bare ValueError; the merge rejects it first
     out = tmp_path / "tri"
     if source == "flag":
-        argv = ["solve", "--method", "jet", "--seed", "-1", "--nodes", "9", "--out", str(out)]
+        argv = ["solve", "--fixture", "jet", "--seed", "-1", "--nodes", "9", "--out", str(out)]
     else:
         cfg = tmp_path / "job.json"
-        cfg.write_text(json.dumps({"command": "solve", "method": "jet", "seed": -3, "nodes": 9, "out": str(out)}))
+        cfg.write_text(json.dumps({"command": "solve", "fixture": "jet", "seed": -3, "nodes": 9, "out": str(out)}))
         argv = ["--config", str(cfg), "solve"]
     capsys.readouterr()
     assert run(argv) == 1
@@ -689,7 +763,7 @@ def test_report_byte_determinism(tmp_path, command, fixture):
     if command == "canonicalize":
         # goursat-degenerate misses the build gate at 33 nodes (residual 2.6e-3)
         rec = tmp_path / "rec"
-        assert run(["reconstruct", "--fixture", fixture, "--nodes", "33", "--force", "--out", str(rec)]) == 0
+        assert run(["reconstruct", "--fixture", fixture, "--nodes", "33", "--tol-build", "inf", "--out", str(rec)]) == 0
         argv = [command, "--immersion", str(rec / "immersion.csv"), "--out", str(tmp_path / "canon")]
     assert run(argv + ["--report", str(r1)]) == 0
     assert run(argv + ["--report", str(r2)]) == 0
@@ -716,30 +790,39 @@ def test_missing_out_is_checked_before_the_work(tmp_path, argv):
     assert "needs --out" in data["message"]
 
 
-@pytest.mark.parametrize("method", ["constant", "cylinder", "picard"])
-def test_solve_rejects_non_solver_names(tmp_path, method):
-    # only the jet and the two Goursat solvers produce a solved triple
+@pytest.mark.parametrize("fixture", ["cylinder", "picard"])
+def test_solve_rejects_non_solver_names(tmp_path, fixture):
+    # solve builds what make_triple_fixture builds; the cylinder is an immersion, picard no fixture
     report = tmp_path / "err.json"
-    assert run(["solve", "--method", method, "--out", str(tmp_path / "tri"), "--report", str(report)]) == 1
+    assert run(["solve", "--fixture", fixture, "--out", str(tmp_path / "tri"), "--report", str(report)]) == 1
     data = json.loads(report.read_text())
     assert data["error"] == "ConfigError"
-    assert f"unknown solve method {method!r}" in data["message"]
+    assert f"unknown triple fixture {fixture!r}" in data["message"]
     assert not (tmp_path / "tri").exists()
 
 
+def test_solve_constant_bundle_is_exact(tmp_path):
+    # the constant triple solves the system exactly, so its bundle is a valid solved triple
+    report = tmp_path / "r.json"
+    assert run(["solve", "--fixture", "constant", "--nodes", "9", "--out", str(tmp_path / "tri"),
+                "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["metrics"] == {"residual_max": 0.0, "residual_interior_max": 0.0}
+    assert residual(io.read_triple_bundle(str(tmp_path / "tri"))).max_abs == 0.0
+
+
 @pytest.mark.parametrize(
-    "method, case", [("jet", "positive"), ("goursat-degenerate", "degenerate"), ("goursat-hyperbolic", "negative")])
-def test_solve_bundle_sidecar_is_the_case_alone(tmp_path, method, case):
+    "fixture, case", [("jet", "positive"), ("goursat-degenerate", "degenerate"), ("goursat-hyperbolic", "negative")])
+def test_solve_bundle_sidecar_is_the_case_alone(tmp_path, fixture, case):
     # the CSVs carry the grid and mu's sign; triple.json states only what they cannot
     out = tmp_path / "tri"
-    assert run(["solve", "--method", method, "--nodes", "9", "--out", str(out)]) == 0
+    assert run(["solve", "--fixture", fixture, "--nodes", "9", "--out", str(out)]) == 0
     assert (out / "triple.json").read_bytes() == b'{"case": "%s"}\n' % case.encode()
 
 
 def test_solve_jet_degenerate_case(tmp_path):
     out = tmp_path / "triple"
     code = run([
-        "solve", "--method", "jet", "--case", "degenerate",
+        "solve", "--fixture", "jet", "--case", "degenerate",
         "--order", "6", "--nodes", "33", "--out", str(out),
     ])
     assert code == 0
@@ -751,7 +834,7 @@ def test_solve_jet_degenerate_case(tmp_path):
 
 def test_solve_jet_bundle_is_the_default_jet(tmp_path):
     # the CLI's jet options default to jet_triple's, so the two bundles agree byte for byte
-    assert run(["solve", "--method", "jet", "--nodes", "33", "--out", str(tmp_path / "cli")]) == 0
+    assert run(["solve", "--fixture", "jet", "--nodes", "33", "--out", str(tmp_path / "cli")]) == 0
     io.write_triple_bundle(jet_triple(nodes=33), str(tmp_path / "lib"))
     names = sorted(os.listdir(tmp_path / "lib"))
     assert sorted(os.listdir(tmp_path / "cli")) == names

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from minksurf import io
 from minksurf.analysis import Immersion, geometric_frame
 from minksurf.canonical import canonicalize
-from minksurf.cli import run
+from minksurf.cli import SCHEMAS, run
 from minksurf.errors import (
     BlowUp,
     DegenerateMetric,
@@ -26,9 +26,10 @@ from minksurf.errors import (
     NotIsotropic,
     NotSeparable,
     ResidualTooLarge,
+    SignChange,
     StepUnstable,
 )
-from minksurf.fields import GridSpec, ScalarField, is_integral, ln_abs
+from minksurf.fields import GridSpec, ScalarField, is_integral, ln_abs, require_away_from_zero
 from minksurf.fixtures import constant_triple, cylinder_immersion, goursat_degenerate_triple, jet_triple
 from minksurf.frames import coefficient_matrices, integrate_frame, reconstruct
 from minksurf.jets import MAX_JET_ORDER
@@ -62,6 +63,8 @@ def _non_pnmc_immersion():
 # every raise site that names a node: (the call that fails, its grid, the error)
 LOCATED = {
     "near-zero-field": (_zero_at_two_nodes, G33, NearZeroField),
+    "sign-change": (lambda: require_away_from_zero(ScalarField(G33, np.where(G33.mesh()[1] > 0.5, 1.0, -1.0)),
+                                                   constant_sign=True), G33, SignChange),
     "march-blowup": (lambda: solve_goursat_degenerate(lambda u: 1 + u, lambda u: 0 * u, lambda v: 0 * v,
                                                       lambda u: 0 * u, G65), G65, BlowUp),
     "sweep-blowup": (lambda: _hyperbolic_sweep_blowup(GridSpec(0, 0.5, 0, 0.5, 33, 33)),
@@ -96,14 +99,18 @@ NODES = 7
 BAD_CELLS = ["abc", "", "nan", "inf", "-inf", "1e400", "0x10", "1,2"]
 
 
+def _csv_text(write, obj) -> str:
+    """The text `write(obj, path)` puts in a file."""
+    with tempfile.TemporaryDirectory() as d:
+        write(obj, os.path.join(d, "f.csv"))
+        with open(os.path.join(d, "f.csv")) as fh:
+            return fh.read()
+
+
 @st.composite
 def immersion_csv(draw):
     """A 7 x 7 immersion CSV, edited; known-invalid edits: a bad cell or a missing row."""
-    cyl = cylinder_immersion(NODES)
-    with tempfile.TemporaryDirectory() as d:
-        io.write_immersion_csv(cyl, os.path.join(d, "m.csv"))
-        with open(os.path.join(d, "m.csv")) as fh:
-            header, *rows = fh.read().splitlines()
+    header, *rows = _csv_text(io.write_immersion_csv, cylinder_immersion(NODES)).splitlines()
     kind = draw(st.sampled_from(["cell", "drop-row", "truncate", "header"]))
     k = draw(st.integers(0, len(rows) - 1))
     if kind == "cell":
@@ -166,16 +173,78 @@ def job_config(draw):
             "invalid": isinstance(nodes, float) and not nodes.is_integer() or bad_order}
 
 
+@st.composite
+def command_line(draw):
+    """An argv that argparse refuses, each kind known-invalid: an unknown option, a non-numeric --nodes, no command.
+
+    An unknown option is a removed spelling, a typo, an abbreviation of one
+    of the command's options (each is taken under its full name only) or a
+    name that begins with x, which no option does.
+    """
+    kind = draw(st.sampled_from(["unknown-option", "non-numeric-nodes", "no-command"]))
+    if kind == "no-command":
+        argv = draw(st.sampled_from([[], ["--config", "job.json"]]))
+    elif kind == "unknown-option":
+        command = draw(st.sampled_from(list(SCHEMAS)))
+        flags = [dest.replace("_", "-") for dest in SCHEMAS[command]]
+        abbreviation = st.sampled_from(flags).flatmap(lambda f: st.integers(1, len(f) - 1).map(lambda k: f[:k]))
+        name = draw(st.sampled_from(["force", "method", "bundle", "forse"])
+                    | abbreviation.filter(lambda a: a not in flags)
+                    | st.text("abcdefghijklmnopqrstuvwxyz-", max_size=6).map("x".__add__))
+        argv = [command, "--" + name, *draw(st.lists(st.just("1"), max_size=1))]
+    else:
+        command = draw(st.sampled_from([c for c, schema in SCHEMAS.items() if "nodes" in schema]))
+        value = draw(st.sampled_from(["abc", "33.0", "1e3", "nan", ""]) | st.text(max_size=4).filter(_not_int))
+        argv = [command, "--nodes=" + value]  # with =, a value that begins with a dash stays a value
+    return {"kind": "argv", "argv": argv, "invalid": True}
+
+
+def _not_int(text: str) -> bool:
+    """Whether int(), argparse's conversion for --nodes, refuses `text`."""
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def mu_sign_flip(draw):
+    """The mu.csv of a 7 x 7 bundle with the samples at drawn nodes negated.
+
+    Known-invalid: some but not all samples negated, so that mu changes sign.
+    """
+    flips = draw(st.lists(st.integers(0, NODES * NODES - 1), max_size=4, unique=True) | st.just(range(NODES * NODES)))
+    mu = constant_triple(NODES).mu
+    values = mu.values.copy()
+    values.flat[list(flips)] *= -1
+    text = _csv_text(io.write_field_csv, ScalarField(mu.grid, values))
+    return {"kind": "bundle-file", "file": "mu.csv", "text": text, "invalid": 0 < len(flips) < NODES * NODES}
+
+
+@st.composite
+def mismatched_grid(draw):
+    """One CSV of a 7 x 7 bundle rewritten on a drawn grid; known-invalid: any grid but the bundle's."""
+    t = constant_triple(NODES)
+    name, field = draw(st.sampled_from([("lambda", t.lam), ("mu", t.mu), ("nu", t.nu)]))
+    grid = GridSpec(0.0, draw(st.sampled_from([1.0, 0.5])), 0.0, draw(st.sampled_from([1.0, 2.0])),
+                    draw(st.integers(5, 9)), draw(st.integers(5, 9)))
+    text = _csv_text(io.write_field_csv, ScalarField.constant(grid, float(field.values[0, 0])))
+    return {"kind": "bundle-file", "file": f"{name}.csv", "text": text, "invalid": grid != t.grid}
+
+
 MISSING = st.sampled_from([{"kind": k, "text": None, "invalid": True} for k in ("csv", "sidecar", "config")])
 
 
 def _run_case(d: str, case: dict) -> tuple[int, str]:
+    if case["kind"] == "argv":
+        return _run_cli(case["argv"])
     if case["kind"] == "csv":
         path = os.path.join(d, "m.csv")
         argv = ["analyze", "--immersion", path]
-    elif case["kind"] == "sidecar":
+    elif case["kind"] in ("sidecar", "bundle-file"):
         io.write_triple_bundle(constant_triple(NODES), os.path.join(d, "tri"))
-        path = os.path.join(d, "tri", "triple.json")
+        path = os.path.join(d, "tri", case.get("file", "triple.json"))
         argv = ["residual", "--triple", os.path.join(d, "tri")]
     else:
         path = os.path.join(d, "job.json")
@@ -186,6 +255,10 @@ def _run_case(d: str, case: dict) -> tuple[int, str]:
     else:
         with open(path, "w") as fh:
             fh.write(case["text"])
+    return _run_cli(argv)
+
+
+def _run_cli(argv: list[str]) -> tuple[int, str]:
     out, err = stdio.StringIO(), stdio.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
@@ -199,7 +272,8 @@ SIDECAR_SIGN_TRUE = json.dumps({"case": "negative", "sign_mu": True, "grid": {
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(case=st.one_of(immersion_csv(), triple_sidecar(), job_config(), MISSING))
+@given(case=st.one_of(immersion_csv(), triple_sidecar(), job_config(), command_line(), mu_sign_flip(),
+                      mismatched_grid(), MISSING))
 @example(case={"kind": "sidecar", "text": SIDECAR_NU_1E400, "invalid": True})  # once an OverflowError traceback
 @example(case={"kind": "config", "text": '{"fixture": "jet", "order": 0}', "invalid": True})  # once an IndexError
 @example(case={"kind": "sidecar", "text": SIDECAR_SIGN_TRUE, "invalid": True})  # once read as +1, exit 0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minksurf.errors import GridTooSmall, NearZeroField
+from minksurf.errors import GridTooSmall, NearZeroField, SignChange
 from minksurf.fields import (
     GridSpec,
     ScalarField,
@@ -110,7 +110,7 @@ def test_ln_abs_examples():
 def test_ln_abs_sign_constancy_flag():
     vals = np.ones((G.Nu, G.Nv))
     vals[4:, 2:] = -1.0
-    with pytest.raises(NearZeroField) as info:
+    with pytest.raises(SignChange) as info:
         require_away_from_zero(ScalarField(G, vals), constant_sign=True)
     # the first node whose sign differs from node (0, 0)
     assert info.value.node == (4, 2)

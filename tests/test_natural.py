@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minksurf import jets, natural
-from minksurf.errors import BlowUp, BothMuZero, NearZeroField, NoConvergence, ValidationError
+from minksurf.errors import BlowUp, BothMuZero, NearZeroField, NoConvergence, SignChange, ValidationError
 from minksurf.fields import GridSpec, ScalarField
 from minksurf.fixtures import (
     DEGENERATE_EDGE_LEVEL,
@@ -107,7 +107,7 @@ def test_triple_validation():
     assert info.value.uv == (G65.u0, G65.v0)
     assert str(info.value).startswith("min |mu| = 0.000e+00")
     U, V = G65.mesh()
-    with pytest.raises(NearZeroField) as info:
+    with pytest.raises(SignChange) as info:  # a validation error: no generator changes mu's sign
         CanonicalTriple(  # mu = 0 on the line u = v; the first sign flip is at node (1, 0)
             lam=ScalarField.constant(G65, 0.0),
             mu=ScalarField(G65, np.where(U > V, 1.0, -1.0)),
