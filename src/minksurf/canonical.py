@@ -14,11 +14,21 @@ chi', so phi gains chi'^2 and only int sqrt(phi) du is invariant.  The
 quadratures start at the lower domain corner with zero offsets (the
 additive constants are free).
 
-`canonicalize` runs one flow for every case: classify, check separability,
-integrate the map, resample, re-analyze, build the triple.  The degenerate
-case (mu2 = 0) checks f^2 |mu1| only, keeps v, takes (lambda1, mu1, nu) as
-the triple with nu projected onto u, and reports that projection where the
-general case reports the relation between the two null directions.  The
+`canonicalize` analyses the immersion once and runs one flow for every
+case: classify, check separability, integrate the map, resample the
+immersion, and carry the triple over by the reparametrization law.  Under
+u = U(ubar), v = V(vbar) with a = U' and b = V', lambda1 and mu1 gain a/b,
+lambda2 and mu2 gain b/a, beta1 gains sqrt(a/b), beta2 sqrt(b/a), f
+sqrt(ab), and nu is unchanged.  The canonical map has a = 1/sqrt(phi) and
+b = 1/sqrt(psi), so the general triple
+(lambda1 sqrt|mu1 mu2| / |mu1|, eps1 sqrt|mu1 mu2|, nu) has the same value
+at a point in both parameter systems: it is formed at the original nodes
+and resampled where the immersion is.  The degenerate case (mu2 = 0)
+checks f^2 |mu1| only, keeps v (b = 1), takes
+(lambda1 / sqrt(phi), mu1 / sqrt(phi), nu) as the triple with nu projected
+onto u, and reports that projection where the general case reports the
+relation between the two null directions.  The metric law
+f sqrt|mu| = 1 is checked with the f of the resampled immersion itself.  The
 degenerate system is invariant under v -> psi(v) with
 (lambda, mu, nu) -> (lambda / psi', mu / psi', nu), so keeping v leaves the
 degenerate triple unique only up to that gauge.
@@ -32,9 +42,10 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import make_interp_spline
 
-from .analysis import FrameFunctions, Immersion, frame_functions, geometric_frame
+from .analysis import FD_ORDER, FrameFunctions, Immersion, frame_functions, geometric_frame
 from .errors import BothMuZero, NotSeparable
-from .fields import MU_MIN, GridSpec, ScalarField, diff_values, ln_abs
+from .fields import MU_MIN, GridSpec, ScalarField, bicubic, diff_values, ln_abs
+from .minkowski import lorentz_inner
 from .natural import CanonicalTriple, Case, classify_from_frame
 
 # relative |mu2| (vs |mu1|) below which analysis counts as the degenerate case;
@@ -126,9 +137,12 @@ def _monotone_inverse(svals: np.ndarray, nodes: np.ndarray, targets: np.ndarray)
 def canonicalize(m: Immersion) -> CanonicalizationResult:
     """Resample an isotropic immersion onto canonical parameters.
 
-    Transposes first when mu2 rather than mu1 carries the data.  Besides
-    the per-case entries the diagnostics hold the separability deviations
-    and the canonical metric law max |f sqrt|mu| - 1|.  Raises NotSeparable
+    Analyses m once: the triple comes from m's frame functions by the
+    reparametrization law (see the module docstring), resampled with the
+    immersion.  Transposes first when mu2 rather than mu1 carries the data.
+    Besides the per-case entries the diagnostics hold the separability
+    deviations and the canonical metric law max |f sqrt|mu| - 1|, with f
+    read off the canonical immersion.  Raises NotSeparable
     when f^2 |mu_i| depends on the wrong parameter, at the interior node
     where the largest deviation peaks.
     """
@@ -165,35 +179,38 @@ def canonicalize(m: Immersion) -> CanonicalizationResult:
     # sample at (src_u, src_v), label the nodes (ubar, vbar)
     new_grid = GridSpec(0.0, ubar[-1], vbar[0], vbar[-1], g.Nu, g.Nv)
     new_m = m.resample(new_grid, src_u, src_v)
-    funcs2 = frame_functions(geometric_frame(new_m))
+
+    # the law at the original nodes, with a = 1/sqrt(phi) and b = 1/sqrt(psi) (1 when v is kept)
+    a_over_b = np.sqrt((1.0 if degenerate else psi[None, :]) / phi[:, None])
+    lam1, mu1 = funcs.lambda1.values * a_over_b, funcs.mu1.values * a_over_b
+    if degenerate:
+        fields = (lam1, mu1, funcs.nu.values)
+    else:
+        lam2, mu2 = funcs.lambda2.values / a_over_b, funcs.mu2.values / a_over_b
+        eps1 = 1.0 if np.median(mu1[su, sv]) > 0 else -1.0
+        root = np.sqrt(np.abs(mu1) * np.abs(mu2))
+        fields = (lam1 * root / np.abs(mu1), eps1 * root, funcs.nu.values)
+    lam, mu, nu = np.moveaxis(bicubic(np.stack(fields, axis=-1), g, src_u, src_v), -1, 0)
 
     if degenerate:
-        # nu depends on u only: project out the v-noise of the recovered samples
-        nu_u = np.mean(funcs2.nu.values[:, sv], axis=1)
-        nu_proj = np.repeat(nu_u[:, None], g.Nv, axis=1)
-        triple = CanonicalTriple(
-            lam=funcs2.lambda1, mu=funcs2.mu1, nu=ScalarField(new_grid, nu_proj), case=case,
-        )
-        case_diag = {"nu_projection_dev": float(np.max(np.abs(funcs2.nu.values - nu_proj)[su, sv]))}
+        # nu depends on u only: project out the v-noise of the resampled samples
+        nu_proj = np.repeat(np.mean(nu[:, sv], axis=1)[:, None], g.Nv, axis=1)
+        case_diag = {"nu_projection_dev": float(np.max(np.abs(nu - nu_proj)[su, sv]))}
+        nu = nu_proj
     else:
-        eps1 = 1.0 if np.median(funcs2.mu1.values[su, sv]) > 0 else -1.0
-        root = np.sqrt(np.abs(funcs2.mu1.values) * np.abs(funcs2.mu2.values))
-        triple = CanonicalTriple(
-            lam=ScalarField(new_grid, funcs2.lambda1.values * root / np.abs(funcs2.mu1.values)),
-            mu=ScalarField(new_grid, eps1 * root),
-            nu=funcs2.nu,
-            case=case,
-        )
         # canonical relation sigma(x,x) = -eps sigma(y,y): lambda2 = -eps lambda1 etc.
         eps = case.epsilon
-        sigma_dev = max(
-            np.max(np.abs((funcs2.lambda2.values + eps * funcs2.lambda1.values)[su, sv])),
-            np.max(np.abs((funcs2.mu2.values + eps * funcs2.mu1.values)[su, sv])),
-        )
-        case_diag = {"sigma_relation_max_dev": float(sigma_dev / (1.0 + funcs2.sigma_scale()))}
+        sigma_dev = max(np.max(np.abs((lam2 + eps * lam1)[su, sv])), np.max(np.abs((mu2 + eps * mu1)[su, sv])))
+        sigma_scale = max(np.max(np.abs(a)) for a in (lam1, mu1, lam2, mu2, funcs.nu.values))
+        case_diag = {"sigma_relation_max_dev": float(sigma_dev / (1.0 + sigma_scale))}
+    triple = CanonicalTriple(lam=ScalarField(new_grid, lam), mu=ScalarField(new_grid, mu),
+                             nu=ScalarField(new_grid, nu), case=case)
 
+    # the metric law read off new_m itself, so a faulty inverse map or resample shows
+    zu, zv = (diff_values(new_m.points, h, axis, order=FD_ORDER) for h, axis in ((new_grid.hu, 0), (new_grid.hv, 1)))
+    f_new = np.sqrt(-lorentz_inner(zu, zv))
+    metric_law = (f_new * np.sqrt(np.abs(mu)))[su, sv] - 1.0
     repar = Reparametrization(phi=phi, psi=psi, ubar_map=ubar, vbar_map=vbar)
-    metric_law = (funcs2.f.values * np.sqrt(np.abs(triple.mu.values)))[su, sv] - 1.0
     diagnostics = {
         **devs,
         "metric_law_max_dev": float(np.max(np.abs(metric_law))),

@@ -54,10 +54,17 @@ JET_KEYS = (*JET_OPTIONS, "seed")
 
 
 class _Parser(argparse.ArgumentParser):
-    """A malformed command line (an abbreviated option too) is a ConfigError, reported like any other; -h exits 0."""
+    """A malformed command line (an abbreviated option too) is a ConfigError, reported like any other; -h exits 0.
+
+    A subcommand's parser sets `command`; the error carries it, and the report writes it.
+    """
+
+    command = None
 
     def error(self, message):
-        raise ConfigError(f"{self.prog}: {message}")
+        exc = ConfigError(f"{self.prog}: {message}")
+        exc.command = self.command
+        raise exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,6 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, schema in SCHEMAS.items():
         p = sub.add_parser(command, allow_abbrev=False)
+        p.command = command
         for dest, (typ, _default) in schema.items():
             p.add_argument("--" + dest.replace("_", "-"), type=typ, default=None, dest=dest)
     return parser
@@ -307,8 +315,12 @@ def run(argv: list[str] | None = None) -> int:
     # failed, only the command-line flag is known, and if parsing failed, neither is
     command = report_path = None
     try:
-        args = _build_parser().parse_args(argv)
-        command, report_path = args.command, args.report
+        parser = _build_parser()
+        args, unknown = parser.parse_known_args(argv)
+        command = args.command
+        if unknown:
+            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        report_path = args.report
         opts = _merge_config(args)
         report_path = opts["report"]
         # the finiteness checks raise typed errors; numpy's warnings would only precede their report

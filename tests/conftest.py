@@ -7,6 +7,7 @@ from minksurf.fixtures import (
     constant_triple,
     cylinder_immersion,
     goursat_degenerate_triple,
+    goursat_hyperbolic_triple,
     jet_triple,
 )
 from minksurf.frames import reconstruct
@@ -26,6 +27,11 @@ def jet_bundle():
 @pytest.fixture(scope="session")
 def negative_jet_bundle():
     return reconstruct(jet_triple(Case.NEGATIVE_KH, order=6, radius=0.1, nodes=65))
+
+
+@pytest.fixture(scope="session")
+def hyperbolic_bundle():
+    return reconstruct(goursat_hyperbolic_triple(65))
 
 
 @pytest.fixture(scope="session")

@@ -94,11 +94,12 @@ def test_order4_stencil_passes(monkeypatch, jet_bundle):
         return len(calls)
 
     # z_u, z_v, z_uv; x_u, y_v, n1_u, n1_v; and invariants adds (ln f)_u,
-    # (ln f)_uv, z_uu and z_vv; canonicalize analyzes two immersions
+    # (ln f)_uv, z_uu and z_vv; canonicalize analyzes one immersion and reads
+    # the canonical immersion's z_u and z_v for the metric law
     assert passes(geometric_frame) == 3
     assert passes(frame_functions, geometric_frame(m)) == 4
     assert passes(invariants) == 11
-    assert passes(canonicalize) == 14
+    assert passes(canonicalize) == 9
 
 
 def test_cylinder_frame_functions(cylinder):

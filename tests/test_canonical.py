@@ -92,12 +92,13 @@ def test_canonicalize_identity_on_canonical_surface(constant_bundle):
     assert res.diagnostics["sigma_relation_max_dev"] <= 1e-3
 
 
-@pytest.mark.parametrize(
-    "bundle_name, case",
-    [("jet_bundle", Case.POSITIVE_KH), ("negative_jet_bundle", Case.NEGATIVE_KH)],
-    ids=["positive", "negative"],
-)
-def test_canonicalize_jet_recovers_triple(request, bundle_name, case):
+@pytest.mark.parametrize("bundle_name, case, rederived_bound", [
+    ("jet_bundle", Case.POSITIVE_KH, 2e-9),
+    ("negative_jet_bundle", Case.NEGATIVE_KH, 2e-9),
+    ("hyperbolic_bundle", Case.NEGATIVE_KH, 4e-8),
+    ("degenerate_bundle", Case.DEGENERATE, 4e-8),
+], ids=["positive", "negative", "goursat-hyperbolic", "goursat-degenerate"])
+def test_canonicalize_jet_recovers_triple(request, bundle_name, case, rederived_bound):
     bundle = request.getfixturevalue(bundle_name)
     t = bundle.triple
     res = canonicalize(immersion_of(bundle))
@@ -113,6 +114,21 @@ def test_canonicalize_jet_recovers_triple(request, bundle_name, case):
     ratio_new = res.triple.lam.values[su, sv] / res.triple.mu.values[su, sv]
     ratio_orig = funcs.lambda1.values[su, sv] / funcs.mu1.values[su, sv]
     assert np.max(np.abs(ratio_new - ratio_orig)) <= 1e-3
+    # the triple re-derived from the canonical immersion's own frame functions:
+    # (lambda1, mu1, nu projected onto u) when degenerate, else
+    # (lambda1 sqrt|mu1 mu2| / |mu1|, eps1 sqrt|mu1 mu2|, nu).  Measured at 65
+    # nodes, n/8 layers in: 4.1e-10 (jets), 8.1e-9 (goursat-hyperbolic),
+    # 1.2e-8 (goursat-degenerate)
+    mu1 = funcs.mu1.values
+    if case is Case.DEGENERATE:
+        nu = np.repeat(np.mean(funcs.nu.values[:, sv], axis=1)[:, None], g2.Nv, axis=1)
+        rederived = CanonicalTriple(funcs.lambda1, funcs.mu1, ScalarField(g2, nu), case)
+    else:
+        eps1 = 1.0 if np.median(mu1[su, sv]) > 0 else -1.0
+        root = np.sqrt(np.abs(mu1) * np.abs(funcs.mu2.values))
+        rederived = CanonicalTriple(ScalarField(g2, funcs.lambda1.values * root / np.abs(mu1)),
+                                    ScalarField(g2, eps1 * root), funcs.nu, case)
+    assert _triple_gap(res.triple, rederived, g2.Nu // 8) <= rederived_bound
 
 
 def test_canonicalize_case_preserved(jet_bundle):
@@ -250,6 +266,12 @@ def _triple_gap(a, b, layers):
     return max(float(np.max(np.abs(x.values - y.values)[su, sv])) for x, y in ((a.lam, b.lam), (a.mu, b.mu), (a.nu, b.nu)))
 
 
+def _u_warp(g):
+    """u = u0 + L (e^{1.2 s} - 1) / (e^{1.2} - 1) at the scaled grid nodes s, and its derivative du/dubar."""
+    s = (g.u_nodes - g.u0) / (g.u1 - g.u0)
+    return g.u0 + (g.u1 - g.u0) * np.expm1(1.2 * s) / np.expm1(1.2), 1.2 * np.exp(1.2 * s) / np.expm1(1.2)
+
+
 @pytest.mark.parametrize("make, triple_bound, law_bound", [
     (lambda: jet_triple(Case.POSITIVE_KH, 6, 0.1, 65), 1.5e-5, 1.5e-4),
     (lambda: jet_triple(Case.NEGATIVE_KH, 6, 0.1, 65), 1.5e-5, 1.5e-4),
@@ -257,19 +279,48 @@ def _triple_gap(a, b, layers):
     (lambda: goursat_degenerate_triple(65), 3e-4, 5e-4),
 ], ids=["jet-positive", "jet-negative", "goursat-hyperbolic", "goursat-degenerate"])
 def test_canonicalize_undoes_a_u_warp(make, triple_bound, law_bound):
-    # the surface resampled at u = u0 + L (e^{1.2 s} - 1) / (e^{1.2} - 1), s the
-    # scaled grid node, is still isotropic and must canonicalize to the triple of
-    # the unwarped surface, n/8 layers in.  Measured at 65 nodes: triple 5.6e-6
-    # (jets), 6.3e-6 (goursat-hyperbolic), 1.3e-4 (goursat-degenerate); metric
-    # law 5.4e-5 or less, and 2.4e-4 (goursat-degenerate).  A degenerate map
-    # integrating phi instead of sqrt(phi) reads 2.7 and 0.69 there.
+    # the surface resampled at the u-warp is still isotropic and must
+    # canonicalize to the triple of the unwarped surface, n/8 layers in.
+    # Measured at 65 nodes: triple 1.1e-6 (jets), 6.9e-6 (goursat-hyperbolic),
+    # 1.3e-4 (goursat-degenerate); metric law 2.6e-6 or less, and 1.1e-5
+    # (goursat-degenerate).  A map integrating phi instead of sqrt(phi)
+    # reads 0.25 and 0.30 on goursat-degenerate.
     m = immersion_of(reconstruct(make()))
     g = m.grid
-    s = (g.u_nodes - g.u0) / (g.u1 - g.u0)
-    warped = m.resample(g, g.u0 + (g.u1 - g.u0) * np.expm1(1.2 * s) / np.expm1(1.2), g.v_nodes)
+    warped = m.resample(g, _u_warp(g)[0], g.v_nodes)
     res, ref = canonicalize(warped), canonicalize(m)
     assert _triple_gap(res.triple, ref.triple, g.Nu // 8) <= triple_bound
     assert res.diagnostics["metric_law_max_dev"] <= law_bound
+
+
+@pytest.mark.parametrize("make, bound, lambda1_bound", [
+    (lambda: jet_triple(Case.POSITIVE_KH, 6, 0.1, 65), 4e-6, 4e-6),
+    (lambda: jet_triple(Case.NEGATIVE_KH, 6, 0.1, 65), 4e-6, 4e-6),
+    (lambda: goursat_hyperbolic_triple(65), 2.5e-5, 2.5e-5),
+    (lambda: goursat_degenerate_triple(65), 6e-5, 4.5e-4),
+], ids=["jet-positive", "jet-negative", "goursat-hyperbolic", "goursat-degenerate"])
+def test_frame_functions_follow_the_reparametrization_law(make, bound, lambda1_bound):
+    # the law canonicalize builds its triple by: under u = U(ubar), v = V(vbar)
+    # with a = U' and b = V', lambda1 and mu1 gain a/b, lambda2 and mu2 gain
+    # b/a, beta1 gains sqrt(a/b), beta2 sqrt(b/a), f sqrt(ab), and nu nothing.
+    # U is the u-warp, V(t) = t + 0.1 sin(pi t) scaled to the grid.  Measured
+    # at 65 nodes, n/8 layers in: 1.4e-6 (jets), 8.3e-6 (goursat-hyperbolic),
+    # and on goursat-degenerate 1.5e-4 for lambda1, 2e-5 for the rest; the
+    # bounds are 3x these
+    m = immersion_of(reconstruct(make()))
+    g = m.grid
+    U, a = _u_warp(g)
+    t = (g.v_nodes - g.v0) / (g.v1 - g.v0)
+    V, b = g.v0 + (g.v1 - g.v0) * (t + 0.1 * np.sin(np.pi * t)), 1 + 0.1 * np.pi * np.cos(np.pi * t)
+    r = a[:, None] / b[None, :]
+    factors = {"lambda1": r, "mu1": r, "lambda2": 1 / r, "mu2": 1 / r, "nu": 1.0,
+               "beta1": np.sqrt(r), "beta2": np.sqrt(1 / r), "f": np.sqrt(a[:, None] * b[None, :])}
+    warped, ref = (frame_functions(geometric_frame(x)) for x in (m.resample(g, U, V), m))
+    su, sv = g.interior(g.Nu // 8)
+    for name, factor in factors.items():
+        expected = bicubic(getattr(ref, name).values, g, U, V) * factor
+        gap = float(np.max(np.abs(getattr(warped, name).values - expected)[su, sv]))
+        assert gap <= (lambda1_bound if name == "lambda1" else bound), (name, gap)
 
 
 ETA = np.diag(METRIC_DIAG)

@@ -538,19 +538,23 @@ def test_unknown_config_key_exit_1(tmp_path):
     assert run(["--config", str(cfg), "residual"]) == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["reconstruct", "--forse", "--fixture", "constant"],
-    ["reconstruct", "--fix", "constant"],
-    ["residual", "--nodes", "abc"],
-    [],
-], ids=["unknown-option", "abbreviated-option", "non-numeric-nodes", "no-command"])
-def test_malformed_command_line_exit_1(capsys, argv):
-    # argparse's usage text and exit 2 would break the contract: exit 1, one JSON document
+@pytest.mark.parametrize("argv, command", [
+    (["reconstruct", "--forse", "--fixture", "constant"], "reconstruct"),
+    (["reconstruct", "--fix", "constant"], "reconstruct"),
+    (["residual", "--nodes", "abc"], "residual"),
+    (["roundtrip", "--tol-build", "-inf"], "roundtrip"),
+    ([], None),
+    (["frobnicate"], None),
+], ids=["unknown-option", "abbreviated-option", "non-numeric-nodes", "option-missing-its-value", "no-command",
+        "unknown-command"])
+def test_malformed_command_line_exit_1(capsys, argv, command):
+    # argparse's usage text and exit 2 would break the contract: exit 1, one
+    # JSON document, naming the command once it was read
     assert run(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     data = json.loads(err)
-    assert (data["status"], data["error"]) == ("error", "ConfigError")
+    assert (data["command"], data["status"], data["error"]) == (command, "error", "ConfigError")
     assert data["message"].startswith("minksurf")
 
 
