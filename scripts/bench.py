@@ -32,10 +32,15 @@ Each call's minor page faults (the process's `resource.getrusage` ru_minflt
 delta) are recorded too, as their median: a fresh large temporary costs a
 fault per page on first touch, which the wall time alone does not separate.
 
+One more row, `cold_import`, is the median wall time of REPEATS fresh
+interpreters (after one untimed warm-up) that run `import minksurf.cli`
+from the same source tree: the start-up cost of every CLI command.
+
 The result is stored under `--label` in the JSON file `--out`, next to the
 runs already there, with the machine and the Python, numpy and scipy
-versions.  To compare two commits, run the script on each checkout with the
-same `--out` and a label per side:
+versions (scipy as installed; the package does not import it).  To compare
+two commits, run the script on each checkout with the same `--out` and a
+label per side:
 
     PYTHONPATH=<checkout>/src python scripts/bench.py --out BENCH.json --label <commit>
 """
@@ -46,11 +51,14 @@ import os
 import platform
 import resource
 import statistics
+import subprocess
+import sys
 import time
+from importlib import metadata
 
 import numpy as np
-import scipy
 
+import minksurf
 from minksurf import analysis, canonical, fixtures, frames, natural
 from minksurf.fields import GridSpec
 from minksurf.natural import Case
@@ -139,6 +147,29 @@ def median_call(fn) -> tuple[float, int]:
     return round(1e3 * statistics.median(times), 2), int(statistics.median(faults))
 
 
+def cold_import() -> float:
+    """Median wall time (ms) of REPEATS fresh interpreters importing minksurf.cli from this process's source tree.
+
+    One warm-up interpreter runs first, untimed.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(minksurf.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    times = []
+    for k in range(REPEATS + 1):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import minksurf.cli"], env=env, check=True)
+        if k:
+            times.append(time.perf_counter() - t0)
+    return round(1e3 * statistics.median(times), 2)
+
+
+def _version(package: str) -> str | None:
+    try:
+        return metadata.version(package)
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="JSON file; runs under other labels are kept")
@@ -152,6 +183,9 @@ def main():
             print(f"{stage:28s} {n:4d} nodes  {ms[stage][str(n)]:9.2f} ms  {minflt[stage][str(n)]:7d} minor faults",
                   flush=True)
 
+    cold_ms = cold_import()
+    print(f"{'cold_import':28s}             {cold_ms:9.2f} ms", flush=True)
+
     doc = {}
     if os.path.exists(args.out):
         with open(args.out) as f:
@@ -160,11 +194,12 @@ def main():
         "machine": {"cpu": _cpu_model(), "cpus": os.cpu_count(), "arch": platform.machine()},
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _version("scipy"),  # the tests' reference; the package runs without it
         "statistic": f"median of {REPEATS} calls after one warm-up: wall clock in ms, and minor page faults "
                      "(the process's getrusage ru_minflt delta)",
         "stages_ms": ms,
         "stages_minflt": minflt,
+        "cold_import_ms": cold_ms,
     }
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=2)

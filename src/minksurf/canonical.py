@@ -16,11 +16,14 @@ additive constants are free).
 
 `canonicalize` analyses the immersion once and runs one flow for every
 case: classify, check separability, integrate the map, resample the
-immersion, and carry the triple over by the reparametrization law.  Under
-u = U(ubar), v = V(vbar) with a = U' and b = V', lambda1 and mu1 gain a/b,
-lambda2 and mu2 gain b/a, beta1 gains sqrt(a/b), beta2 sqrt(b/a), f
-sqrt(ab), and nu is unchanged.  The canonical map has a = 1/sqrt(phi) and
-b = 1/sqrt(psi), so the general triple
+immersion, and carry the triple over by the reparametrization law.  The map
+is integrated by `fields.cumulative_simpson` and inverted on the uniform
+not-a-knot spline of ubar(u) (`fields.spline_table`, the package's one
+spline routine) by a bracketed Newton step per interval, since
+ubar' = sqrt(phi) > 0.  Under u = U(ubar), v = V(vbar) with a = U' and
+b = V', lambda1 and mu1 gain a/b, lambda2 and mu2 gain b/a, beta1 gains
+sqrt(a/b), beta2 sqrt(b/a), f sqrt(ab), and nu is unchanged.  The canonical
+map has a = 1/sqrt(phi) and b = 1/sqrt(psi), so the general triple
 (lambda1 sqrt|mu1 mu2| / |mu1|, eps1 sqrt|mu1 mu2|, nu) has the same value
 at a point in both parameter systems: it is formed at the original nodes
 and resampled where the immersion is.  The degenerate case (mu2 = 0)
@@ -39,12 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import make_interp_spline
 
 from .analysis import FD_ORDER, FrameFunctions, Immersion, frame_functions, geometric_frame
 from .errors import BothMuZero, NotSeparable
-from .fields import MU_MIN, GridSpec, ScalarField, bicubic, diff_values, ln_abs
+from .fields import (MU_MIN, GridSpec, ScalarField, bicubic, cumulative_simpson, diff_values, ln_abs, locate,
+                     spline_table, spline_weights)
 from .minkowski import lorentz_inner
 from .natural import CanonicalTriple, Case, classify_from_frame
 
@@ -122,16 +124,43 @@ class CanonicalizationResult:
     diagnostics: dict
 
 
-def _monotone_inverse(svals: np.ndarray, nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Given s(nodes) strictly increasing, return nodes at the target s-values.
+# `_monotone_inverse` stops once no interval fraction moves by more than NEWTON_TOL (round-off in u:
+# the fraction's own rounding noise is about 1e-14); bisection bounds it to NEWTON_STEPS iterations
+NEWTON_TOL = 1e-13
+NEWTON_STEPS = 60
 
-    Else NotSeparable with no node: the map is 1-D, of f^2 |mu_i| averaged over the other parameter.
+
+def _monotone_inverse(svals: np.ndarray, nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Given s(nodes) strictly increasing on uniform nodes, return the nodes' coordinate at the target s-values.
+
+    s is the not-a-knot spline of its node values (`fields.spline_table`),
+    inverted in each target's interval [s_k, s_k+1] by Newton's method on
+    the interval fraction, kept inside a bracket that bisects whenever a
+    step would leave it, until no fraction moves by more than NEWTON_TOL; a
+    target at a node value lands on that node exactly.  Else NotSeparable
+    with no node: the map is 1-D, of f^2 |mu_i| averaged over the other
+    parameter.
     """
     if np.any(np.diff(svals) <= 0):
         raise NotSeparable("reparametrization map is not strictly increasing", None, None)
-    inv = make_interp_spline(svals, nodes, k=3)
-    out = inv(np.clip(targets, svals[0], svals[-1]))
-    return np.clip(out, nodes[0], nodes[-1])
+    s = np.clip(targets, svals[0], svals[-1])
+    k, tau = locate(svals, s)  # Newton starts from the chord's root
+    rows = spline_table(svals).ravel()  # y_0, d_0, y_1, d_1, ...
+    y0, d0, y1, d1 = (rows[2 * k + j] for j in range(4))
+    lo, hi = np.zeros_like(tau), np.ones_like(tau)
+    for _ in range(NEWTON_STEPS):
+        w = spline_weights(tau)
+        excess = w[:, 0] * y0 + w[:, 1] * d0 + w[:, 2] * y1 + w[:, 3] * d1 - s
+        lo = np.where(excess < 0, tau, lo)
+        hi = np.where(excess > 0, tau, hi)
+        slope = y1 - y0 + (1 - 3 * (1 - tau) ** 2) * d0 + (3 * tau ** 2 - 1) * d1
+        step = tau - excess / slope
+        new = np.where(excess == 0, tau, np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi)))
+        moved = np.max(np.abs(new - tau))
+        tau = new
+        if moved <= NEWTON_TOL:
+            break
+    return np.clip((1 - tau) * nodes[k] + tau * nodes[k + 1], nodes[0], nodes[-1])
 
 
 def canonicalize(m: Immersion) -> CanonicalizationResult:
@@ -167,13 +196,13 @@ def canonicalize(m: Immersion) -> CanonicalizationResult:
                            g.node(np.argmax(fields[max(devs, key=devs.get)])))
 
     phi = np.mean(phi_uv.values[:, sv], axis=1)
-    ubar = cumulative_simpson(np.sqrt(phi), dx=g.hu, initial=0.0)
+    ubar = cumulative_simpson(np.sqrt(phi), g.hu)
     if degenerate:
         psi = None
         vbar = src_v = g.v_nodes
     else:
         psi = np.mean(psi_uv.values[su, :], axis=0)
-        vbar = cumulative_simpson(np.sqrt(psi), dx=g.hv, initial=0.0)
+        vbar = cumulative_simpson(np.sqrt(psi), g.hv)
         src_v = _monotone_inverse(vbar, g.v_nodes, np.linspace(0.0, vbar[-1], g.Nv))
     src_u = _monotone_inverse(ubar, g.u_nodes, np.linspace(0.0, ubar[-1], g.Nu))
     # sample at (src_u, src_v), label the nodes (ubar, vbar)

@@ -310,16 +310,31 @@ _HANDLERS = {
 }
 
 
+def _report_flag(argv: list[str] | None) -> str | None:
+    """The --report of a command line that failed to parse, when that flag itself is well-formed."""
+    parser = _Parser(add_help=False, allow_abbrev=False)
+    parser.add_argument("--report")
+    try:
+        return parser.parse_known_args(argv)[0].report
+    except ConfigError:  # --report without its value
+        return None
+
+
 def run(argv: list[str] | None = None) -> int:
     # the error report goes where the merged options say; if the merge itself
-    # failed, only the command-line flag is known, and if parsing failed, neither is
+    # failed, only the command-line flag is known, and if parsing failed, only
+    # a well-formed --report on the malformed line
     command = report_path = None
     try:
         parser = _build_parser()
-        args, unknown = parser.parse_known_args(argv)
-        command = args.command
-        if unknown:
-            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        try:
+            args, unknown = parser.parse_known_args(argv)
+            command = args.command
+            if unknown:
+                parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        except ConfigError:
+            report_path = _report_flag(argv)
+            raise
         report_path = args.report
         opts = _merge_config(args)
         report_path = opts["report"]

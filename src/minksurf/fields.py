@@ -11,6 +11,14 @@ array (any trailing axes) with the order-2 stencil (central, with 3-point
 one-sided closures on the boundary rows and columns) or, on request, the
 order-4 stencil used by the analysis pipeline.  The transforms `ln_abs` and
 `sqrt_abs` work on the samples alone.
+
+`spline_table` is the package's one spline routine: the not-a-knot cubic
+spline on uniform nodes, held as its node values y and d = h^2/6 S'' at the
+nodes, found by a Thomas sweep in LAPACK's operation order.  The frame
+transport's stage matrices, the resampler `bicubic` and the canonical map's
+inverse (`canonical._monotone_inverse`) all evaluate it.
+`cumulative_simpson` is the one quadrature: the cumulative composite Simpson
+sum on uniform nodes, in scipy's operation order.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .errors import GridTooSmall, NearZeroField, SignChange, ValidationError
 
@@ -194,6 +201,143 @@ def sqrt_abs(s: ScalarField) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
+# the uniform not-a-knot cubic spline, and cumulative Simpson
+
+
+def _solve_folded_spline(b: np.ndarray) -> None:
+    """Solve the folded not-a-knot system in place for every column of b, (m, k) with m >= 3.
+
+    The matrix is tridiagonal: diagonal 6, 4, ..., 4, 6, sub- and superdiagonal
+    1 except the first superdiagonal and the last subdiagonal entry, which are 0.
+    A Thomas sweep in LAPACK dgtsv's operation order: the matrix is diagonally
+    dominant, so dgtsv never swaps rows, and the solution equals its solution
+    value for value (a NaN in a column fills that column only).  Only the sign
+    of a zero can differ, where dgtsv's back sweep subtracts 0 * b[i + 2] and
+    this one does not.  A single column is swept as Python floats (the same
+    IEEE operations without numpy's cost per call), wider ones row by row,
+    in place through a list of row views.
+    """
+    m = len(b)
+    du = [0.0] + [1.0] * (m - 2)
+    dl = [1.0] * (m - 2) + [0.0]
+    piv = [6.0] + [4.0] * (m - 2) + [6.0]
+    fact = []
+    for i in range(m - 1):
+        fact.append(dl[i] / piv[i])
+        piv[i + 1] -= fact[i] * du[i]
+    if b.shape[1:] == (1,):
+        col = b[:, 0].tolist()
+        for i in range(m - 1):
+            col[i + 1] -= fact[i] * col[i]
+        col[-1] /= piv[-1]
+        for i in range(m - 2, -1, -1):
+            col[i] = (col[i] - du[i] * col[i + 1]) / piv[i]
+        b[:, 0] = col
+        return
+    rows = list(b)
+    for i in range(m - 1):
+        rows[i + 1] -= fact[i] * rows[i]
+    rows[-1] /= piv[-1]
+    for i in range(m - 2, 0, -1):  # du[i] = 1, and b - 1.0 * c is b - c to the bit
+        np.subtract(rows[i], rows[i + 1], out=rows[i])
+        rows[i] /= piv[i]
+    rows[0] -= du[0] * rows[1]  # du[0] = 0, kept so that a NaN in rows[1] still reaches rows[0]
+    rows[0] /= piv[0]
+
+
+def spline_table(values: np.ndarray) -> np.ndarray:
+    """The not-a-knot cubic spline S through values (n, ...) on n >= 5 uniform nodes, as a contiguous (n, 2, ...) table.
+
+    Per node the table holds y = values, then d = h^2 / 6 S''.  The spline's
+    value at fraction tau of interval k is `spline_weights(tau)` applied to
+    (y_k, d_k, y_k+1, d_k+1), four consecutive rows of the table flattened
+    to (2 n, -1).  d is found in place in the table: its right-hand sides
+    are formed in d's rows and `_solve_folded_spline` overwrites them with
+    the solution.  The table is a fresh buffer because a strided view (a
+    `moveaxis` of the samples, say) would reshape to a copy, and the
+    in-place solve would write into that copy.
+    """
+    n = values.shape[0]
+    if n < 5:
+        raise GridTooSmall("the not-a-knot spline needs at least 5 nodes")
+    table = np.empty((n, 2) + values.shape[1:])
+    table[:, 0] = values
+    flat = table.reshape(n, 2, -1)
+    y, d = flat[:, 0], flat[:, 1]
+    # d_k-1 + 4 d_k + d_k+1 = r_k = y_k-1 - 2 y_k + y_k+1 at the inner nodes, with r summed
+    # in d's own rows, bit for bit as that expression; not-a-knot sets d_0 = 2 d_1 - d_2
+    # (and its mirror), which folds rows 1 and n-2 to 6 d = r
+    np.multiply(y[1:-1], -2.0, out=d[1:-1])
+    d[1:-1] += y[:-2]
+    d[1:-1] += y[2:]
+    _solve_folded_spline(d[1:-1])
+    d[0] = 2 * d[1] - d[2]
+    d[-1] = 2 * d[-2] - d[-3]
+    return table
+
+
+def spline_weights(tau: np.ndarray) -> np.ndarray:
+    """(len(tau), 4) weights of (y_k, d_k, y_k+1, d_k+1) for the spline's value at fractions tau of an interval.
+
+    The value is (1 - tau) y_k + ((1 - tau)^3 - (1 - tau)) d_k + tau y_k+1 + (tau^3 - tau) d_k+1.
+    """
+    return np.column_stack([1 - tau, (1 - tau) ** 3 - (1 - tau), tau, tau ** 3 - tau])
+
+
+def locate(nodes: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interval k (0..n-2) of each x in [nodes[0], nodes[-1]] and its fraction tau of that interval.
+
+    A node x = nodes[k] gets tau = 0 exactly (tau = 1 in the last interval).
+    """
+    k = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
+    return k, (x - nodes[k]) / (nodes[k + 1] - nodes[k])
+
+
+def _spline_pass(values: np.ndarray, nodes: np.ndarray, targets: np.ndarray, axis: int) -> np.ndarray:
+    """The not-a-knot spline along `axis` of values, evaluated at the targets (inside the nodes)."""
+    f = np.moveaxis(values, axis, 0)
+    n = len(nodes)
+    rows = spline_table(f).reshape(2 * n, -1)
+    k, tau = locate(nodes, targets)
+    ends = rows[2 * k[:, None] + np.arange(4)]  # (targets, 4, samples per node)
+    out = (spline_weights(tau)[:, None, :] @ ends).reshape((len(targets),) + f.shape[1:])
+    return np.moveaxis(out, 0, axis)
+
+
+def cumulative_simpson(y: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
+    """Cumulative Simpson integral of samples on uniform nodes of spacing h along `axis`, 0 at the first node.
+
+    Needs at least 3 nodes.  Interval k's integral is
+    h/3 (5 y_k / 4 + 2 y_k+1 - y_k+2 / 4) from the parabola through it and
+    the next node for even k, and h/3 (5 y_k+1 / 4 + 2 y_k - y_k-1 / 4) from
+    the parabola through it and the previous node for odd k and for the last
+    interval; one cumulative sum adds them up.  This is
+    scipy.integrate.cumulative_simpson(y, dx=h, axis=axis, initial=0.0)
+    operation for operation, so the sums equal its to the bit, the sign of
+    a zero included (adding the initial 0.0 turns -0.0 into +0.0).  The
+    result has its memory layout too, `axis` swapped with the last axis of a
+    C-contiguous array, so reductions over it and over arrays computed from
+    it sum in the same order.
+    """
+    f = np.swapaxes(np.asarray(y, dtype=float), axis, -1)
+    n = f.shape[-1]
+    if n < 3:
+        raise GridTooSmall("cumulative Simpson needs at least 3 nodes")
+    f1, f2, f3 = f[..., :-2], f[..., 1:-1], f[..., 2:]
+    forward = h / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)   # interval k from nodes k, k+1, k+2
+    backward = h / 3 * (5 * f3 / 4 + 2 * f2 - f1 / 4)  # interval k+1 from the same nodes
+    pieces = np.empty(f.shape[:-1] + (n - 1,))
+    pieces[..., :-1:2] = forward[..., ::2]
+    pieces[..., 1::2] = backward[..., ::2]
+    pieces[..., -1] = backward[..., -1]
+    out = np.empty(f.shape)
+    out[..., 0] = 0.0
+    np.cumsum(pieces, axis=-1, out=out[..., 1:])
+    out[..., 1:] += 0.0
+    return np.swapaxes(out, axis, -1)
+
+
+# ---------------------------------------------------------------------------
 # resampling
 
 
@@ -204,10 +348,10 @@ def bicubic(values: np.ndarray, grid: GridSpec, new_u: np.ndarray, new_v: np.nda
     values has shape (Nu, Nv, ...) with any trailing axes (components,
     matrices); the result has shape (len(new_u), len(new_v), ...).  Targets
     are clipped into the domain.  The tensor interpolant equals a 1-D
-    not-a-knot pass along u followed by one along v, which is how it is
-    evaluated.
+    not-a-knot pass (`spline_table`) along u followed by one along v, which
+    is how it is evaluated.
     """
     cu = np.clip(new_u, grid.u0, grid.u1)
     cv = np.clip(new_v, grid.v0, grid.v1)
-    along_u = make_interp_spline(grid.u_nodes, values, k=3, axis=0)(cu)
-    return make_interp_spline(grid.v_nodes, along_u, k=3, axis=1)(cv)
+    along_u = _spline_pass(np.asarray(values, dtype=float), grid.u_nodes, cu, 0)
+    return _spline_pass(along_u, grid.v_nodes, cv, 1)

@@ -46,13 +46,13 @@ def _rows(table: np.ndarray, sep: str) -> str:
 def _write_grid_csv(path: str, header: str, grid: GridSpec, samples: np.ndarray) -> None:
     """`header`, then one `u,v,samples...` row per node, u outer / v fastest.
 
-    Each coordinate is formatted once; one `%` fills in the samples.
+    Each coordinate is formatted once, and a u row's template is one join of
+    the v rows with that u; one `%` fills in the samples.
     """
     table = samples.reshape(grid.Nu * grid.Nv, -1)
     tail = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
-    us = [fmt(u) + "," for u in grid.u_nodes]
-    vs = [fmt(v) + "," for v in grid.v_nodes]
-    template = "".join([u + v + tail for u in us for v in vs])
+    v_rows = [fmt(v) + "," + tail for v in grid.v_nodes]
+    template = "".join([u + u.join(v_rows) for u in (fmt(u) + "," for u in grid.u_nodes)])
     with open(path, "w") as fh:
         fh.write(header + "\n" + template % tuple(table.ravel().tolist()))
 

@@ -59,10 +59,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import BlowUp, BothMuZero, NoConvergence, ValidationError
-from .fields import MU_MIN, GridSpec, ScalarField, diff_values, ln_abs, require_away_from_zero
+from .fields import MU_MIN, GridSpec, ScalarField, cumulative_simpson, diff_values, ln_abs, require_away_from_zero
 
 G_LIMIT = 50.0          # |ln mu| trust region during marching
 CLASSIFY_TOL = 1e-10    # relative zero threshold for K - H^2
@@ -343,7 +342,7 @@ def solve_goursat_degenerate(
     edges.  lambda then solves lam_v = lam g_v - nu_u along each u = const
     line through the integrating factor e^{-g}:
     lam = e^{g} (lam_b e^{-g_b} - nu_u int_{v0}^{v} e^{-g} dv), the integral
-    by cumulative Simpson on the nodes.
+    by `fields.cumulative_simpson` on the nodes.
 
     Edge data may be callables of the coordinate or arrays on the nodes.  nu
     must be non-constant (constant nu is the parallel-H case the degenerate
@@ -361,7 +360,7 @@ def solve_goursat_degenerate(
 
     nu_u = diff_values(nu, grid.hu, 0)
     e_minus = np.exp(-g)
-    integral = cumulative_simpson(e_minus, dx=grid.hv, axis=1, initial=0.0)
+    integral = cumulative_simpson(e_minus, grid.hv, axis=1)
     lam = np.exp(g) * ((lb * e_minus[:, 0])[:, None] - nu_u[:, None] * integral)
     return CanonicalTriple(
         lam=ScalarField(grid, lam),

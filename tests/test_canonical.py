@@ -218,6 +218,24 @@ def test_monotone_inverse_rejects_a_decreasing_map():
     assert (info.value.node, info.value.uv) == (None, None)
 
 
+def test_monotone_inverse_is_fourth_order():
+    # ubar = (e^{a u} - 1) / a on uniform u nodes inverts to u = ln(1 + a ubar) / a
+    a = 1.2
+    errs = []
+    for n in (65, 129, 257):
+        nodes = np.linspace(0.0, 1.0, n)
+        svals = np.expm1(a * nodes) / a
+        targets = np.linspace(0.0, svals[-1], 301)
+        out = _monotone_inverse(svals, nodes, targets)
+        errs.append(np.max(np.abs(out - np.log1p(a * targets) / a)))
+        # the end targets are node values and land on the end nodes
+        assert (out[0], out[-1]) == (0.0, 1.0)
+        # a target at a node value lands on that node exactly
+        assert np.array_equal(_monotone_inverse(svals, nodes, svals), nodes)
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 3.5), (errs, orders)
+
+
 def test_canonicalize_role_swap_on_transposed_surface(degenerate_bundle):
     # transposing swaps the null directions, so mu1 ~ 0 and mu2 carries the
     # data; canonicalize must swap back internally and agree with the direct

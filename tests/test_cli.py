@@ -558,6 +558,46 @@ def test_malformed_command_line_exit_1(capsys, argv, command):
     assert data["message"].startswith("minksurf")
 
 
+def test_malformed_command_line_writes_a_well_formed_report(tmp_path, capsys):
+    # the line fails to parse, but its --report is well-formed: the error report goes there too
+    report = tmp_path / "r.json"
+    assert run(["roundtrip", "--tol-build", "-inf", "--report", str(report)]) == 1
+    data = json.loads(report.read_text())
+    assert data == json.loads(capsys.readouterr().err)
+    assert (data["command"], data["error"]) == ("roundtrip", "ConfigError")
+    # a --report missing its value names no file
+    assert run(["roundtrip", "--nodes", "abc", "--report"]) == 1
+    assert json.loads(capsys.readouterr().err)["command"] == "roundtrip"
+    assert list(tmp_path.iterdir()) == [report]
+
+
+BLOCKED_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any scipy import, eager or lazy, now raises ImportError
+from minksurf.cli import run
+d = sys.argv[1]
+codes = [
+    run(["roundtrip", "--fixture", "jet", "--nodes", "17", "--report", d + "/roundtrip.json"]),
+    run(["reconstruct", "--fixture", "jet", "--nodes", "17", "--out", d + "/rec", "--report", d + "/rec.json"]),
+    run(["canonicalize", "--immersion", d + "/rec/immersion.csv", "--out", d + "/canon",
+         "--report", d + "/canon.json"]),
+    run(["analyze", "--immersion", d + "/canon/immersion.csv", "--report", d + "/analyze.json"]),
+]
+assert codes == [0, 0, 0, 0], codes
+assert not [m for m in sys.modules if m.startswith("scipy.")]
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", BLOCKED_SCIPY, str(tmp_path)], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("roundtrip", "rec", "canon", "analyze"):
+        assert json.loads((tmp_path / f"{name}.json").read_text())["status"] == "ok"
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as info:
         run(["reconstruct", "-h"])

@@ -8,6 +8,7 @@ from minksurf.fields import (
     GridSpec,
     ScalarField,
     bicubic,
+    cumulative_simpson,
     diff_values,
     ln_abs,
     require_away_from_zero,
@@ -218,3 +219,39 @@ def test_resample_reproduces_random_cubics(a, b, c, d):
     assert stacked.shape == out.shape + (2, 1)
     assert np.max(np.abs(stacked[..., 0, 0] - out)) <= 1e-14 * scale
     assert np.max(np.abs(stacked[..., 1, 0] + out)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [5, 6, 9, 12, 33])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_cumulative_simpson_is_scipys_to_the_bit(n, axis):
+    # odd and even lengths, each axis of a 3-D array, signed zeros included
+    from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
+
+    shape = [3, 4, 2]
+    shape[axis] = n
+    rng = np.random.default_rng(n + 10 * axis)
+    y = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    y.flat[::5] = 0.0
+    y.flat[2::7] = -0.0
+    # -0.0, -0.0, +0.0 makes the first interval's integral -0.0; the initial 0.0 turns its sum into +0.0
+    lead = (slice(None),) * axis
+    y[lead + (slice(0, 2),)] = -0.0
+    y[lead + (2,)] = 0.0
+    h = 1.0 / (n - 1)
+    ref = scipy_cumulative_simpson(y, dx=h, axis=axis, initial=0.0)
+    out = cumulative_simpson(y, h, axis=axis)
+    assert out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+    # the same memory layout, so reductions downstream sum in the same order
+    assert out.strides == ref.strides
+
+
+def test_cumulative_simpson_of_a_one_dimensional_sample():
+    from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
+
+    y = np.sqrt(1.0 + np.linspace(0.0, 1.0, 65))
+    ref = scipy_cumulative_simpson(y, dx=1 / 64, initial=0.0)
+    assert cumulative_simpson(y, 1 / 64).tobytes() == ref.tobytes()
+    with pytest.raises(GridTooSmall):
+        cumulative_simpson(y[:2], 1 / 64)

@@ -8,7 +8,7 @@ from scipy.linalg import expm, solve_banded
 
 from minksurf import frames as frames_module
 from minksurf.errors import ResidualTooLarge, StepUnstable, ValidationError
-from minksurf.fields import GridSpec, ScalarField, diff_values
+from minksurf.fields import GridSpec, ScalarField, _solve_folded_spline, diff_values
 from minksurf.fixtures import (
     constant_triple,
     goursat_degenerate_triple,
@@ -20,7 +20,6 @@ from minksurf.fixtures import (
 from minksurf.frames import (
     RK4_SUBSTEPS,
     _rk4_increment,
-    _solve_folded_spline,
     _stage_matrices,
     _transport,
     coefficient_matrices,
@@ -527,6 +526,16 @@ def test_folded_spline_solve_is_lapacks_bit_for_bit(nodes):
     # exactly, on right-hand sides whose magnitudes span 16 decades
     rng = np.random.default_rng(nodes)
     r = rng.standard_normal((nodes - 2, 48)) * 10.0 ** rng.uniform(-8, 8, (nodes - 2, 48))
+    b = r.copy()
+    _solve_folded_spline(b)
+    assert np.array_equal(b, solve_banded((1, 1), folded_bands(nodes - 2), r))
+
+
+@pytest.mark.parametrize("nodes", [5, 65, 257])
+def test_folded_spline_solve_of_one_column_is_lapacks_bit_for_bit(nodes):
+    # a single column is swept as Python floats: the same operations, the same bits
+    rng = np.random.default_rng(nodes)
+    r = rng.standard_normal((nodes - 2, 1)) * 10.0 ** rng.uniform(-8, 8, (nodes - 2, 1))
     b = r.copy()
     _solve_folded_spline(b)
     assert np.array_equal(b, solve_banded((1, 1), folded_bands(nodes - 2), r))

@@ -39,3 +39,4 @@ def test_bench_records_times_and_minor_faults_per_stage(monkeypatch, tmp_path):
         assert set(run[key]) == STAGES
         assert all(set(by_nodes) == {"33"} for by_nodes in run[key].values())
     assert all(isinstance(f, int) and f >= 0 for by_nodes in run["stages_minflt"].values() for f in by_nodes.values())
+    assert isinstance(run["cold_import_ms"], float) and run["cold_import_ms"] > 0
