@@ -213,9 +213,7 @@ def _solve_folded_spline(b: np.ndarray) -> None:
     dominant, so dgtsv never swaps rows, and the solution equals its solution
     value for value (a NaN in a column fills that column only).  Only the sign
     of a zero can differ, where dgtsv's back sweep subtracts 0 * b[i + 2] and
-    this one does not.  A single column is swept as Python floats (the same
-    IEEE operations without numpy's cost per call), wider ones row by row,
-    in place through a list of row views.
+    this one does not.
     """
     m = len(b)
     du = [0.0] + [1.0] * (m - 2)
@@ -225,24 +223,11 @@ def _solve_folded_spline(b: np.ndarray) -> None:
     for i in range(m - 1):
         fact.append(dl[i] / piv[i])
         piv[i + 1] -= fact[i] * du[i]
-    if b.shape[1:] == (1,):
-        col = b[:, 0].tolist()
-        for i in range(m - 1):
-            col[i + 1] -= fact[i] * col[i]
-        col[-1] /= piv[-1]
-        for i in range(m - 2, -1, -1):
-            col[i] = (col[i] - du[i] * col[i + 1]) / piv[i]
-        b[:, 0] = col
-        return
-    rows = list(b)
     for i in range(m - 1):
-        rows[i + 1] -= fact[i] * rows[i]
-    rows[-1] /= piv[-1]
-    for i in range(m - 2, 0, -1):  # du[i] = 1, and b - 1.0 * c is b - c to the bit
-        np.subtract(rows[i], rows[i + 1], out=rows[i])
-        rows[i] /= piv[i]
-    rows[0] -= du[0] * rows[1]  # du[0] = 0, kept so that a NaN in rows[1] still reaches rows[0]
-    rows[0] /= piv[0]
+        b[i + 1] -= fact[i] * b[i]
+    b[-1] /= piv[-1]
+    for i in range(m - 2, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1]) / piv[i]
 
 
 def spline_table(values: np.ndarray) -> np.ndarray:

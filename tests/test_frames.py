@@ -531,16 +531,6 @@ def test_folded_spline_solve_is_lapacks_bit_for_bit(nodes):
     assert np.array_equal(b, solve_banded((1, 1), folded_bands(nodes - 2), r))
 
 
-@pytest.mark.parametrize("nodes", [5, 65, 257])
-def test_folded_spline_solve_of_one_column_is_lapacks_bit_for_bit(nodes):
-    # a single column is swept as Python floats: the same operations, the same bits
-    rng = np.random.default_rng(nodes)
-    r = rng.standard_normal((nodes - 2, 1)) * 10.0 ** rng.uniform(-8, 8, (nodes - 2, 1))
-    b = r.copy()
-    _solve_folded_spline(b)
-    assert np.array_equal(b, solve_banded((1, 1), folded_bands(nodes - 2), r))
-
-
 def test_folded_spline_solve_keeps_a_nan_in_its_column():
     # a NaN fills its own column, as in LAPACK's solve, and leaves the others exact
     rng = np.random.default_rng(2)
