@@ -10,19 +10,24 @@ formulas, the inflection determinants, and one class for the surface
 `geometric_frame` rejects it before any class is given.
 
 The stages run in one chain: `geometric_frame(m)`, then
-`frame_functions(frame)`, which reads only that frame.  Derivatives here use
-order-4 stencils: the beta tolerances sit below what order-2 differencing of
-an oscillatory immersion can deliver on production grids.  Each derivative
-of z is taken once per frame: `geometric_frame` keeps z_u, z_v and z_uv, and
-`invariants` reuses them.  The frame keeps x, y, n1 and n2 as separate
-contiguous (Nu, Nv, 4) arrays, not as rows of a stacked (Nu, Nv, 4, 4) array,
-so the stencils and inner products that read them run on contiguous rows.
+`frame_functions(frame)`, which reads only that frame.  An `Immersion` is
+immutable and keeps that chain's results as two attributes computed on first
+access, `m.frame` and `m.functions`, so `invariants(m)` and
+`canonical.canonicalize(m)` on one immersion share one analysis.  Derivatives
+here use order-4 stencils: the beta tolerances sit below what order-2
+differencing of an oscillatory immersion can deliver on production grids.
+Each derivative of z is taken once per immersion: `geometric_frame` keeps
+z_u, z_v and z_uv, and `invariants` reuses them.  The frame keeps x, y, n1
+and n2 as separate contiguous (Nu, Nv, 4) arrays, not as rows of a stacked
+(Nu, Nv, 4, 4) array, so the stencils and inner products that read them run
+on contiguous rows.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,20 +55,37 @@ class SurfaceClass(enum.Enum):
     GENERIC = "generic"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Immersion:
-    """Sampled surface z: grid -> R^4_1; points indexed [i, j, component]."""
+    """Sampled surface z: grid -> R^4_1; points indexed [i, j, component].
+
+    Immutable: `points` is a read-only float copy of the samples given (the
+    caller's array stays as it was), so the analysis kept in `frame` and
+    `functions` cannot go stale.  An analysis that raises is not kept: the
+    next access runs it again and raises again.
+    """
 
     grid: GridSpec
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float, order="C")
         if pts.shape != (self.grid.Nu, self.grid.Nv, 4):
             raise ValidationError(f"points shape {pts.shape} != (Nu, Nv, 4)")
         if not np.all(np.isfinite(pts)):
             raise ValidationError("immersion samples must be finite")
-        self.points = pts
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
+
+    @cached_property
+    def frame(self) -> "GeometricFrame":
+        """`geometric_frame` of this immersion, computed on first access."""
+        return geometric_frame(self)
+
+    @cached_property
+    def functions(self) -> "FrameFunctions":
+        """`frame_functions` of `frame`, computed on first access."""
+        return frame_functions(self.frame)
 
     def resample(self, grid: GridSpec, at_u: np.ndarray, at_v: np.ndarray) -> "Immersion":
         """The immersion on `grid`, node (i, j) sampled at (at_u[i], at_v[j]).
@@ -82,7 +104,7 @@ class Immersion:
         g = self.grid
         return Immersion(
             GridSpec(g.v0, g.v1, g.u0, g.u1, g.Nv, g.Nu),
-            np.swapaxes(self.points, 0, 1).copy(),
+            np.swapaxes(self.points, 0, 1),
         )
 
 
@@ -241,11 +263,13 @@ class InvariantReport:
 def invariants(m: Immersion) -> InvariantReport:
     """Curvature invariants, inflection determinants and the surface's class.
 
-    The class is PNMC or PARALLEL_H when both betas are small (PNMC when nu
-    varies), else GENERIC.
+    Reads m's own analysis, `m.frame` and `m.functions`, so a later
+    `canonical.canonicalize(m)` does not analyse m again.  The class is PNMC
+    or PARALLEL_H when both betas are small (PNMC when nu varies), else
+    GENERIC.
     """
-    frame = geometric_frame(m)
-    funcs = frame_functions(frame)
+    frame = m.frame
+    funcs = m.functions
     g = m.grid
     f = frame.f.values
 

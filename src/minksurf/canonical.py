@@ -14,9 +14,10 @@ chi', so phi gains chi'^2 and only int sqrt(phi) du is invariant.  The
 quadratures start at the lower domain corner with zero offsets (the
 additive constants are free).
 
-`canonicalize` analyses the immersion once and runs one flow for every
-case: classify, check separability, integrate the map, resample the
-immersion, and carry the triple over by the reparametrization law.  The map
+`canonicalize` reads the immersion's own analysis, `m.functions`, which
+`analysis.invariants(m)` shares, and runs one flow for every case: classify,
+check separability, integrate the map, resample the immersion, and carry the
+triple over by the reparametrization law.  The map
 is integrated by `fields.cumulative_simpson` and inverted on the uniform
 not-a-knot spline of ubar(u) (`fields.spline_table`, the package's one
 spline routine) by a bracketed Newton step per interval, since
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import FD_ORDER, FrameFunctions, Immersion, frame_functions, geometric_frame
+from .analysis import FD_ORDER, FrameFunctions, Immersion
 from .errors import BothMuZero, NotSeparable
 from .fields import (MU_MIN, GridSpec, ScalarField, bicubic, cumulative_simpson, diff_values, ln_abs, locate,
                      spline_table, spline_weights)
@@ -166,16 +167,19 @@ def _monotone_inverse(svals: np.ndarray, nodes: np.ndarray, targets: np.ndarray)
 def canonicalize(m: Immersion) -> CanonicalizationResult:
     """Resample an isotropic immersion onto canonical parameters.
 
-    Analyses m once: the triple comes from m's frame functions by the
-    reparametrization law (see the module docstring), resampled with the
-    immersion.  Transposes first when mu2 rather than mu1 carries the data.
+    Reads m's frame functions, `m.functions`: computed on first access and
+    kept on m, so `analysis.invariants(m)` before or after it does not
+    analyse m again.  The triple comes from them by the reparametrization law
+    (see the module docstring), resampled with the immersion.  Transposes
+    first when mu2 rather than mu1 carries the data; the transposed
+    immersion is analysed on its own.
     Besides the per-case entries the diagnostics hold the separability
     deviations and the canonical metric law max |f sqrt|mu| - 1|, with f
     read off the canonical immersion.  Raises NotSeparable
     when f^2 |mu_i| depends on the wrong parameter, at the interior node
     where the largest deviation peaks.
     """
-    funcs = frame_functions(geometric_frame(m))
+    funcs = m.functions
     case, _, swapped = classify_functions(funcs)
     if swapped:
         return canonicalize(m.transpose())

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import degenerate_metric_immersion, graph_surface, immersion_of, null_plane
-from minksurf import fields
+from minksurf import analysis, fields
 from minksurf.analysis import (
     Immersion,
     SurfaceClass,
@@ -82,24 +84,96 @@ def test_geometric_frame_orientation(request, surface):
 
 
 def test_order4_stencil_passes(monkeypatch, jet_bundle):
-    # each derivative of z is taken once per frame
-    m = immersion_of(jet_bundle)
+    # each derivative of z is taken once per immersion
     calls = []
     diff4 = fields._diff4
     monkeypatch.setattr(fields, "_diff4", lambda *args: calls.append(1) or diff4(*args))
 
-    def passes(fn, arg=m):
+    def passes(fn, arg=None):
+        arg = immersion_of(jet_bundle) if arg is None else arg
         calls.clear()
         fn(arg)
         return len(calls)
 
-    # z_u, z_v, z_uv; x_u, y_v, n1_u, n1_v; and invariants adds (ln f)_u,
-    # (ln f)_uv, z_uu and z_vv; canonicalize analyzes one immersion and reads
-    # the canonical immersion's z_u and z_v for the metric law
+    # on a fresh immersion: z_u, z_v, z_uv; x_u, y_v, n1_u, n1_v; and
+    # invariants adds (ln f)_u, (ln f)_uv, z_uu and z_vv; canonicalize analyzes
+    # the immersion and reads the canonical immersion's z_u and z_v for the
+    # metric law
     assert passes(geometric_frame) == 3
-    assert passes(frame_functions, geometric_frame(m)) == 4
+    assert passes(frame_functions, geometric_frame(immersion_of(jet_bundle))) == 4
     assert passes(invariants) == 11
     assert passes(canonicalize) == 9
+
+    # on one immersion canonicalize reuses the analysis invariants made: the
+    # metric law's two passes, and one geometric frame in all
+    frames_built = []
+    monkeypatch.setattr(analysis, "geometric_frame", lambda m: frames_built.append(1) or geometric_frame(m))
+    m = immersion_of(jet_bundle)
+    assert passes(invariants, m) == 11
+    assert passes(canonicalize, m) == 2
+    assert len(frames_built) == 1
+
+
+def assert_same_bits(a, b):
+    """a and b hold the same values bit for bit: dataclasses field by field, arrays by their bytes."""
+    assert type(a) is type(b)
+    if dataclasses.is_dataclass(a):
+        for fld in dataclasses.fields(a):
+            assert_same_bits(getattr(a, fld.name), getattr(b, fld.name))
+    elif isinstance(a, np.ndarray):
+        assert (a.shape, a.dtype) == (b.shape, b.dtype)
+        assert a.tobytes() == b.tobytes()
+    elif isinstance(a, dict):
+        assert list(a) == list(b)
+        for k in a:
+            assert_same_bits(a[k], b[k])
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_bits(x, y)
+    else:
+        assert a == b
+
+
+@pytest.mark.parametrize("bundle_name", ["jet_bundle", "negative_jet_bundle", "hyperbolic_bundle",
+                                         "degenerate_bundle"])
+def test_shared_analysis_equals_fresh_analyses(request, bundle_name):
+    # invariants then canonicalize on one immersion share its analysis; neither
+    # stage may write into the shared arrays, so both match fresh immersions
+    bundle = request.getfixturevalue(bundle_name)
+    m = immersion_of(bundle)
+    shared = (invariants(m), canonicalize(m))
+    fresh = (invariants(immersion_of(bundle)), canonicalize(immersion_of(bundle)))
+    assert_same_bits(shared, fresh)
+
+
+def test_immersion_is_immutable_and_keeps_only_its_own_analysis(jet_bundle):
+    pts = np.array(jet_bundle.points)
+    m = Immersion(jet_bundle.grid, pts)
+    with pytest.raises(ValueError):
+        m.points[0, 0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.points = pts
+    # the caller's array stays writable and unchanged, and is not the immersion's
+    assert pts.flags.writeable
+    assert pts.tobytes() == jet_bundle.points.tobytes()
+    assert not np.shares_memory(pts, m.points)
+
+    m.functions  # analyse m first: the derived immersions must not inherit it
+    g = m.grid
+    coarse = GridSpec(g.u0, g.u1, g.v0, g.v1, 33, 33)
+    for derived in (m.transpose(), m.resample(coarse, coarse.u_nodes, coarse.v_nodes)):
+        assert not np.shares_memory(derived.points, m.points)
+        assert "frame" not in vars(derived) and "functions" not in vars(derived)
+        assert_same_bits(derived.functions, frame_functions(geometric_frame(Immersion(derived.grid, derived.points))))
+
+
+def test_failed_analysis_is_not_kept():
+    m = null_plane()
+    for _ in range(2):
+        with pytest.raises(MinimalOrTotallyGeodesic):
+            m.functions
+    assert "frame" not in vars(m)
 
 
 def test_cylinder_frame_functions(cylinder):

@@ -5,6 +5,8 @@ import json
 import sys
 from pathlib import Path
 
+from minksurf import analysis
+
 BENCH = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
 STAGES = {
     "goursat_hyperbolic_triple", "solve_goursat_hyperbolic", "goursat_march", "goursat_degenerate_triple",
@@ -25,6 +27,19 @@ def test_bench_stages_run():
     assert set(stages) == STAGES
     for fn in stages.values():
         fn()
+
+
+def test_bench_analysis_rows_analyse_on_every_call(monkeypatch):
+    # an immersion keeps its analysis, so a row that reused one would skip it after the warm-up
+    stages = load_bench()._stages(33)
+    calls = []
+    geometric_frame = analysis.geometric_frame
+    monkeypatch.setattr(analysis, "geometric_frame", lambda m: calls.append(1) or geometric_frame(m))
+    for stage in ("invariants", "canonicalize"):
+        for _ in range(2):
+            calls.clear()
+            stages[stage]()
+            assert len(calls) == 1, stage
 
 
 def test_bench_records_times_and_minor_faults_per_stage(monkeypatch, tmp_path):
